@@ -25,10 +25,6 @@ from .greedy import brute_force_optimum, empirical_ratio, run_greedy
 from .objective import ONE, ZERO, AgentSpace, SetFunction, as_fraction, total_curvature
 from .structure import InformationGraph, optimal_graph, remainder_one
 
-# certify() computes the curvature-form lower bound only for ground sets up
-# to this size; the scan behind total_curvature is a full 2^|S| enumeration.
-DEFAULT_CURVATURE_CAP = 10
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
@@ -66,18 +62,35 @@ def rho(n: int, q: int) -> Fraction:
     return Fraction(1, r) if remainder_one(n, q) else Fraction(1, r + 1)
 
 
-def graph_ratio_bounds(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> RatioBounds:
-    """1/(theta+1) <= gamma(G) <= 1/alpha, refined to 1/(alpha+1) when some
-    maximum independent set has an observed member."""
-    alpha = independence_number(graph, cap=cap).value
-    theta = clique_cover_number(graph, cap=cap).value
-    sibling = has_sibling_condition(graph, cap=cap)
-    refined = Fraction(1, alpha + 1) if sibling is not None else None
+def _graph_bounds(alpha: int, theta: int, sibling: bool) -> RatioBounds:
+    refined = Fraction(1, alpha + 1) if sibling else None
     return RatioBounds(
         lower=Fraction(1, theta + 1),
         upper=Fraction(1, alpha),
         refined_upper=refined,
         source="independence/clique-cover" + ("+sibling" if sibling else ""))
+
+
+def _lambda(lam) -> Fraction:
+    lam = as_fraction(lam, "lambda")
+    if not ZERO <= lam <= ONE:
+        raise InputError(f"lambda: must lie in [0, 1], got {lam}")
+    return lam
+
+
+def _curvature_bounds(alpha: int, theta: int, lam: Fraction) -> RatioBounds:
+    return RatioBounds(
+        lower=(theta - (theta - 1) * lam) / (theta + lam),
+        upper=(alpha - (alpha - 1) * lam) / Fraction(alpha),
+        source="curvature-graph")
+
+
+def graph_ratio_bounds(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> RatioBounds:
+    """1/(theta+1) <= gamma(G) <= 1/alpha, refined to 1/(alpha+1) when some
+    maximum independent set has an observed member."""
+    return _graph_bounds(independence_number(graph, cap=cap).value,
+                         clique_cover_number(graph, cap=cap).value,
+                         has_sibling_condition(graph, cap=cap) is not None)
 
 
 def curvature_graph_bounds(graph: InformationGraph, lam, *, cap: int = DEFAULT_GRAPH_CAP) -> RatioBounds:
@@ -87,24 +100,16 @@ def curvature_graph_bounds(graph: InformationGraph, lam, *, cap: int = DEFAULT_G
     At lam=1 this reduces to the plain bounds' lower/upper pair; at lam=0
     both sides equal 1.
     """
-    lam = as_fraction(lam, "lambda")
-    if not ZERO <= lam <= ONE:
-        raise InputError(f"lambda: must lie in [0, 1], got {lam}")
-    alpha = independence_number(graph, cap=cap).value
-    theta = clique_cover_number(graph, cap=cap).value
-    return RatioBounds(
-        lower=(theta - (theta - 1) * lam) / (theta + lam),
-        upper=(alpha - (alpha - 1) * lam) / Fraction(alpha),
-        source="curvature-graph")
+    lam = _lambda(lam)
+    return _curvature_bounds(independence_number(graph, cap=cap).value,
+                             clique_cover_number(graph, cap=cap).value, lam)
 
 
 def curvature_eta_bounds(n: int, q: int, lam) -> RatioBounds:
     """Structure-level curvature bounds with r = ceil(n/q):
     (r-(r-1)lam)/(r+lam) <= eta_lam(n, q) <= (r-(r-1)lam)/r."""
     _check_n_q(n, q)
-    lam = as_fraction(lam, "lambda")
-    if not ZERO <= lam <= ONE:
-        raise InputError(f"lambda: must lie in [0, 1], got {lam}")
+    lam = _lambda(lam)
     r = _ceil_div(n, q)
     return RatioBounds(
         lower=(r - (r - 1) * lam) / (r + lam),
@@ -330,26 +335,27 @@ class BoundsReport:
 
 
 def certify(entries: Iterable[SuiteEntry], *,
-            curvature_cap: int = DEFAULT_CURVATURE_CAP,
             graph_cap: int = DEFAULT_GRAPH_CAP) -> BoundsReport:
     """Check every entry's empirical ratio against its guaranteed lower
     bound, and witnesses against their predicted ratios.
 
-    The lower bound uses the curvature form when the ground set is within
-    ``curvature_cap`` (the measured total curvature can only tighten the
-    plain 1/(theta+1) bound), and the plain form otherwise.  Capacity errors
-    are recorded per row without aborting the suite.
+    Every row gets the curvature-form lower bound
+    (theta-(theta-1)lam)/(theta+lam), with lam the closed-form total
+    curvature of the row's objective (no size cap); it is never below the
+    plain 1/(theta+1).  alpha and theta are computed once per row.  Capacity
+    errors are recorded per row without aborting the suite.
     """
     rows = []
     for entry in entries:
         try:
-            gb = graph_ratio_bounds(entry.graph, cap=graph_cap)
-            lam: Optional[Fraction] = None
-            lower = gb.lower
-            if len(entry.objective.ground) <= curvature_cap:
-                lam = total_curvature(entry.objective, cap=curvature_cap)
-                lower = curvature_graph_bounds(entry.graph, lam, cap=graph_cap).lower
-            emp = empirical_ratio(entry.objective, entry.agents, entry.graph)
+            graph = entry.graph
+            alpha = independence_number(graph, cap=graph_cap).value
+            theta = clique_cover_number(graph, cap=graph_cap).value
+            gb = _graph_bounds(alpha, theta,
+                               has_sibling_condition(graph, cap=graph_cap) is not None)
+            lam = total_curvature(entry.objective)
+            lower = _curvature_bounds(alpha, theta, _lambda(lam)).lower
+            emp = empirical_ratio(entry.objective, entry.agents, graph)
             ok = lower <= emp <= 1
             note = ""
             if not ok:

@@ -123,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--seed", type=int, help="required for --suite random")
-    p.add_argument("--curvature-cap", type=int, default=bounds_mod.DEFAULT_CURVATURE_CAP)
     p.add_argument("--witness", action="append", default=[], metavar="WITNESS.json",
                    help="certify stored witness files")
     p.add_argument("--json", action="store_true")
@@ -322,7 +321,7 @@ def _cmd_certify(args) -> int:
         entries += suites.random_cover_entries(args.seed, args.count, args.n_max)
     if not entries:
         raise InputError("certify: nothing to certify (use --suite or --witness)")
-    report = bounds_mod.certify(entries, curvature_cap=args.curvature_cap)
+    report = bounds_mod.certify(entries)
     if args.json:
         print(json.dumps(report.to_json_obj()))
     else:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, InputError
 
-# Exhaustive enumeration cap for dense tables and property/curvature scans.
+# Exhaustive enumeration cap for dense tables and property scans.
 EXHAUSTIVE_CAP = 16
 
 ZERO = Fraction(0)
@@ -387,31 +387,39 @@ def check_properties(f: SetFunction, *, cap: int = EXHAUSTIVE_CAP) -> PropertyRe
 
     curvature = None
     if normalized and monotone and submodular:
-        curvature = total_curvature(f, cap=cap)
+        curvature = total_curvature(f)
     return PropertyReport(normalized, monotone, submodular, curvature, violation)
 
 
-def total_curvature(f: SetFunction, *, cap: int = EXHAUSTIVE_CAP) -> Fraction:
+def total_curvature(f: SetFunction) -> Fraction:
     """Minimal lam such that f(e|A) >= (1 - lam) f(e) whenever f(e) > 0.
 
-    Computed as the maximum of 1 - f(e|A)/f(e) over every element with a
-    positive singleton value and every subset A not containing it.  Returns 0
-    when no element has positive value.  Assumes f already passed
-    :func:`check_properties`; on arbitrary functions the result may fall
-    outside [0, 1].
+    For a normalized monotone submodular f, the marginal f(e|A) is smallest
+    at A = S \\ {e}, so the closed form (Conforti and Cornuejols, 1984)
+
+        lam = max(0, max_e 1 - f(e | S \\ {e}) / f(e))  over e with f(e) > 0
+
+    equals the maximum of 1 - f(e|A)/f(e) over every subset A.  It costs
+    2n + 1 evaluations and has no size cap.  Returns 0 when no element has
+    positive value.
+
+    Assumes f passed :func:`check_properties`.  On an arbitrary function the
+    closed form is one term of the subset-wise maximum, so it can only
+    understate that maximum: a smaller lam raises the curvature lower bound
+    of :func:`pargreedy.bounds.certify`, which can then only turn a
+    ``pass`` into a ``FAIL``, never the other way.  The result may exceed
+    1 on non-monotone functions.
     """
     n = len(f.ground)
-    table = f.full_table(cap)
+    full = (1 << n) - 1
+    f_full = f.mask_value(full)
     worst = ZERO
     for i in range(n):
         bit = 1 << i
-        fe = table[bit]
+        fe = f.mask_value(bit)
         if fe <= 0:
             continue
-        for m in range(1 << n):
-            if m & bit:
-                continue
-            lam = 1 - (table[m | bit] - table[m]) / fe
-            if lam > worst:
-                worst = lam
+        lam = 1 - (f_full - f.mask_value(full ^ bit)) / fe
+        if lam > worst:
+            worst = lam
     return worst

@@ -86,6 +86,24 @@ def brute_submodular(f: SetFunction) -> bool:
     return True
 
 
+def brute_total_curvature(f: SetFunction) -> Fraction:
+    """The definition scanned directly: the maximum of 1 - f(e|A)/f(e) over
+    every element with f(e) > 0 and every subset A not containing it, and 0
+    when there is none.  O(n 2^n); for oracle-sized grounds only."""
+    n = len(f.ground)
+    table = [f.mask_value(m) for m in range(1 << n)]
+    worst = Fraction(0)
+    for i in range(n):
+        bit = 1 << i
+        fe = table[bit]
+        if fe <= 0:
+            continue
+        for m in range(1 << n):
+            if not m & bit:
+                worst = max(worst, 1 - (table[m | bit] - table[m]) / fe)
+    return worst
+
+
 def brute_optimum_value(f: SetFunction, agents: AgentSpace) -> Fraction:
     best = Fraction(0)
     pools = [sorted(d) if d else [None] for d in agents.decisions]

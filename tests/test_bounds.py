@@ -155,6 +155,15 @@ class TestCurvatureBounds:
             b = curvature_graph_bounds(g, 1 - beta)
             assert b.lower == ((theta - 1) * beta + 1) / (theta - beta + 1)
 
+    def test_lower_bound_falls_as_lambda_rises(self):
+        # so understating lam can only raise certify's lower bound
+        lams = [F(k, 12) for k in range(13)]
+        for theta in range(1, 6):
+            g = edgeless_graph(theta)
+            lowers = [curvature_graph_bounds(g, lam).lower for lam in lams]
+            assert lowers == sorted(lowers, reverse=True)
+            assert lowers[0] == 1 and lowers[-1] == F(1, theta + 1)
+
     def test_lambda_validation(self):
         with pytest.raises(InputError, match="lambda"):
             curvature_eta_bounds(5, 2, "7/2")
@@ -268,11 +277,14 @@ class TestCertify:
         # curvature-form bound with theta = 3: (3 - 2*1/2) / (3 + 1/2) = 4/7
         assert row.lower == F(4, 7)
 
-    def test_plain_bound_above_curvature_cap(self):
-        w = curvature_witness(edgeless_graph(3), F(1, 2))
-        report = certify([witness_entry(w, "w", "g")], curvature_cap=2)
+    def test_curvature_bound_on_grounds_above_ten(self):
+        w = curvature_witness(edgeless_graph(6), F(1, 2))
+        assert len(w.objective.ground) == 12
+        report = certify([witness_entry(w, "w", "g")])
         row = report.rows[0]
-        assert row.curvature is None and row.lower == F(1, 4)
+        assert row.verdict == "pass"
+        # (6 - 5*1/2) / (6 + 1/2) = 7/13
+        assert row.curvature == F(1, 2) and row.lower == F(7, 13)
 
 
 class TestThetaOracleOnBoundInputs:

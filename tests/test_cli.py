@@ -213,6 +213,11 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_curvature_cap_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--suite", "witnesses", "--curvature-cap", "10"])
+        assert exc.value.code == 2
+
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "graph", "--in", "/nonexistent.json")
         assert code == 2 and "not found" in err

@@ -16,7 +16,9 @@ from pargreedy import (
     total_curvature,
 )
 
-from conftest import brute_submodular
+from pargreedy.suites import random_cover_entries, standard_witness_entries
+
+from conftest import brute_submodular, brute_total_curvature
 
 F = Fraction
 
@@ -230,3 +232,51 @@ class TestProperties:
             for bits in range(1 << len(rest)):
                 ctx = [rest[i] for i in range(len(rest)) if bits >> i & 1]
                 assert f.marginal((e,), ctx) >= (1 - lam) * fe
+
+
+@st.composite
+def random_tabular(draw):
+    n = draw(st.integers(1, 4))
+    ground = tuple(f"e{i}" for i in range(n))
+    values = {tuple(ground[i] for i in range(n) if m >> i & 1): draw(st.integers(0, 6))
+              for m in range(1 << n)}
+    return SetFunction.tabular(ground, values)
+
+
+class TestClosedFormCurvatureAgainstScan:
+    """total_curvature's closed form against the O(n 2^n) definition scan."""
+
+    def test_equal_on_seeded_random_suite(self):
+        entries = random_cover_entries(7, 500, 6)
+        for entry in entries:
+            assert total_curvature(entry.objective) == brute_total_curvature(entry.objective)
+
+    def test_equal_on_every_witness_family(self):
+        entries = standard_witness_entries(4, (F(0), F(1, 3), F(1, 2), F(1)), p_max=3)
+        assert {e.objective.kind for e in entries} == {
+            "curvature-witness", "p-additive-witness", "cover"}
+        for entry in entries:
+            assert total_curvature(entry.objective) == brute_total_curvature(entry.objective)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_cover())
+    def test_equal_on_covers(self, f):
+        assert total_curvature(f) == brute_total_curvature(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_tabular())
+    def test_never_above_scan_on_arbitrary_tables(self, f):
+        assert total_curvature(f) <= brute_total_curvature(f)
+
+    def test_supermodular_pair(self):
+        f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 3})
+        assert not check_properties(f).submodular
+        assert total_curvature(f) == brute_total_curvature(f) == 0
+
+    def test_strictly_below_scan_off_hypotheses(self):
+        # f(a|{b}) = 0 gives the scan lam = 1; at S \ {a} the marginal is 1.
+        f = SetFunction.tabular(("a", "b", "c"), {
+            (): 0, ("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): 1,
+            ("a", "c"): 2, ("b", "c"): 2, ("a", "b", "c"): 3})
+        assert not check_properties(f).submodular
+        assert total_curvature(f) == 0 < brute_total_curvature(f) == 1
