@@ -343,7 +343,9 @@ def certify(entries: Iterable[SuiteEntry], *,
     (theta-(theta-1)lam)/(theta+lam), with lam the closed-form total
     curvature of the row's objective (no size cap); it is never below the
     plain 1/(theta+1).  alpha and theta are computed once per row.  Capacity
-    errors are recorded per row without aborting the suite.
+    errors are recorded per row without aborting the suite; a row whose
+    total curvature exceeds 1 (a non-monotone objective) aborts it with an
+    InputError naming the row.
     """
     rows = []
     for entry in entries:
@@ -354,7 +356,11 @@ def certify(entries: Iterable[SuiteEntry], *,
             gb = _graph_bounds(alpha, theta,
                                has_sibling_condition(graph, cap=graph_cap) is not None)
             lam = total_curvature(entry.objective)
-            lower = _curvature_bounds(alpha, theta, _lambda(lam)).lower
+            if lam > 1:
+                raise InputError(
+                    f"instance {entry.instance_id}: total curvature {lam} exceeds 1, "
+                    f"so the objective is not monotone")
+            lower = _curvature_bounds(alpha, theta, lam).lower
             emp = empirical_ratio(entry.objective, entry.agents, graph)
             ok = lower <= emp <= 1
             note = ""

@@ -204,9 +204,13 @@ def _cmd_analyze(args) -> int:
                   ("omega", omega.value), ("feasible_q", depth),
                   ("edges", graph.edge_count)]
         if args.p is not None:
-            ap = graphmetrics.pseudo_independence_number(graph, args.p)
+            # a p-sibling witness's set is a maximum set, so its size is alpha_p
             sib = graphmetrics.has_p_sibling(graph, args.p)
-            pairs += [("alpha_p", ap.value), ("p_sibling", "true" if sib else "false")]
+            if sib is not None:
+                ap = len(sib.pseudo_independent_set)
+            else:
+                ap = graphmetrics.pseudo_independence_number(graph, args.p).value
+            pairs += [("alpha_p", ap), ("p_sibling", "true" if sib else "false")]
     elif args.kind == "assignment":
         raw = serialize._load_json(args.path)
         q = serialize._require(raw, "q", int, "assignment")

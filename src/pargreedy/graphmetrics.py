@@ -2,9 +2,15 @@
 
 Everything here is exact: independence and clique numbers come from a
 bitset branch-and-bound, the clique cover number from an exact coloring of
-the complement, and the sibling / pseudo-independence predicates from full
-enumeration of the maximum sets they quantify over.  Computations refuse
-graphs above the cap with a CapacityError instead of approximating.
+the complement, and the sibling / pseudo-independence predicates from a
+pruned depth-first search over the sets they quantify over.  That search
+visits vertices in increasing index, tries including a vertex before
+excluding it, skips every vertex that can no longer join the set and prunes
+on a clique bound, so it meets the sets in one fixed order ("index order"):
+the reported maximum set and every witness are the first ones in that
+order.  The maximum sets are enumerated lazily, so a predicate stops at its
+first witness.  Computations refuse graphs above the cap with a
+CapacityError instead of approximating.
 
 The in-neighborhood convention is fixed module-wide: N_i contains only the
 lower-index neighbors of i, matching the direction of information flow.
@@ -75,25 +81,6 @@ def _max_independent_mask(adj: list[int], n: int) -> int:
 
     search((1 << n) - 1, 0, 0)
     return best_mask
-
-
-def _all_independent_of_size(adj: list[int], n: int, size: int) -> list[int]:
-    """Every independent set of exactly the given size, as bitmasks."""
-    out: list[int] = []
-
-    def go(v: int, cand: int, cur: int, have: int) -> None:
-        if have == size:
-            out.append(cur)
-            return
-        if v == n or have + cand.bit_count() < size:
-            return
-        vb = 1 << v
-        if cand & vb:
-            go(v + 1, cand & ~adj[v] & ~vb, cur | vb, have + 1)
-        go(v + 1, cand & ~vb, cur, have)
-
-    go(0, (1 << n) - 1, 0, 0)
-    return out
 
 
 def independence_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
@@ -178,7 +165,7 @@ def maximum_independent_sets(graph: InformationGraph, *, cap: int = DEFAULT_GRAP
     _require_cap(graph, cap, "maximum independent set enumeration")
     adj = graph.adjacency_masks()
     alpha = _max_independent_mask(adj, graph.n).bit_count()
-    return [_vertices(m) for m in _all_independent_of_size(adj, graph.n, alpha)]
+    return [_vertices(m) for m in _all_pseudo_independent_of_size(adj, graph.n, 1, alpha)]
 
 
 @dataclass(frozen=True)
@@ -190,13 +177,17 @@ class SiblingWitness:
 
 
 def has_sibling_condition(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> Optional[SiblingWitness]:
-    """Search every maximum independent set I for a vertex w with a member
-    of I in its in-neighborhood.  Returns a witness or None."""
+    """Search the maximum independent sets I, in index order, for a vertex w
+    with a member of I in its in-neighborhood.  Returns the first witness
+    (lowest w of the first such I, its lowest such member) or None.
+
+    The sets are enumerated lazily, so the search ends at the first I that
+    has such a w; None costs a full enumeration."""
     _require_cap(graph, cap, "sibling condition")
     adj = graph.adjacency_masks()
     alpha = _max_independent_mask(adj, graph.n).bit_count()
     in_masks = graph.in_neighbor_masks()
-    for m in _all_independent_of_size(adj, graph.n, alpha):
+    for m in _all_pseudo_independent_of_size(adj, graph.n, 1, alpha):
         for w in range(graph.n):
             hits = in_masks[w] & m
             if hits:
@@ -205,44 +196,83 @@ def has_sibling_condition(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_C
     return None
 
 
-def _max_pseudo_independent_mask(in_masks: list[int], n: int, p: int) -> int:
-    """Maximum set J with |N_j n J| < p for every j in J.
+def _suffix_cliques(adj: list[int], n: int) -> list[int]:
+    """A partition of the vertices into cliques, first fit from the highest
+    index down, so that its restriction to the vertices from any index on
+    (where the search's ``alive`` vertices lie) is the first-fit partition
+    of those vertices."""
+    cliques: list[int] = []
+    for v in range(n - 1, -1, -1):
+        for i, c in enumerate(cliques):
+            if c & ~adj[v] == 0:
+                cliques[i] = c | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return cliques
 
-    Members are added in increasing index order; because in-neighborhoods
-    only look backwards, feasibility of J u {v} depends on v alone.
+
+def _all_pseudo_independent_of_size(adj: list[int], n: int, p: int, size: int):
+    """Yield every p-pseudo-independent set of exactly ``size`` vertices, as
+    bitmasks, in index order.  At p = 1 these are the independent sets.
+
+    Depth-first search with an explicit stack.  ``alive`` holds the later
+    vertices that can still join the set; the search branches on the lowest
+    of them, including it first.  Including v drops from ``alive`` every
+    neighbor u of v that now has p in-neighbors in the set: every vertex of
+    ``alive`` comes after every vertex of the set, so adj[u] & cur is u's
+    in-neighborhood inside it, and the set only grows, so a dropped vertex
+    stays blocked.  A branch is pruned once ``alive`` cannot supply the
+    missing members, counting at most p from each clique of the partition
+    (the j-th member of a clique in index order has j - 1 in-neighbors in
+    the set).  It is a generator, so callers that stop at the first set
+    they need enumerate no further.
     """
-    best_mask = 0
-    best_size = 0
-
-    def go(v: int, cur: int, have: int) -> None:
-        nonlocal best_mask, best_size
-        if have > best_size:
-            best_size, best_mask = have, cur
-        if v == n or have + (n - v) <= best_size:
-            return
-        if (in_masks[v] & cur).bit_count() < p:
-            go(v + 1, cur | (1 << v), have + 1)
-        go(v + 1, cur, have)
-
-    go(0, 0, 0)
-    return best_mask
-
-
-def _all_pseudo_independent_of_size(in_masks: list[int], n: int, p: int, size: int) -> list[int]:
-    out: list[int] = []
-
-    def go(v: int, cur: int, have: int) -> None:
+    cliques = _suffix_cliques(adj, n)
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        cur, alive, have = stack.pop()
         if have == size:
-            out.append(cur)
-            return
-        if v == n or have + (n - v) < size:
-            return
-        if (in_masks[v] & cur).bit_count() < p:
-            go(v + 1, cur | (1 << v), have + 1)
-        go(v + 1, cur, have)
+            yield cur
+            continue
+        need = size - have
+        if alive.bit_count() < need:
+            continue
+        for c in cliques:
+            k = (c & alive).bit_count()
+            need -= k if k < p else p
+            if need <= 0:
+                break
+        else:
+            continue
+        vb = alive & -alive
+        alive ^= vb
+        stack.append((cur, alive, have))
+        cur |= vb
+        hits = adj[vb.bit_length() - 1] & alive
+        while hits:
+            ub = hits & -hits
+            hits ^= ub
+            if (adj[ub.bit_length() - 1] & cur).bit_count() >= p:
+                alive ^= ub
+        stack.append((cur, alive, have + 1))
 
-    go(0, 0, 0)
-    return out
+
+def _max_pseudo_independent_mask(adj: list[int], n: int, p: int) -> int:
+    """Maximum set J with |N_j n J| < p for every j in J, the first one in
+    index order.
+
+    Takes the first set of each size, sizes rising from 1, until a size has
+    none.  A larger set's first members form a smaller set that comes
+    before it in index order, so the first set of the last size found is
+    the first maximum set.
+    """
+    best = 0
+    while True:
+        bigger = next(_all_pseudo_independent_of_size(adj, n, p, best.bit_count() + 1), None)
+        if bigger is None:
+            return best
+        best = bigger
 
 
 def _check_p(p) -> None:
@@ -255,16 +285,16 @@ def pseudo_independence_number(graph: InformationGraph, p: int, *, cap: int = DE
     in-neighbors inside J.  alpha_1 coincides with alpha."""
     _check_p(p)
     _require_cap(graph, cap, "pseudo-independence number")
-    mask = _max_pseudo_independent_mask(graph.in_neighbor_masks(), graph.n, p)
+    mask = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
 def maximum_pseudo_independent_sets(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> list[tuple[int, ...]]:
     _check_p(p)
     _require_cap(graph, cap, "pseudo-independent set enumeration")
-    in_masks = graph.in_neighbor_masks()
-    best = _max_pseudo_independent_mask(in_masks, graph.n, p).bit_count()
-    return [_vertices(m) for m in _all_pseudo_independent_of_size(in_masks, graph.n, p, best)]
+    adj = graph.adjacency_masks()
+    best = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
+    return [_vertices(m) for m in _all_pseudo_independent_of_size(adj, graph.n, p, best)]
 
 
 @dataclass(frozen=True)
@@ -277,13 +307,20 @@ class PSiblingWitness:
 
 
 def has_p_sibling(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> Optional[PSiblingWitness]:
-    """Search every maximum p-pseudo-independent set for a vertex with at
-    least p of its members in the in-neighborhood."""
+    """Search the maximum p-pseudo-independent sets J, in index order, for a
+    vertex outside J with at least p members of J in its in-neighborhood.
+    Returns the first witness (lowest such vertex of the first such J) or
+    None.
+
+    The sets are enumerated lazily, so the search ends at the first J that
+    has such a vertex; None costs a full enumeration.  A witness's set is a
+    maximum set, so its size is alpha_p."""
     _check_p(p)
     _require_cap(graph, cap, "p-sibling property")
+    adj = graph.adjacency_masks()
     in_masks = graph.in_neighbor_masks()
-    best = _max_pseudo_independent_mask(in_masks, graph.n, p).bit_count()
-    for m in _all_pseudo_independent_of_size(in_masks, graph.n, p, best):
+    best = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
+    for m in _all_pseudo_independent_of_size(adj, graph.n, p, best):
         for w in range(graph.n):
             if m >> w & 1:
                 continue
@@ -313,9 +350,9 @@ def verify_no_disjoint_max_sets(graph: InformationGraph, p: int, *, cap: int = D
     _require_cap(graph, cap, "disjoint maximum set check")
     if has_p_sibling(graph, p, cap=cap) is not None:
         return DisjointSetsCheck(applicable=False, holds=True)
-    in_masks = graph.in_neighbor_masks()
-    best = _max_pseudo_independent_mask(in_masks, graph.n, p).bit_count()
-    masks = _all_pseudo_independent_of_size(in_masks, graph.n, p, best)
+    adj = graph.adjacency_masks()
+    best = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
+    masks = list(_all_pseudo_independent_of_size(adj, graph.n, p, best))
     for a in range(len(masks)):
         for b in range(a + 1, len(masks)):
             if masks[a] & masks[b] == 0:

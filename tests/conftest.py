@@ -59,6 +59,29 @@ def brute_theta(graph: InformationGraph) -> int:
     return n
 
 
+def brute_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
+    """Every maximum p-pseudo-independent set (each member has fewer than p
+    lower-index neighbors in the set), in index order.
+
+    Unpruned include/exclude enumeration over vertices 1..n, trying to
+    include a vertex before excluding it; every feasible set is a leaf, and
+    the maximum ones keep the leaf order.  O(2^n); for oracle-sized graphs
+    only.  At p = 1 these are the maximum independent sets."""
+    leaves: list[tuple[int, ...]] = []
+
+    def go(v: int, chosen: tuple[int, ...]) -> None:
+        if v > graph.n:
+            leaves.append(chosen)
+            return
+        if sum(graph.has_edge(u, v) for u in chosen) < p:
+            go(v + 1, chosen + (v,))
+        go(v + 1, chosen)
+
+    go(1, ())
+    best = max(map(len, leaves))
+    return [s for s in leaves if len(s) == best]
+
+
 def all_graphs(n: int):
     """Every labeled graph on vertices 1..n."""
     pairs = list(combinations(range(1, n + 1), 2))

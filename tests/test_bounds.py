@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pargreedy import (
+    AgentSpace,
     CapacityError,
     InformationGraph,
     InputError,
@@ -19,6 +20,7 @@ from pargreedy import (
     min_edges_bound,
     optimal_graph,
     rho,
+    SetFunction,
 )
 from pargreedy.bounds import STAGE_NAMES
 from pargreedy.suites import (
@@ -28,7 +30,9 @@ from pargreedy.suites import (
     standard_witness_entries,
     witness_entry,
 )
-from pargreedy.adversarial import curvature_witness
+from pargreedy.adversarial import WitnessInstance, curvature_witness
+from pargreedy.cli import main
+from pargreedy.serialize import save_witness
 
 from conftest import all_graphs, brute_theta
 
@@ -256,6 +260,22 @@ class TestCertify:
         report = certify([big, small], graph_cap=20)
         assert report.capacity_errors == 1 and report.failures == 0
         assert [r.verdict for r in report.rows] == ["capacity-error", "pass"]
+
+    def test_non_monotone_row_named_in_input_error(self):
+        # f(a) = f(b) = 2 > f(ab) = 1: total curvature 3/2, outside [0, 1]
+        f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 2, ("b",): 2, ("a", "b"): 1})
+        bad = SuiteEntry("shrinking", "g2", f, AgentSpace([{"a"}, {"b"}]), InformationGraph(2))
+        good = witness_entry(curvature_witness(edgeless_graph(2), F(1, 2)), "good", "g2")
+        with pytest.raises(InputError, match=r"instance shrinking: .* not monotone"):
+            certify([bad, good])
+
+    def test_non_monotone_witness_file_exits_2(self, tmp_path, capsys):
+        f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 2, ("b",): 2, ("a", "b"): 1})
+        path = tmp_path / "w.json"
+        save_witness(WitnessInstance(f, AgentSpace([{"a"}, {"b"}]), InformationGraph(2),
+                                     F(1), "tabular"), path)
+        assert main(["certify", "--witness", str(path)]) == 2
+        assert "not monotone" in capsys.readouterr().err
 
     def test_row_order_follows_input(self):
         entries = standard_witness_entries(2, (F(0), F(1)))

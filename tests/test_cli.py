@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from pargreedy import pseudo_independence_number
 from pargreedy.cli import main
+from pargreedy.serialize import load_graph
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,25 @@ class TestConstructAnalyze:
         path.write_text(json.dumps({"n": 5, "edges": [[1, 5], [2, 5], [3, 5], [4, 5]]}))
         code, out, _ = run_cli(capsys, "analyze", "graph", "--in", str(path), "--p", "2")
         assert code == 0 and "alpha_p=4" in out and "p_sibling=true" in out
+
+    @pytest.mark.parametrize("edges, sibling", [
+        ([[1, 5], [2, 5], [3, 5], [4, 5]], True),  # star: alpha_p from the witness
+        ([], False),                               # edgeless: the separate search
+    ])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_analyze_alpha_p_with_and_without_p_sibling(self, capsys, tmp_path,
+                                                        edges, sibling, as_json):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 5, "edges": edges}))
+        expected = pseudo_independence_number(load_graph(path), 2).value
+        argv = ["analyze", "graph", "--in", str(path), "--p", "2"] + (["--json"] if as_json else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if as_json:
+            doc = json.loads(out)
+            assert doc["alpha_p"] == expected and doc["p_sibling"] == str(sibling).lower()
+        else:
+            assert f"alpha_p={expected} p_sibling={str(sibling).lower()}" in out
 
     def test_analyze_bad_assignment(self, capsys, tmp_path):
         path = tmp_path / "p.json"

@@ -1,11 +1,15 @@
 """Exact graph invariants, cross-checked against subset-scan oracles."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pargreedy import (
     CapacityError,
+    DisjointSetsCheck,
     InformationGraph,
     clique_cover_number,
     clique_number,
@@ -14,16 +18,26 @@ from pargreedy import (
     has_p_sibling,
     has_sibling_condition,
     independence_number,
+    InvariantWitness,
     induced_graph,
     IterationAssignment,
     maximum_independent_sets,
     maximum_pseudo_independent_sets,
     optimal_graph,
+    PSiblingWitness,
     pseudo_independence_number,
+    SiblingWitness,
     verify_no_disjoint_max_sets,
 )
 
-from conftest import brute_alpha, brute_omega, brute_theta, is_clique, is_independent
+from conftest import (
+    brute_alpha,
+    brute_omega,
+    brute_pseudo_independent_sets,
+    brute_theta,
+    is_clique,
+    is_independent,
+)
 
 
 def complete(n):
@@ -262,6 +276,54 @@ class TestEnumerators:
             g = random_graph(rng, rng.randint(1, 7))
             assert sorted(maximum_independent_sets(g)) == sorted(
                 maximum_pseudo_independent_sets(g, 1))
+
+
+@st.composite
+def small_graphs(draw, n_max=12):
+    """A graph on at most n_max vertices whose density is drawn first."""
+    n = draw(st.integers(0, n_max))
+    pairs = list(combinations(range(1, n + 1), 2))
+    density = draw(st.integers(0, 8))
+    draws = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
+    return InformationGraph(n, [e for e, d in zip(pairs, draws) if d < density])
+
+
+def _in_members(graph, w, members):
+    return tuple(u for u in members if u < w and graph.has_edge(u, w))
+
+
+class TestPrunedSearchAgainstOracle:
+    """The pruned, lazy searches against the unpruned enumeration in
+    conftest: same values, same sets in the same order, same witnesses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(1, 4))
+    def test_p_searches_match_unpruned_enumeration(self, g, p):
+        sets = brute_pseudo_independent_sets(g, p)
+        assert pseudo_independence_number(g, p) == InvariantWitness(len(sets[0]), sets[0])
+        assert maximum_pseudo_independent_sets(g, p) == sets
+
+        sibling = next((PSiblingWitness(w, s, _in_members(g, w, s))
+                        for s in sets for w in range(1, g.n + 1)
+                        if w not in s and len(_in_members(g, w, s)) >= p), None)
+        assert has_p_sibling(g, p) == sibling
+
+        if sibling is not None:
+            check = DisjointSetsCheck(applicable=False, holds=True)
+        else:
+            pair = next(((a, b) for a, b in combinations(sets, 2) if not set(a) & set(b)), None)
+            check = DisjointSetsCheck(applicable=True, holds=pair is None, counterexample=pair)
+        assert verify_no_disjoint_max_sets(g, p) == check
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    def test_sibling_condition_matches_unpruned_enumeration(self, g):
+        sets = brute_pseudo_independent_sets(g, 1)
+        assert maximum_independent_sets(g) == sets
+        sibling = next((SiblingWitness(w, s, _in_members(g, w, s)[0])
+                        for s in sets for w in range(1, g.n + 1)
+                        if _in_members(g, w, s)), None)
+        assert has_sibling_condition(g) == sibling
 
 
 class TestParallelIndependenceLowerBound:
