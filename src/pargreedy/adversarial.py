@@ -18,7 +18,7 @@ from .graphmetrics import (
     independence_number,
     pseudo_independence_number,
 )
-from .objective import ONE, ZERO, AgentSpace, SetFunction, as_fraction
+from .objective import ONE, ZERO, AgentSpace, SetFunction, as_lambda
 from .structure import InformationGraph
 
 
@@ -48,9 +48,7 @@ def curvature_witness(graph: InformationGraph, lam) -> WitnessInstance:
     blocks never interact and the function is modular (curvature 0).  The
     predicted ratio is 1 in that case either way.
     """
-    lam = as_fraction(lam, "lambda")
-    if not ZERO <= lam <= ONE:
-        raise InputError(f"lambda: must lie in [0, 1], got {lam}")
+    lam = as_lambda(lam)
     ind = independence_number(graph)
     alpha = ind.value
     members = ind.witness

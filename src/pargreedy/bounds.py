@@ -22,19 +22,8 @@ from .graphmetrics import (
     independence_number,
 )
 from .greedy import brute_force_optimum, empirical_ratio, run_greedy
-from .objective import ONE, ZERO, AgentSpace, SetFunction, as_fraction, total_curvature
-from .structure import InformationGraph, optimal_graph, remainder_one
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _check_n_q(n: int, q: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n: must be a positive integer, got {n!r}")
-    if not isinstance(q, int) or q < 1 or q > n:
-        raise InputError(f"q: must satisfy 1 <= q <= n, got {q!r}")
+from .objective import ZERO, AgentSpace, SetFunction, as_lambda, total_curvature
+from .structure import InformationGraph, ceil_div, check_n_q, optimal_graph, remainder_one
 
 
 @dataclass(frozen=True)
@@ -57,8 +46,8 @@ class RatioBounds:
 def rho(n: int, q: int) -> Fraction:
     """Best competitive ratio over all n-agent structures with at most q
     iterations: 1/r in the remainder-one case, else 1/(r+1), r = ceil(n/q)."""
-    _check_n_q(n, q)
-    r = _ceil_div(n, q)
+    check_n_q(n, q)
+    r = ceil_div(n, q)
     return Fraction(1, r) if remainder_one(n, q) else Fraction(1, r + 1)
 
 
@@ -69,13 +58,6 @@ def _graph_bounds(alpha: int, theta: int, sibling: bool) -> RatioBounds:
         upper=Fraction(1, alpha),
         refined_upper=refined,
         source="independence/clique-cover" + ("+sibling" if sibling else ""))
-
-
-def _lambda(lam) -> Fraction:
-    lam = as_fraction(lam, "lambda")
-    if not ZERO <= lam <= ONE:
-        raise InputError(f"lambda: must lie in [0, 1], got {lam}")
-    return lam
 
 
 def _curvature_bounds(alpha: int, theta: int, lam: Fraction) -> RatioBounds:
@@ -100,7 +82,7 @@ def curvature_graph_bounds(graph: InformationGraph, lam, *, cap: int = DEFAULT_G
     At lam=1 this reduces to the plain bounds' lower/upper pair; at lam=0
     both sides equal 1.
     """
-    lam = _lambda(lam)
+    lam = as_lambda(lam)
     return _curvature_bounds(independence_number(graph, cap=cap).value,
                              clique_cover_number(graph, cap=cap).value, lam)
 
@@ -108,9 +90,9 @@ def curvature_graph_bounds(graph: InformationGraph, lam, *, cap: int = DEFAULT_G
 def curvature_eta_bounds(n: int, q: int, lam) -> RatioBounds:
     """Structure-level curvature bounds with r = ceil(n/q):
     (r-(r-1)lam)/(r+lam) <= eta_lam(n, q) <= (r-(r-1)lam)/r."""
-    _check_n_q(n, q)
-    lam = _lambda(lam)
-    r = _ceil_div(n, q)
+    check_n_q(n, q)
+    lam = as_lambda(lam)
+    r = ceil_div(n, q)
     return RatioBounds(
         lower=(r - (r - 1) * lam) / (r + lam),
         upper=(r - (r - 1) * lam) / Fraction(r),
@@ -130,7 +112,7 @@ def min_edges_bound(n: int, k: int) -> int:
     if not isinstance(k, int) or k < 1:
         raise InputError(f"k: must be a positive integer, got {k!r}")
     m = n % k
-    hi = _ceil_div(n, k)
+    hi = ceil_div(n, k)
     lo = n // k
     return m * hi * (hi - 1) // 2 + (k - m) * lo * (lo - 1) // 2
 
@@ -176,13 +158,13 @@ def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int, *,
     telescoping argument and verifies every equality exactly and every
     inequality in order.  The endpoint is optimum <= r * greedy_value.
     """
-    _check_n_q(n, q)
+    check_n_q(n, q)
     if not remainder_one(n, q):
         raise InputError(f"n={n}, q={q}: chain check requires n = 1 (mod q)")
     if agents.n != n:
         raise InputError(f"agents: expected {n} agents, got {agents.n}")
     graph = optimal_graph(n, q)
-    r = _ceil_div(n, q)
+    r = ceil_div(n, q)
     sol = run_greedy(f, agents, graph, "worst", node_cap=node_cap)
     opt_profile, opt_value = brute_force_optimum(f, agents, profile_cap=profile_cap)
 

@@ -24,7 +24,6 @@ from .errors import CapacityError, InputError
 from .greedy import brute_force_optimum, run_greedy, run_parallel_greedy
 from .objective import as_fraction, check_properties
 from .structure import (
-    IterationAssignment,
     complement_turan_graph,
     earliest_schedule,
     induced_graph,
@@ -164,7 +163,7 @@ def _cmd_construct(args) -> int:
         if args.n is None or args.q is None:
             raise InputError("construct assignment: requires --n and --q")
         assignment = optimal_assignment(args.n, args.q)
-        obj = serialize.assignment_to_obj(assignment)
+        built, to_obj, save = assignment, serialize.assignment_to_obj, serialize.save_assignment
         pairs += [("n", assignment.n), ("q", assignment.q),
                   ("P", ",".join(map(str, assignment.P)))]
     else:
@@ -179,14 +178,14 @@ def _cmd_construct(args) -> int:
                 raise InputError(f"construct graph --family {args.family}: requires --n and --r")
             builder = turan_graph if args.family == "turan" else complement_turan_graph
             graph = builder(args.n, args.r)
-        obj = serialize.graph_to_obj(graph)
+        built, to_obj, save = graph, serialize.graph_to_obj, serialize.save_graph
         pairs += [("n", graph.n), ("edges", graph.edge_count)]
     if args.out:
-        serialize._dump_json(obj, args.out)
+        save(built, args.out)
         pairs.append(("out", args.out))
         _emit(pairs, args.json)
     elif args.json:
-        print(json.dumps(obj, sort_keys=True))
+        print(json.dumps(to_obj(built), sort_keys=True))
     else:
         _emit(pairs, False)
     return EXIT_OK
@@ -212,10 +211,7 @@ def _cmd_analyze(args) -> int:
                 ap = graphmetrics.pseudo_independence_number(graph, args.p).value
             pairs += [("alpha_p", ap), ("p_sibling", "true" if sib else "false")]
     elif args.kind == "assignment":
-        raw = serialize._load_json(args.path)
-        q = serialize._require(raw, "q", int, "assignment")
-        P = serialize._require(raw, "P", list, "assignment")
-        assignment = IterationAssignment(len(P), q, tuple(P))
+        assignment = serialize.load_unchecked_assignment(args.path)
         violation = validate_assignment(assignment)
         if violation is None:
             norm = normalize_assignment(assignment)

@@ -31,6 +31,7 @@ from .structure import (
     IterationAssignment,
     Schedule,
     earliest_schedule,
+    normalize_assignment,
     validate_assignment,
 )
 
@@ -187,10 +188,8 @@ def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: Iteratio
     decisions = _ordered_decisions(f, agents)
     sources = [[j for j in range(n) if P[j] < P[i]] for i in range(n)]
     # dense rank of the iteration values = earliest feasible round
-    used = sorted(set(P))
-    rank = {v: k + 1 for k, v in enumerate(used)}
-    levels = tuple(rank[p] for p in P)
-    schedule = Schedule(levels, max(levels, default=1))
+    ranked = normalize_assignment(assignment)
+    schedule = Schedule(ranked.P, ranked.q)
     return _greedy_engine(f, decisions, sources, policy, node_cap, schedule)
 
 

@@ -3,15 +3,17 @@
 Values are exact rationals (``fractions.Fraction``) throughout, so equality
 and ordering tests used elsewhere in the package are never subject to
 floating-point noise.  A :class:`SetFunction` owns an ordered ground set of
-element ids and evaluates arbitrary subsets; four representations are
-supported:
+element ids and evaluates arbitrary subsets.  Each kind of objective is a
+subclass, and :data:`OBJECTIVE_KINDS` maps the kind's name in instance files
+to it:
 
-* ``tabular``     -- a dense table with one value per subset,
-* ``cover``       -- weighted set cover (sum of weights of covered targets),
-* ``curvature-witness``   -- the closed-form two-block adversarial family
-  parameterized by a curvature value in [0, 1],
-* ``p-additive-witness``  -- the closed-form family whose every p decisions
-  add up exactly (p-additive).
+* :class:`TabularFunction`          -- a dense table with one value per subset,
+* :class:`CoverFunction`            -- weighted set cover (sum of weights of
+  covered targets),
+* :class:`CurvatureWitnessFunction` -- the closed-form two-block adversarial
+  family parameterized by a curvature value in [0, 1],
+* :class:`PAdditiveWitnessFunction` -- the closed-form family whose every p
+  decisions add up exactly (p-additive).
 
 Subsets are represented internally as bitmasks over the ground order, which
 keeps repeated evaluation cheap inside greedy tie-tree enumeration.
@@ -51,13 +53,49 @@ def as_fraction(value, field: str = "value") -> Fraction:
     raise InputError(f"{field}: expected int, 'p/q' string or Fraction, got {type(value).__name__}")
 
 
+def as_lambda(lam) -> Fraction:
+    """A total-curvature value: :func:`as_fraction`, then checked to lie in [0, 1]."""
+    lam = as_fraction(lam, "lambda")
+    if not ZERO <= lam <= ONE:
+        raise InputError(f"lambda: must lie in [0, 1], got {lam}")
+    return lam
+
+
+def require(obj: dict, field: str, types, where: str = ""):
+    """``obj[field]`` of a parsed JSON object, rejected with an InputError
+    naming ``where.field`` when it is missing or not of ``types``."""
+    prefix = f"{where}." if where else ""
+    if field not in obj:
+        raise InputError(f"{prefix}{field}: missing required field")
+    value = obj[field]
+    if not isinstance(value, types):
+        raise InputError(f"{prefix}{field}: unexpected type {type(value).__name__}")
+    return value
+
+
+def id_list(value, field: str) -> list[str]:
+    """``value`` if it is a JSON list of id strings, else an InputError."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{field}: expected a list of id strings")
+    return value
+
+
 class SetFunction:
     """A normalized monotone submodular objective, evaluated exactly.
 
-    Use the classmethod constructors; ``__init__`` is internal.
+    Build one with the static constructors below, or from an instance
+    file's ``"objective"`` payload with ``OBJECTIVE_KINDS[kind].from_obj``.
+    Each kind is a subclass with a class attribute ``kind`` (its name in
+    instance files), ``_evaluate(mask)`` for a mask not yet in the value
+    cache, ``to_obj()`` for the payload and the classmethod
+    ``from_obj(ground, payload)``.  Every evaluation goes through
+    :meth:`mask_value`, which no kind overrides, so a tool that counts
+    evaluations needs to rebind that one attribute only.
     """
 
-    def __init__(self, ground: Sequence[str], kind: str):
+    kind: str
+
+    def __init__(self, ground: Sequence[str]):
         ground = tuple(ground)
         seen = set()
         for g in ground:
@@ -67,112 +105,40 @@ class SetFunction:
                 raise InputError(f"ground: duplicate element id {g!r}")
             seen.add(g)
         self.ground = ground
-        self.kind = kind
         self._index = {g: i for i, g in enumerate(ground)}
         self._cache: dict[int, Fraction] = {}
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def tabular(cls, ground: Sequence[str], values: Mapping, *, cap: int = EXHAUSTIVE_CAP) -> "SetFunction":
+    @staticmethod
+    def tabular(ground: Sequence[str], values: Mapping, *, cap: int = EXHAUSTIVE_CAP
+                ) -> "TabularFunction":
         """Dense table: ``values`` maps frozensets (or iterables) of ids to
         rationals and must define every one of the 2^|ground| subsets."""
-        f = cls(ground, "tabular")
-        n = len(f.ground)
-        if n > cap:
-            raise CapacityError(f"tabular ground set of {n} elements exceeds cap {cap}")
-        table: list[Optional[Fraction]] = [None] * (1 << n)
-        for key, raw in values.items():
-            ids = (key,) if isinstance(key, str) else tuple(key)
-            try:
-                mask = f.subset_mask(ids)
-            except InputError as exc:
-                raise InputError(f"values: {exc}") from None
-            if table[mask] is not None:
-                raise InputError(f"values: subset {sorted(ids)!r} defined twice")
-            val = as_fraction(raw, f"values[{sorted(ids)!r}]")
-            if val < 0:
-                raise InputError(f"values[{sorted(ids)!r}]: negative value {val}")
-            table[mask] = val
-        for mask, val in enumerate(table):
-            if val is None:
-                missing = [f.ground[i] for i in range(n) if mask >> i & 1]
-                raise InputError(f"values: no value for subset {missing!r}")
-        f._table = table
-        return f
+        def entries():
+            for key, raw in values.items():
+                ids = (key,) if isinstance(key, str) else tuple(key)
+                yield ids, as_fraction(raw, f"values[{sorted(ids)!r}]")
+        return TabularFunction(ground, entries(), cap)
 
-    @classmethod
-    def cover(cls, ground: Sequence[str], targets: Sequence[str],
-              weights: Mapping[str, object], coverage: Mapping[str, Iterable[str]]) -> "SetFunction":
-        """Weighted set cover: f(A) is the total weight of targets covered
-        by the union of the coverage sets of A's elements."""
-        f = cls(ground, "cover")
-        targets = tuple(targets)
-        tindex: dict[str, int] = {}
-        for t in targets:
-            if t in tindex:
-                raise InputError(f"targets: duplicate target id {t!r}")
-            tindex[t] = len(tindex)
-        wlist: list[Fraction] = [ZERO] * len(targets)
-        for t, raw in weights.items():
-            if t not in tindex:
-                raise InputError(f"weights: unknown target id {t!r}")
-            w = as_fraction(raw, f"weights[{t!r}]")
-            if w < 0:
-                raise InputError(f"weights[{t!r}]: negative weight {w}")
-            wlist[tindex[t]] = w
-        missing_w = set(targets) - set(weights)
-        if missing_w:
-            raise InputError(f"weights: missing weight for target {sorted(missing_w)[0]!r}")
-        emasks = [0] * len(f.ground)
-        covered = set()
-        for e, ts in coverage.items():
-            if e not in f._index:
-                raise InputError(f"coverage: unknown element id {e!r}")
-            covered.add(e)
-            m = 0
-            for t in ts:
-                if t not in tindex:
-                    raise InputError(f"coverage[{e!r}]: unknown target id {t!r}")
-                m |= 1 << tindex[t]
-            emasks[f._index[e]] = m
-        uncovered = set(f.ground) - covered
-        if uncovered:
-            raise InputError(f"coverage: no entry for element {sorted(uncovered)[0]!r}")
-        f.targets = targets
-        f.weights = tuple(wlist)
-        f._element_target_masks = emasks
-        f._target_cache: dict[int, Fraction] = {0: ZERO}
-        return f
+    @staticmethod
+    def cover(ground: Sequence[str], targets: Sequence[str],
+              weights: Mapping[str, object], coverage: Mapping[str, Iterable[str]]
+              ) -> "CoverFunction":
+        """Weighted set cover; see :class:`CoverFunction`."""
+        return CoverFunction(ground, targets, weights, coverage)
 
-    @classmethod
-    def curvature_witness(cls, u_ids: Sequence[str], v_ids: Sequence[str], lam) -> "SetFunction":
-        """f(A) = min(1, |A n U|) * lam + |A n U| * (1 - lam) + |A n V|."""
-        lam = as_fraction(lam, "lambda")
-        if not ZERO <= lam <= ONE:
-            raise InputError(f"lambda: must lie in [0, 1], got {lam}")
-        f = cls(tuple(u_ids) + tuple(v_ids), "curvature-witness")
-        f.lam = lam
-        f._u_mask = f.subset_mask(u_ids)
-        f._v_mask = f.subset_mask(v_ids)
-        return f
+    @staticmethod
+    def curvature_witness(u_ids: Sequence[str], v_ids: Sequence[str], lam
+                          ) -> "CurvatureWitnessFunction":
+        """The curvature witness on ground U + V; see :class:`CurvatureWitnessFunction`."""
+        return CurvatureWitnessFunction(u_ids, v_ids, lam)
 
-    @classmethod
-    def p_additive_witness(cls, ground: Sequence[str], u_ids: Sequence[str],
-                           v_ids: Sequence[str], p: int) -> "SetFunction":
-        """f(A) = min(1, |A n U| / p) + |A n V| / p.
-
-        Elements of ``ground`` outside U and V contribute nothing anywhere.
-        """
-        if not isinstance(p, int) or p < 1:
-            raise InputError(f"p: must be a positive integer, got {p!r}")
-        f = cls(ground, "p-additive-witness")
-        f.p = p
-        f._u_mask = f.subset_mask(u_ids)
-        f._v_mask = f.subset_mask(v_ids)
-        if f._u_mask & f._v_mask:
-            raise InputError("u/v: the two blocks must be disjoint")
-        return f
+    @staticmethod
+    def p_additive_witness(ground: Sequence[str], u_ids: Sequence[str],
+                           v_ids: Sequence[str], p: int) -> "PAdditiveWitnessFunction":
+        """The p-additive witness; see :class:`PAdditiveWitnessFunction`."""
+        return PAdditiveWitnessFunction(ground, u_ids, v_ids, p)
 
     # -- evaluation ---------------------------------------------------
 
@@ -193,40 +159,18 @@ class SetFunction:
             m |= 1 << i
         return m
 
+    def _members(self, mask: int) -> list[str]:
+        """The elements of ``mask`` in ground order."""
+        return [e for i, e in enumerate(self.ground) if mask >> i & 1]
+
     def mask_subset(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ground[i] for i in range(len(self.ground)) if mask >> i & 1)
+        return frozenset(self._members(mask))
 
     def mask_value(self, mask: int) -> Fraction:
         """Exact value of the subset encoded by ``mask``."""
-        kind = self.kind
-        if kind == "tabular":
-            return self._table[mask]
-        cached = self._cache.get(mask)
-        if cached is not None:
-            return cached
-        if kind == "cover":
-            tm = 0
-            m = mask
-            masks = self._element_target_masks
-            while m:
-                b = m & -m
-                tm |= masks[b.bit_length() - 1]
-                m ^= b
-            val = self._target_cache.get(tm)
-            if val is None:
-                val = sum((self.weights[i] for i in range(len(self.weights)) if tm >> i & 1), ZERO)
-                self._target_cache[tm] = val
-        elif kind == "curvature-witness":
-            cu = (mask & self._u_mask).bit_count()
-            cv = (mask & self._v_mask).bit_count()
-            val = (self.lam if cu else ZERO) + cu * (ONE - self.lam) + cv
-        elif kind == "p-additive-witness":
-            cu = (mask & self._u_mask).bit_count()
-            cv = (mask & self._v_mask).bit_count()
-            val = min(ONE, Fraction(cu, self.p)) + Fraction(cv, self.p)
-        else:  # pragma: no cover - constructors fix the kind
-            raise InputError(f"unknown objective kind {self.kind!r}")
-        self._cache[mask] = val
+        val = self._cache.get(mask)
+        if val is None:
+            val = self._cache[mask] = self._evaluate(mask)
         return val
 
     def value(self, subset: Iterable[str]) -> Fraction:
@@ -252,6 +196,222 @@ class SetFunction:
 
     def __repr__(self) -> str:
         return f"SetFunction(kind={self.kind!r}, n={len(self.ground)})"
+
+
+class TabularFunction(SetFunction):
+    """A dense table with one value per subset.
+
+    The table is the value cache, filled in full on construction, so every
+    evaluation of a subset of the ground set is a cache hit.
+    """
+
+    kind = "tabular"
+
+    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[Sequence[str], Fraction]],
+                 cap: int = EXHAUSTIVE_CAP):
+        """``entries`` yields (subset ids, value), once for every subset."""
+        super().__init__(ground)
+        n = len(self.ground)
+        if n > cap:
+            raise CapacityError(f"tabular ground set of {n} elements exceeds cap {cap}")
+        table = self._cache
+        for ids, val in entries:
+            try:
+                mask = self.subset_mask(ids)
+            except InputError as exc:
+                raise InputError(f"values: {exc}") from None
+            if mask in table:
+                raise InputError(f"values: subset {sorted(ids)!r} defined twice")
+            if val < 0:
+                raise InputError(f"values[{sorted(ids)!r}]: negative value {val}")
+            table[mask] = val
+        if len(table) < 1 << n:
+            missing = next(m for m in range(1 << n) if m not in table)
+            raise InputError(f"values: no value for subset {self._members(missing)!r}")
+
+    def _evaluate(self, mask: int) -> Fraction:
+        raise InputError(f"mask {mask}: not a subset of the {len(self.ground)}-element ground set")
+
+    def to_obj(self) -> dict:
+        """Values keyed by the subset's ids in ground order, comma-separated."""
+        return {"kind": self.kind,
+                "values": {",".join(self._members(mask)): str(self.mask_value(mask))
+                           for mask in range(1 << len(self.ground))}}
+
+    @classmethod
+    def from_obj(cls, ground: Sequence[str], payload: dict) -> "TabularFunction":
+        values = require(payload, "values", dict, "objective")
+
+        def entries():
+            for key, raw in values.items():
+                ids = [e for e in key.split(",") if e]
+                if len(set(ids)) != len(ids):
+                    raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
+                yield ids, as_fraction(raw, f"objective.values[{key!r}]")
+        return cls(ground, entries())
+
+
+class CoverFunction(SetFunction):
+    """Weighted set cover: f(A) is the total weight of targets covered by
+    the union of the coverage sets of A's elements."""
+
+    kind = "cover"
+
+    def __init__(self, ground: Sequence[str], targets: Sequence[str],
+                 weights: Mapping[str, object], coverage: Mapping[str, Iterable[str]]):
+        super().__init__(ground)
+        targets = tuple(targets)
+        tindex: dict[str, int] = {}
+        for t in targets:
+            if t in tindex:
+                raise InputError(f"targets: duplicate target id {t!r}")
+            tindex[t] = len(tindex)
+        wlist: list[Fraction] = [ZERO] * len(targets)
+        for t, raw in weights.items():
+            if t not in tindex:
+                raise InputError(f"weights: unknown target id {t!r}")
+            w = as_fraction(raw, f"weights[{t!r}]")
+            if w < 0:
+                raise InputError(f"weights[{t!r}]: negative weight {w}")
+            wlist[tindex[t]] = w
+        missing_w = set(targets) - set(weights)
+        if missing_w:
+            raise InputError(f"weights: missing weight for target {sorted(missing_w)[0]!r}")
+        emasks = [0] * len(self.ground)
+        covered = set()
+        for e, ts in coverage.items():
+            if e not in self._index:
+                raise InputError(f"coverage: unknown element id {e!r}")
+            covered.add(e)
+            m = 0
+            for t in ts:
+                if t not in tindex:
+                    raise InputError(f"coverage[{e!r}]: unknown target id {t!r}")
+                m |= 1 << tindex[t]
+            emasks[self._index[e]] = m
+        uncovered = set(self.ground) - covered
+        if uncovered:
+            raise InputError(f"coverage: no entry for element {sorted(uncovered)[0]!r}")
+        self.targets = targets
+        self.weights = tuple(wlist)
+        self._element_target_masks = emasks
+        self._target_cache: dict[int, Fraction] = {0: ZERO}
+
+    def _evaluate(self, mask: int) -> Fraction:
+        tm = 0
+        masks = self._element_target_masks
+        while mask:
+            b = mask & -mask
+            tm |= masks[b.bit_length() - 1]
+            mask ^= b
+        val = self._target_cache.get(tm)
+        if val is None:
+            val = sum((w for i, w in enumerate(self.weights) if tm >> i & 1), ZERO)
+            self._target_cache[tm] = val
+        return val
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind,
+                "targets": list(self.targets),
+                "weights": {t: str(w) for t, w in zip(self.targets, self.weights)},
+                "coverage": {e: [t for i, t in enumerate(self.targets) if m >> i & 1]
+                             for e, m in zip(self.ground, self._element_target_masks)}}
+
+    @classmethod
+    def from_obj(cls, ground: Sequence[str], payload: dict) -> "CoverFunction":
+        targets = id_list(require(payload, "targets", list, "objective"), "objective.targets")
+        weights = require(payload, "weights", dict, "objective")
+        coverage = require(payload, "coverage", dict, "objective")
+        return cls(ground, targets, weights,
+                   {e: id_list(ts, f"objective.coverage[{e!r}]") for e, ts in coverage.items()})
+
+
+class _TwoBlockWitness(SetFunction):
+    """The closed-form witnesses: f depends only on how many members of the
+    disjoint blocks U and V a subset holds."""
+
+    def _set_blocks(self, u_ids: Sequence[str], v_ids: Sequence[str]) -> None:
+        self._u_mask = self.subset_mask(u_ids)
+        self._v_mask = self.subset_mask(v_ids)
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "u": self._members(self._u_mask),
+                "v": self._members(self._v_mask)}
+
+    @staticmethod
+    def _blocks_from_obj(payload: dict) -> tuple[list[str], list[str]]:
+        return (id_list(require(payload, "u", list, "objective"), "objective.u"),
+                id_list(require(payload, "v", list, "objective"), "objective.v"))
+
+
+class CurvatureWitnessFunction(_TwoBlockWitness):
+    """f(A) = min(1, |A n U|) * lam + |A n U| * (1 - lam) + |A n V| on the
+    ground set U + V."""
+
+    kind = "curvature-witness"
+
+    def __init__(self, u_ids: Sequence[str], v_ids: Sequence[str], lam):
+        lam = as_lambda(lam)
+        super().__init__(tuple(u_ids) + tuple(v_ids))
+        self.lam = lam
+        self._set_blocks(u_ids, v_ids)
+
+    def _evaluate(self, mask: int) -> Fraction:
+        cu = (mask & self._u_mask).bit_count()
+        cv = (mask & self._v_mask).bit_count()
+        return (self.lam if cu else ZERO) + cu * (ONE - self.lam) + cv
+
+    def to_obj(self) -> dict:
+        return {**super().to_obj(), "lambda": str(self.lam)}
+
+    @classmethod
+    def from_obj(cls, ground: Sequence[str], payload: dict) -> "CurvatureWitnessFunction":
+        u, v = cls._blocks_from_obj(payload)
+        lam = require(payload, "lambda", (str, int), "objective")
+        if tuple(u) + tuple(v) != tuple(ground):
+            raise InputError("objective.u/v: must list the ground elements in order (u block then v block)")
+        return cls(u, v, as_fraction(lam, "objective.lambda"))
+
+
+class PAdditiveWitnessFunction(_TwoBlockWitness):
+    """f(A) = min(1, |A n U| / p) + |A n V| / p.
+
+    Elements of the ground set outside U and V contribute nothing anywhere.
+    """
+
+    kind = "p-additive-witness"
+
+    def __init__(self, ground: Sequence[str], u_ids: Sequence[str], v_ids: Sequence[str], p: int):
+        if not isinstance(p, int) or p < 1:
+            raise InputError(f"p: must be a positive integer, got {p!r}")
+        super().__init__(ground)
+        self.p = p
+        self._set_blocks(u_ids, v_ids)
+        if self._u_mask & self._v_mask:
+            raise InputError("u/v: the two blocks must be disjoint")
+
+    def _evaluate(self, mask: int) -> Fraction:
+        cu = (mask & self._u_mask).bit_count()
+        cv = (mask & self._v_mask).bit_count()
+        return min(ONE, Fraction(cu, self.p)) + Fraction(cv, self.p)
+
+    def to_obj(self) -> dict:
+        return {**super().to_obj(), "p": self.p}
+
+    @classmethod
+    def from_obj(cls, ground: Sequence[str], payload: dict) -> "PAdditiveWitnessFunction":
+        u, v = cls._blocks_from_obj(payload)
+        p = require(payload, "p", int, "objective")
+        for e in u + v:
+            if e not in ground:
+                raise InputError(f"objective.u/v: element {e!r} not in ground")
+        return cls(ground, u, v, p)
+
+
+OBJECTIVE_KINDS: dict[str, type[SetFunction]] = {
+    cls.kind: cls
+    for cls in (TabularFunction, CoverFunction, CurvatureWitnessFunction, PAdditiveWitnessFunction)
+}
 
 
 class AgentSpace:

@@ -13,34 +13,12 @@ from typing import Union
 
 from .adversarial import WitnessInstance
 from .errors import InputError
-from .objective import AgentSpace, SetFunction, as_fraction
+from .objective import OBJECTIVE_KINDS, AgentSpace, SetFunction, as_fraction, id_list, require
 from .structure import (
     InformationGraph,
     IterationAssignment,
     validate_assignment,
 )
-
-OBJECTIVE_KINDS = ("tabular", "cover", "curvature-witness", "p-additive-witness")
-
-
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _require(obj: dict, field: str, types, where: str = ""):
-    prefix = f"{where}." if where else ""
-    if field not in obj:
-        raise InputError(f"{prefix}{field}: missing required field")
-    value = obj[field]
-    if types is not None and not isinstance(value, types):
-        raise InputError(f"{prefix}{field}: unexpected type {type(value).__name__}")
-    return value
-
-
-def _id_list(value, field: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise InputError(f"{field}: expected a list of id strings")
-    return value
 
 
 # -- graphs ----------------------------------------------------------
@@ -53,8 +31,8 @@ def graph_to_obj(graph: InformationGraph) -> dict:
 def graph_from_obj(obj: dict) -> InformationGraph:
     if not isinstance(obj, dict):
         raise InputError("graph: expected a JSON object")
-    n = _require(obj, "n", int, "graph")
-    edges = _require(obj, "edges", list, "graph")
+    n = require(obj, "n", int, "graph")
+    edges = require(obj, "edges", list, "graph")
     try:
         return InformationGraph(n, edges)
     except InputError as exc:
@@ -68,14 +46,18 @@ def assignment_to_obj(assignment: IterationAssignment) -> dict:
     return {"q": assignment.q, "P": list(assignment.P)}
 
 
-def assignment_from_obj(obj: dict) -> IterationAssignment:
+def _assignment_shape_from_obj(obj: dict) -> IterationAssignment:
     if not isinstance(obj, dict):
         raise InputError("assignment: expected a JSON object")
-    q = _require(obj, "q", int, "assignment")
-    P = _require(obj, "P", list, "assignment")
-    if not all(isinstance(p, int) for p in P):
+    q = require(obj, "q", int, "assignment")
+    P = require(obj, "P", list, "assignment")
+    return IterationAssignment(len(P), q, tuple(P))
+
+
+def assignment_from_obj(obj: dict) -> IterationAssignment:
+    assignment = _assignment_shape_from_obj(obj)
+    if not all(isinstance(p, int) for p in assignment.P):
         raise InputError("assignment.P: iterations must be integers")
-    assignment = IterationAssignment(len(P), q, tuple(P))
     violation = validate_assignment(assignment)
     if violation is not None:
         raise InputError(f"assignment.P: {violation.detail}")
@@ -85,94 +67,25 @@ def assignment_from_obj(obj: dict) -> IterationAssignment:
 # -- instances (objective + agents) ----------------------------------
 
 
-def _subset_key(ids, ground_order: dict[str, int]) -> str:
-    return ",".join(sorted(ids, key=lambda e: ground_order[e]))
-
-
 def instance_to_obj(f: SetFunction, agents: AgentSpace) -> dict:
-    order = {e: i for i, e in enumerate(f.ground)}
-    obj: dict = {
+    return {
         "ground": list(f.ground),
-        "agents": [sorted(d, key=lambda e: order[e]) for d in agents.decisions],
+        "agents": [sorted(d, key=f.ground_index) for d in agents.decisions],
+        "objective": f.to_obj(),
     }
-    if f.kind == "tabular":
-        values = {}
-        for mask in range(1 << len(f.ground)):
-            ids = [f.ground[i] for i in range(len(f.ground)) if mask >> i & 1]
-            values[_subset_key(ids, order)] = rational_str(f.mask_value(mask))
-        obj["objective"] = {"kind": "tabular", "values": values}
-    elif f.kind == "cover":
-        obj["objective"] = {
-            "kind": "cover",
-            "targets": list(f.targets),
-            "weights": {t: rational_str(w) for t, w in zip(f.targets, f.weights)},
-            "coverage": {
-                e: [t for i, t in enumerate(f.targets)
-                    if f._element_target_masks[f.ground_index(e)] >> i & 1]
-                for e in f.ground
-            },
-        }
-    elif f.kind == "curvature-witness":
-        obj["objective"] = {
-            "kind": "curvature-witness",
-            "lambda": rational_str(f.lam),
-            "u": [e for e in f.ground if f.subset_mask((e,)) & f._u_mask],
-            "v": [e for e in f.ground if f.subset_mask((e,)) & f._v_mask],
-        }
-    elif f.kind == "p-additive-witness":
-        obj["objective"] = {
-            "kind": "p-additive-witness",
-            "p": f.p,
-            "u": [e for e in f.ground if f.subset_mask((e,)) & f._u_mask],
-            "v": [e for e in f.ground if f.subset_mask((e,)) & f._v_mask],
-        }
-    else:  # pragma: no cover
-        raise InputError(f"objective.kind: unknown kind {f.kind!r}")
-    return obj
 
 
 def instance_from_obj(obj: dict) -> tuple[SetFunction, AgentSpace]:
     if not isinstance(obj, dict):
         raise InputError("instance: expected a JSON object")
-    ground = _id_list(_require(obj, "ground", list), "ground")
-    agents_raw = _require(obj, "agents", list)
-    decisions = [_id_list(a, f"agents[{i + 1}]") for i, a in enumerate(agents_raw)]
-    payload = _require(obj, "objective", dict)
-    kind = _require(payload, "kind", str, "objective")
+    ground = id_list(require(obj, "ground", list), "ground")
+    agents_raw = require(obj, "agents", list)
+    decisions = [id_list(a, f"agents[{i + 1}]") for i, a in enumerate(agents_raw)]
+    payload = require(obj, "objective", dict)
+    kind = require(payload, "kind", str, "objective")
     if kind not in OBJECTIVE_KINDS:
-        raise InputError(f"objective.kind: expected one of {OBJECTIVE_KINDS}, got {kind!r}")
-
-    if kind == "tabular":
-        values = _require(payload, "values", dict, "objective")
-        table = {}
-        for key, raw in values.items():
-            ids = tuple(k for k in key.split(",") if k)
-            if len(set(ids)) != len(ids):
-                raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
-            table[ids] = as_fraction(raw, f"objective.values[{key!r}]")
-        f = SetFunction.tabular(ground, table)
-    elif kind == "cover":
-        targets = _id_list(_require(payload, "targets", list, "objective"), "objective.targets")
-        weights_raw = _require(payload, "weights", dict, "objective")
-        coverage_raw = _require(payload, "coverage", dict, "objective")
-        coverage = {e: _id_list(ts, f"objective.coverage[{e!r}]")
-                    for e, ts in coverage_raw.items()}
-        f = SetFunction.cover(ground, targets, weights_raw, coverage)
-    elif kind == "curvature-witness":
-        u = _id_list(_require(payload, "u", list, "objective"), "objective.u")
-        v = _id_list(_require(payload, "v", list, "objective"), "objective.v")
-        lam = _require(payload, "lambda", (str, int), "objective")
-        if tuple(u) + tuple(v) != tuple(ground):
-            raise InputError("objective.u/v: must list the ground elements in order (u block then v block)")
-        f = SetFunction.curvature_witness(u, v, as_fraction(lam, "objective.lambda"))
-    else:
-        u = _id_list(_require(payload, "u", list, "objective"), "objective.u")
-        v = _id_list(_require(payload, "v", list, "objective"), "objective.v")
-        p = _require(payload, "p", int, "objective")
-        for e in u + v:
-            if e not in ground:
-                raise InputError(f"objective.u/v: element {e!r} not in ground")
-        f = SetFunction.p_additive_witness(ground, u, v, p)
+        raise InputError(f"objective.kind: expected one of {tuple(OBJECTIVE_KINDS)}, got {kind!r}")
+    f = OBJECTIVE_KINDS[kind].from_obj(ground, payload)
 
     try:
         agents = AgentSpace(decisions)
@@ -193,7 +106,7 @@ def witness_to_obj(w: WitnessInstance) -> dict:
     params = {}
     for k, v in w.params.items():
         if isinstance(v, Fraction):
-            params[k] = rational_str(v)
+            params[k] = str(v)
         elif isinstance(v, tuple):
             params[k] = list(v)
         else:
@@ -201,7 +114,7 @@ def witness_to_obj(w: WitnessInstance) -> dict:
     return {
         "instance": instance_to_obj(w.objective, w.agents),
         "graph": graph_to_obj(w.graph),
-        "predicted_ratio": rational_str(w.predicted_ratio),
+        "predicted_ratio": str(w.predicted_ratio),
         "bound_ref": w.source,
         "params": params,
     }
@@ -210,10 +123,10 @@ def witness_to_obj(w: WitnessInstance) -> dict:
 def witness_from_obj(obj: dict) -> WitnessInstance:
     if not isinstance(obj, dict):
         raise InputError("witness: expected a JSON object")
-    f, agents = instance_from_obj(_require(obj, "instance", dict))
-    graph = graph_from_obj(_require(obj, "graph", dict))
-    predicted = as_fraction(_require(obj, "predicted_ratio", (str, int)), "predicted_ratio")
-    source = _require(obj, "bound_ref", str)
+    f, agents = instance_from_obj(require(obj, "instance", dict))
+    graph = graph_from_obj(require(obj, "graph", dict))
+    predicted = as_fraction(require(obj, "predicted_ratio", (str, int)), "predicted_ratio")
+    source = require(obj, "bound_ref", str)
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise InputError("params: expected a JSON object")
@@ -250,6 +163,13 @@ def save_graph(graph: InformationGraph, path: PathLike) -> None:
 
 def load_assignment(path: PathLike) -> IterationAssignment:
     return assignment_from_obj(_load_json(path))
+
+
+def load_unchecked_assignment(path: PathLike) -> IterationAssignment:
+    """The q and P of an assignment file, checked for shape only: unlike
+    :func:`load_assignment`, this accepts a P that breaks the order or range
+    invariants, which :func:`validate_assignment` then reports."""
+    return _assignment_shape_from_obj(_load_json(path))
 
 
 def save_assignment(assignment: IterationAssignment, path: PathLike) -> None:

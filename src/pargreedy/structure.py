@@ -14,7 +14,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError
 
 
-def _ceil_div(a: int, b: int) -> int:
+def ceil_div(a: int, b: int) -> int:
+    """Integer ceiling of a / b for b > 0."""
     return -(-a // b)
 
 
@@ -27,7 +28,8 @@ def remainder_one(n: int, q: int) -> bool:
     return n % q == 1 % q
 
 
-def _check_n_q(n: int, q: int, q_name: str = "q") -> None:
+def check_n_q(n: int, q: int, q_name: str = "q") -> None:
+    """Reject n < 1 and a q (named ``q_name``) outside 1..n."""
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n: must be a positive integer, got {n!r}")
     if not isinstance(q, int) or q < 1 or q > n:
@@ -159,14 +161,14 @@ def optimal_assignment(n: int, q: int) -> IterationAssignment:
     remainder-one case the last agent is deferred to the final iteration so
     the other n-1 agents split over blocks of r-1.
     """
-    _check_n_q(n, q)
+    check_n_q(n, q)
     if n == 1:
         return IterationAssignment(1, q, (1,))
-    r = _ceil_div(n, q)
+    r = ceil_div(n, q)
     if remainder_one(n, q):
-        P = tuple(_ceil_div(i, r - 1) for i in range(1, n)) + (q,)
+        P = tuple(ceil_div(i, r - 1) for i in range(1, n)) + (q,)
     else:
-        P = tuple(_ceil_div(i, r) for i in range(1, n + 1))
+        P = tuple(ceil_div(i, r) for i in range(1, n + 1))
     return IterationAssignment(n, q, P)
 
 
@@ -216,10 +218,10 @@ def optimal_graph(n: int, q: int) -> InformationGraph:
     r-1 and agent n observes the first (q-1)(r-1) agents; otherwise agents
     are chained by residue mod r, which is the complement Turan graph.
     """
-    _check_n_q(n, q)
+    check_n_q(n, q)
     if n == 1:
         return InformationGraph(1)
-    r = _ceil_div(n, q)
+    r = ceil_div(n, q)
     if remainder_one(n, q):
         step = r - 1
         edges = [(i, j) for i in range(1, n) for j in range(i + 1, n)
@@ -237,7 +239,7 @@ def turan_graph(n: int, r: int) -> InformationGraph:
     Vertices i and j are adjacent iff i != j (mod r).  The (n mod r)
     classes of size ceil(n/r) are the residues 1..(n mod r).
     """
-    _check_n_q(n, r, "r")
+    check_n_q(n, r, "r")
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if (j - i) % r != 0]
     return InformationGraph(n, edges)
@@ -245,7 +247,7 @@ def turan_graph(n: int, r: int) -> InformationGraph:
 
 def complement_turan_graph(n: int, r: int) -> InformationGraph:
     """Disjoint union of r cliques: vertices adjacent iff i = j (mod r)."""
-    _check_n_q(n, r, "r")
+    check_n_q(n, r, "r")
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if (j - i) % r == 0]
     return InformationGraph(n, edges)

@@ -93,6 +93,19 @@ class TestConstructAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "assignment", "--in", str(path))
         assert code == 0 and "ok=false" in out and "violation=order" in out
 
+    def test_analyze_assignment_with_non_integer_iteration(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"q": 2, "P": ["a", 1]}))
+        code, out, _ = run_cli(capsys, "analyze", "assignment", "--in", str(path))
+        assert code == 0 and out.startswith("ok=false violation=range ")
+
+    @pytest.mark.parametrize("doc", ["xq", [1]])
+    def test_analyze_assignment_not_an_object(self, capsys, tmp_path, doc):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "analyze", "assignment", "--in", str(path))
+        assert code == 2 and "assignment: expected a JSON object" in err
+
     def test_capacity_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         run_cli(capsys, "construct", "graph", "--n", "25", "--family", "turan",

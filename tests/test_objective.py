@@ -52,6 +52,39 @@ class TestEvaluate:
             SetFunction.cover(("a",), ("y",), {"y": 0.5}, {"a": ("y",)})
 
 
+def _one_of_each_kind():
+    return [
+        SetFunction.tabular(("a",), {(): 0, ("a",): 1}),
+        SetFunction.cover(("a",), ("y",), {"y": 1}, {"a": ("y",)}),
+        SetFunction.curvature_witness(("a",), (), F(1, 2)),
+        SetFunction.p_additive_witness(("a",), ("a",), (), 1),
+    ]
+
+
+class TestEvaluationEntryPoint:
+    """Every evaluation goes through ``SetFunction.mask_value``: tools that
+    count evaluations rebind that one attribute."""
+
+    def test_no_kind_overrides_mask_value(self):
+        for f in _one_of_each_kind():
+            for cls in type(f).__mro__:
+                if cls is not SetFunction:
+                    assert "mask_value" not in cls.__dict__, (f.kind, cls)
+
+    def test_rebound_mask_value_sees_every_kind(self, monkeypatch):
+        original = SetFunction.__dict__["mask_value"]
+        seen = []
+
+        def counting(f, mask):
+            seen.append(f.kind)
+            return original(f, mask)
+
+        monkeypatch.setattr(SetFunction, "mask_value", counting)
+        for f in _one_of_each_kind():
+            assert f.value(("a",)) == 1
+        assert seen == ["tabular", "cover", "curvature-witness", "p-additive-witness"]
+
+
 class TestMarginal:
     def test_empty_increment(self, cover_fixture):
         assert cover_fixture.marginal((), ("a",)) == 0

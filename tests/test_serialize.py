@@ -96,6 +96,27 @@ class TestInstanceFormat:
         assert f2.value(("a",)) == F(1, 3)
         assert f2.value(("a", "b")) == 2
 
+    @pytest.mark.parametrize("f, agents, objective", [
+        (SetFunction.tabular(("a", "b"), {(): 0, ("a",): "1/3", ("b",): 1, ("a", "b"): "4/3"}),
+         [["a", "b"]],
+         {"kind": "tabular", "values": {"": "0", "a": "1/3", "b": "1", "a,b": "4/3"}}),
+        (SetFunction.cover(("a", "b"), ("y", "z"), {"y": "1/2", "z": 2},
+                           {"a": ("y",), "b": ("y", "z")}),
+         [["a"], ["b"]],
+         {"kind": "cover", "targets": ["y", "z"], "weights": {"y": "1/2", "z": "2"},
+          "coverage": {"a": ["y"], "b": ["y", "z"]}}),
+        (SetFunction.curvature_witness(("u1", "u2"), ("v1",), F(1, 3)),
+         [["u1", "v1"], ["u2"]],
+         {"kind": "curvature-witness", "lambda": "1/3", "u": ["u1", "u2"], "v": ["v1"]}),
+        (SetFunction.p_additive_witness(("u1", "v1", "x"), ("u1",), ("v1",), 2),
+         [["u1", "x"], ["v1"]],
+         {"kind": "p-additive-witness", "p": 2, "u": ["u1"], "v": ["v1"]}),
+    ], ids=["tabular", "cover", "curvature-witness", "p-additive-witness"])
+    def test_serialized_form_of_each_kind(self, f, agents, objective):
+        obj = instance_to_obj(f, AgentSpace(agents))
+        assert obj == {"ground": list(f.ground), "agents": agents, "objective": objective}
+        assert list(obj) == ["ground", "agents", "objective"]
+
     def test_witness_kind_round_trips(self):
         for w in (curvature_witness(edgeless_graph(3), F(1, 2)),
                   p_additive_witness(star_graph(3), 2),
@@ -115,9 +136,20 @@ class TestInstanceFormat:
             instance_from_obj(obj)
 
     def test_unknown_kind(self):
-        with pytest.raises(InputError, match="objective.kind"):
+        with pytest.raises(InputError, match="objective.kind") as exc:
             instance_from_obj({"ground": [], "agents": [],
                                "objective": {"kind": "mystery"}})
+        assert str(exc.value) == (
+            "objective.kind: expected one of ('tabular', 'cover', 'curvature-witness',"
+            " 'p-additive-witness'), got 'mystery'")
+
+    def test_two_keys_for_one_subset_rejected(self):
+        # "a,b," names the subset {a, b} a second time
+        obj = {"ground": ["a", "b"], "agents": [["a"], ["b"]],
+               "objective": {"kind": "tabular",
+                             "values": {"": 0, "a": 1, "b": 1, "a,b": 2, "a,b,": 3}}}
+        with pytest.raises(InputError, match=r"values: subset \['a', 'b'\] defined twice"):
+            instance_from_obj(obj)
 
     def test_zero_denominator_named(self):
         obj = {"ground": ["a"], "agents": [["a"]],
