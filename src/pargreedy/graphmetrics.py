@@ -1,15 +1,16 @@
 """Exact combinatorial invariants of information graphs.
 
-Everything here is exact: independence and clique numbers come from a
-bitset branch-and-bound, the clique cover number from an exact coloring of
-the complement, and the sibling / pseudo-independence predicates from a
-pruned depth-first search over the sets they quantify over.  That search
-visits vertices in increasing index, tries including a vertex before
-excluding it, skips every vertex that can no longer join the set and prunes
-on a clique bound, so it meets the sets in one fixed order ("index order"):
-the reported maximum set and every witness are the first ones in that
-order.  The maximum sets are enumerated lazily, so a predicate stops at its
-first witness.  Computations refuse graphs above the cap with a
+Everything here is exact and rests on one search: a pruned depth-first
+search over the p-pseudo-independent sets, which at p = 1 are the
+independent sets.  It gives the independence, clique and
+pseudo-independence numbers, the sibling predicates, and the lower bound of
+the exact coloring of the complement that gives the clique cover number.
+The search visits vertices in increasing index, tries including a vertex
+before excluding it, skips every vertex that can no longer join the set and
+prunes on a clique bound, so it meets the sets in one fixed order ("index
+order"): the reported maximum set and every witness are the first ones in
+that order.  The maximum sets are enumerated lazily, so a predicate stops at
+its first witness.  Computations refuse graphs above the cap with a
 CapacityError instead of approximating.
 
 The in-neighborhood convention is fixed module-wide: N_i contains only the
@@ -18,7 +19,6 @@ lower-index neighbors of i, matching the direction of information flow.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,55 +54,30 @@ class InvariantWitness:
         return self.value
 
 
-def _max_independent_mask(adj: list[int], n: int) -> int:
-    """Maximum independent set as a bitmask, branch-and-bound on bitsets.
-
-    Branches on the highest-degree remaining vertex; prunes when even taking
-    every remaining candidate cannot beat the incumbent.
-    """
-    best_mask = 0
-    best_size = 0
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
-
-    def search(cand: int, cur: int, size: int) -> None:
-        nonlocal best_mask, best_size
-        if size > best_size:
-            best_size, best_mask = size, cur
-        if cand == 0 or size + cand.bit_count() <= best_size:
-            return
-        pivot, pivot_deg = -1, -1
-        for v in _bits(cand):
-            d = (adj[v] & cand).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        vb = 1 << pivot
-        search((cand & ~adj[pivot]) & ~vb, cur | vb, size + 1)
-        search(cand & ~vb, cur, size)
-
-    search((1 << n) - 1, 0, 0)
-    return best_mask
-
-
 def independence_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
-    """alpha(G) with a maximum independent set as witness."""
+    """alpha(G), witnessed by the first maximum independent set in index
+    order (``maximum_independent_sets(graph)[0]``)."""
     _require_cap(graph, cap, "independence number")
-    mask = _max_independent_mask(graph.adjacency_masks(), graph.n)
+    mask = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, 1)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
 def clique_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
-    """omega(G): the independence number of the complement."""
+    """omega(G): the independence number of the complement, witnessed by the
+    first maximum clique in index order."""
     _require_cap(graph, cap, "clique number")
-    mask = _max_independent_mask(graph.complement().adjacency_masks(), graph.n)
+    mask = _max_pseudo_independent_mask(graph.complement().adjacency_masks(), graph.n, 1)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
-def _chromatic_number(adj: list[int], n: int) -> tuple[int, list[int]]:
+def _chromatic_number(adj: list[int], n: int, lb: int) -> tuple[int, list[int]]:
     """Exact chromatic number with one optimal coloring, by backtracking.
 
     Vertices are tried in degree-descending order; each vertex may only open
-    one fresh color (symmetry breaking).  The lower bound is the clique
-    number of the graph being colored, the upper bound a greedy coloring.
+    one fresh color (symmetry breaking).  The lower bound ``lb`` is the
+    clique number of the graph being colored, the upper bound a greedy
+    coloring.  The backtracking recurses once per vertex, so its depth is
+    at most n.
     """
     if n == 0:
         return 0, []
@@ -116,10 +91,6 @@ def _chromatic_number(adj: list[int], n: int) -> tuple[int, list[int]]:
             c += 1
         greedy[v] = c
     ub = max(greedy) + 1
-
-    clique_mask = _max_independent_mask(
-        [(~adj[v]) & ((1 << n) - 1) & ~(1 << v) for v in range(n)], n)
-    lb = clique_mask.bit_count()
 
     colors = [-1] * n
     best = list(greedy)
@@ -149,10 +120,11 @@ def _chromatic_number(adj: list[int], n: int) -> tuple[int, list[int]]:
 
 def clique_cover_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
     """theta(G): chromatic number of the complement, witnessed by a minimum
-    partition of the vertices into cliques."""
+    partition of the vertices into cliques.  The coloring's lower bound, the
+    clique number of the complement, is alpha(G)."""
     _require_cap(graph, cap, "clique cover number")
-    comp = graph.complement()
-    k, coloring = _chromatic_number(comp.adjacency_masks(), graph.n)
+    alpha = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, 1).bit_count()
+    k, coloring = _chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(coloring):
         classes.setdefault(c, []).append(v + 1)
@@ -161,11 +133,10 @@ def clique_cover_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP
 
 
 def maximum_independent_sets(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> list[tuple[int, ...]]:
-    """All maximum independent sets, as sorted vertex tuples."""
+    """All maximum independent sets, as sorted vertex tuples, in index
+    order."""
     _require_cap(graph, cap, "maximum independent set enumeration")
-    adj = graph.adjacency_masks()
-    alpha = _max_independent_mask(adj, graph.n).bit_count()
-    return [_vertices(m) for m in _all_pseudo_independent_of_size(adj, graph.n, 1, alpha)]
+    return [_vertices(m) for m in _maximum_sets(graph, 1)]
 
 
 @dataclass(frozen=True)
@@ -181,19 +152,15 @@ def has_sibling_condition(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_C
     with a member of I in its in-neighborhood.  Returns the first witness
     (lowest w of the first such I, its lowest such member) or None.
 
-    The sets are enumerated lazily, so the search ends at the first I that
-    has such a w; None costs a full enumeration."""
+    This is the p = 1 case of :func:`has_p_sibling`: a vertex that sees a
+    member of I is not itself in I.  The sets are enumerated lazily, so the
+    search ends at the first I that has such a w; None costs a full
+    enumeration."""
     _require_cap(graph, cap, "sibling condition")
-    adj = graph.adjacency_masks()
-    alpha = _max_independent_mask(adj, graph.n).bit_count()
-    in_masks = graph.in_neighbor_masks()
-    for m in _all_pseudo_independent_of_size(adj, graph.n, 1, alpha):
-        for w in range(graph.n):
-            hits = in_masks[w] & m
-            if hits:
-                member = hits & -hits
-                return SiblingWitness(w + 1, _vertices(m), member.bit_length())
-    return None
+    sibling = _first_p_sibling(graph, 1)
+    if sibling is None:
+        return None
+    return SiblingWitness(sibling.vertex, sibling.pseudo_independent_set, sibling.members[0])
 
 
 def _suffix_cliques(adj: list[int], n: int) -> list[int]:
@@ -212,9 +179,11 @@ def _suffix_cliques(adj: list[int], n: int) -> list[int]:
     return cliques
 
 
-def _all_pseudo_independent_of_size(adj: list[int], n: int, p: int, size: int):
+def _all_pseudo_independent_of_size(adj: list[int], n: int, p: int, size: int,
+                                    cliques: list[int]):
     """Yield every p-pseudo-independent set of exactly ``size`` vertices, as
     bitmasks, in index order.  At p = 1 these are the independent sets.
+    ``cliques`` is ``_suffix_cliques(adj, n)``.
 
     Depth-first search with an explicit stack.  ``alive`` holds the later
     vertices that can still join the set; the search branches on the lowest
@@ -228,7 +197,6 @@ def _all_pseudo_independent_of_size(adj: list[int], n: int, p: int, size: int):
     the set).  It is a generator, so callers that stop at the first set
     they need enumerate no further.
     """
-    cliques = _suffix_cliques(adj, n)
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
         cur, alive, have = stack.pop()
@@ -260,19 +228,28 @@ def _all_pseudo_independent_of_size(adj: list[int], n: int, p: int, size: int):
 
 def _max_pseudo_independent_mask(adj: list[int], n: int, p: int) -> int:
     """Maximum set J with |N_j n J| < p for every j in J, the first one in
-    index order.
+    index order.  At p = 1, the first maximum independent set.
 
     Takes the first set of each size, sizes rising from 1, until a size has
     none.  A larger set's first members form a smaller set that comes
     before it in index order, so the first set of the last size found is
     the first maximum set.
     """
+    cliques = _suffix_cliques(adj, n)
     best = 0
     while True:
-        bigger = next(_all_pseudo_independent_of_size(adj, n, p, best.bit_count() + 1), None)
+        bigger = next(_all_pseudo_independent_of_size(adj, n, p, best.bit_count() + 1, cliques), None)
         if bigger is None:
             return best
         best = bigger
+
+
+def _maximum_sets(graph: InformationGraph, p: int):
+    """Every maximum p-pseudo-independent set of the graph, as bitmasks, in
+    index order (lazily)."""
+    adj = graph.adjacency_masks()
+    size = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
+    return _all_pseudo_independent_of_size(adj, graph.n, p, size, _suffix_cliques(adj, graph.n))
 
 
 def _check_p(p) -> None:
@@ -292,9 +269,7 @@ def pseudo_independence_number(graph: InformationGraph, p: int, *, cap: int = DE
 def maximum_pseudo_independent_sets(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> list[tuple[int, ...]]:
     _check_p(p)
     _require_cap(graph, cap, "pseudo-independent set enumeration")
-    adj = graph.adjacency_masks()
-    best = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
-    return [_vertices(m) for m in _all_pseudo_independent_of_size(adj, graph.n, p, best)]
+    return [_vertices(m) for m in _maximum_sets(graph, p)]
 
 
 @dataclass(frozen=True)
@@ -304,6 +279,18 @@ class PSiblingWitness:
     vertex: int
     pseudo_independent_set: tuple[int, ...]
     members: tuple[int, ...]
+
+
+def _first_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitness]:
+    in_masks = graph.in_neighbor_masks()
+    for m in _maximum_sets(graph, p):
+        for w in range(graph.n):
+            if m >> w & 1:
+                continue
+            hits = in_masks[w] & m
+            if hits.bit_count() >= p:
+                return PSiblingWitness(w + 1, _vertices(m), _vertices(hits))
+    return None
 
 
 def has_p_sibling(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> Optional[PSiblingWitness]:
@@ -317,17 +304,7 @@ def has_p_sibling(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_C
     maximum set, so its size is alpha_p."""
     _check_p(p)
     _require_cap(graph, cap, "p-sibling property")
-    adj = graph.adjacency_masks()
-    in_masks = graph.in_neighbor_masks()
-    best = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
-    for m in _all_pseudo_independent_of_size(adj, graph.n, p, best):
-        for w in range(graph.n):
-            if m >> w & 1:
-                continue
-            hits = in_masks[w] & m
-            if hits.bit_count() >= p:
-                return PSiblingWitness(w + 1, _vertices(m), _vertices(hits))
-    return None
+    return _first_p_sibling(graph, p)
 
 
 @dataclass(frozen=True)
@@ -348,11 +325,9 @@ def verify_no_disjoint_max_sets(graph: InformationGraph, p: int, *, cap: int = D
     p-pseudo-independent sets pairwise intersect."""
     _check_p(p)
     _require_cap(graph, cap, "disjoint maximum set check")
-    if has_p_sibling(graph, p, cap=cap) is not None:
+    if _first_p_sibling(graph, p) is not None:
         return DisjointSetsCheck(applicable=False, holds=True)
-    adj = graph.adjacency_masks()
-    best = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
-    masks = list(_all_pseudo_independent_of_size(adj, graph.n, p, best))
+    masks = list(_maximum_sets(graph, p))
     for a in range(len(masks)):
         for b in range(a + 1, len(masks)):
             if masks[a] & masks[b] == 0:

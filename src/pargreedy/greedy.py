@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Union
 
 from .errors import CapacityError, InputError, UndefinedRatioError
@@ -207,31 +208,15 @@ def brute_force_optimum(f: SetFunction, agents: AgentSpace, *,
         if count > profile_cap:
             raise CapacityError(f"profile enumeration exceeds cap {profile_cap}")
 
-    best_profile: tuple[Optional[str], ...] = ()
+    best_masks: tuple[int, ...] = ()
     best_value: Optional[Fraction] = None
-    profile: list[Optional[str]] = [None] * len(decisions)
-
-    def go(i: int, union_mask: int) -> None:
-        nonlocal best_profile, best_value
-        if i == len(decisions):
-            v = f.mask_value(union_mask)
-            if best_value is None or v > best_value:
-                best_value = v
-                best_profile = tuple(profile)
-            return
-        opts = decisions[i]
-        if not opts:
-            profile[i] = None
-            go(i + 1, union_mask)
-            return
-        for e, m in opts:
-            profile[i] = e
-            go(i + 1, union_mask | m)
-        profile[i] = None
-
-    go(0, 0)
-    assert best_value is not None
-    return best_profile, best_value
+    # the masks are distinct single bits, so their sum is their union
+    for masks in product(*([m for _, m in opts] or [0] for opts in decisions)):
+        v = f.mask_value(sum(masks))
+        if best_value is None or v > best_value:
+            best_value, best_masks = v, masks
+    ids = [{m: e for e, m in opts} for opts in decisions]
+    return tuple(by_mask.get(m) for by_mask, m in zip(ids, best_masks)), best_value
 
 
 def empirical_ratio(f: SetFunction, agents: AgentSpace, graph: InformationGraph, *,

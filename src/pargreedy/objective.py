@@ -453,9 +453,9 @@ def check_partition(f: SetFunction, agents: AgentSpace) -> None:
         union |= d
     ground = set(f.ground)
     if union - ground:
-        raise InputError(f"agents: decision {sorted(union - ground)[0]!r} not in ground set")
+        raise InputError(f"agents: partition violated: decision {sorted(union - ground)[0]!r} not in ground set")
     if ground - union:
-        raise InputError(f"agents: ground element {sorted(ground - union)[0]!r} not owned by any agent")
+        raise InputError(f"agents: partition violated: ground element {sorted(ground - union)[0]!r} not owned by any agent")
 
 
 @dataclass(frozen=True)

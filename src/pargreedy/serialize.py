@@ -13,7 +13,7 @@ from typing import Union
 
 from .adversarial import WitnessInstance
 from .errors import InputError
-from .objective import OBJECTIVE_KINDS, AgentSpace, SetFunction, as_fraction, id_list, require
+from .objective import OBJECTIVE_KINDS, AgentSpace, SetFunction, as_fraction, check_partition, id_list, require
 from .structure import (
     InformationGraph,
     IterationAssignment,
@@ -91,11 +91,7 @@ def instance_from_obj(obj: dict) -> tuple[SetFunction, AgentSpace]:
         agents = AgentSpace(decisions)
     except InputError as exc:
         raise InputError(f"agents: partition violated: {exc}") from None
-    union = set().union(*agents.decisions) if agents.decisions else set()
-    gset = set(f.ground)
-    if union != gset:
-        missing = sorted(gset - union) + sorted(union - gset)
-        raise InputError(f"agents: partition violated: element {missing[0]!r} mismatched with ground")
+    check_partition(f, agents)
     return f, agents
 
 

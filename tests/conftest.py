@@ -127,14 +127,15 @@ def brute_total_curvature(f: SetFunction) -> Fraction:
     return worst
 
 
-def brute_optimum_value(f: SetFunction, agents: AgentSpace) -> Fraction:
-    best = Fraction(0)
-    pools = [sorted(d) if d else [None] for d in agents.decisions]
+def brute_optimum(f: SetFunction, agents: AgentSpace):
+    """(profile, value) of the first maximizing profile, each agent's
+    decisions taken in ground order and the first agent varying slowest."""
+    best = None
+    pools = [sorted(d, key=f.ground_index) if d else [None] for d in agents.decisions]
     for profile in product(*pools):
-        chosen = [d for d in profile if d is not None]
-        v = f.value(chosen)
-        if v > best:
-            best = v
+        v = f.value([d for d in profile if d is not None])
+        if best is None or v > best[1]:
+            best = (profile, v)
     return best
 
 

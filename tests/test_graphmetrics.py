@@ -324,6 +324,26 @@ class TestPrunedSearchAgainstOracle:
                         for s in sets for w in range(1, g.n + 1)
                         if _in_members(g, w, s)), None)
         assert has_sibling_condition(g) == sibling
+        assert independence_number(g) == InvariantWitness(len(sets[0]), sets[0])
+        cliques = brute_pseudo_independent_sets(g.complement(), 1)
+        assert clique_number(g) == InvariantWitness(len(cliques[0]), cliques[0])
+
+
+@pytest.mark.parametrize("call, what", [
+    (independence_number, "independence number"),
+    (clique_number, "clique number"),
+    (clique_cover_number, "clique cover number"),
+    (maximum_independent_sets, "maximum independent set enumeration"),
+    (has_sibling_condition, "sibling condition"),
+    (lambda g: pseudo_independence_number(g, 2), "pseudo-independence number"),
+    (lambda g: maximum_pseudo_independent_sets(g, 2), "pseudo-independent set enumeration"),
+    (lambda g: has_p_sibling(g, 2), "p-sibling property"),
+    (lambda g: verify_no_disjoint_max_sets(g, 2), "disjoint maximum set check"),
+])
+def test_each_invariant_names_itself_above_the_cap(call, what):
+    with pytest.raises(CapacityError) as exc:
+        call(InformationGraph(21))
+    assert str(exc.value) == f"{what} on 21 vertices exceeds exact-search cap 20"
 
 
 class TestParallelIndependenceLowerBound:

@@ -1,10 +1,15 @@
 """Greedy execution, tie policies, brute force and empirical ratios."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import pargreedy
 from pargreedy import (
     AgentSpace,
     CapacityError,
@@ -27,7 +32,7 @@ from pargreedy.suites import (
     random_feasible_graph,
 )
 
-from conftest import brute_optimum_value
+from conftest import brute_optimum
 
 F = Fraction
 
@@ -151,8 +156,7 @@ class TestBruteForce:
         rng = random.Random(22)
         for _ in range(30):
             f, X = random_cover_instance(rng, rng.randint(1, 5))
-            _, value = brute_force_optimum(f, X)
-            assert value == brute_optimum_value(f, X)
+            assert brute_force_optimum(f, X) == brute_optimum(f, X)
 
 
 class TestEmpiricalRatio:
@@ -225,3 +229,40 @@ class TestParallelDifferential:
         f, X, _ = tie_fixture
         with pytest.raises(InputError, match="order"):
             run_parallel_greedy(f, X, IterationAssignment(2, 2, (2, 1)), "worst")
+
+
+FRESH_PROCESS_PROBE = textwrap.dedent("""
+    import random, sys
+    from pargreedy import (AgentSpace, InformationGraph, SetFunction, brute_force_optimum,
+                           clique_cover_number, clique_number, has_p_sibling,
+                           has_sibling_condition, independence_number,
+                           maximum_independent_sets, maximum_pseudo_independent_sets,
+                           pseudo_independence_number, verify_no_disjoint_max_sets)
+
+    limit = sys.getrecursionlimit()
+    ground = tuple(f"e{i}" for i in range(1500))
+    f = SetFunction.cover(ground, ("y",), {"y": 1}, {e: ("y",) for e in ground})
+    assert brute_force_optimum(f, AgentSpace([{e} for e in ground])) == (ground, 1)
+
+    rng = random.Random(5)
+    g = InformationGraph(20, [(i, j) for i in range(1, 21) for j in range(i + 1, 21)
+                              if rng.random() < 0.5])
+    for invariant in (independence_number, clique_number, clique_cover_number,
+                      maximum_independent_sets, has_sibling_condition):
+        invariant(g)
+    for invariant in (pseudo_independence_number, maximum_pseudo_independent_sets,
+                      has_p_sibling, verify_no_disjoint_max_sets):
+        invariant(g, 2)
+    assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
+""")
+
+
+def test_fresh_process_keeps_recursion_limit_and_enumerates_many_agents():
+    # a fresh interpreter: the probe must not depend on what an earlier
+    # test did to this process
+    src = os.path.dirname(os.path.dirname(pargreedy.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", FRESH_PROCESS_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
