@@ -21,7 +21,13 @@ from .graphmetrics import (
     has_sibling_condition,
     independence_number,
 )
-from .greedy import brute_force_optimum, empirical_ratio, run_greedy
+from .greedy import (
+    DEFAULT_NODE_CAP,
+    DEFAULT_PROFILE_CAP,
+    brute_force_optimum,
+    empirical_ratio,
+    run_greedy,
+)
 from .objective import ZERO, AgentSpace, SetFunction, as_lambda, total_curvature
 from .structure import InformationGraph, ceil_div, check_n_q, optimal_graph, remainder_one
 
@@ -149,8 +155,8 @@ STAGE_NAMES = (
 
 
 def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int, *,
-                      node_cap: int = 1_000_000,
-                      profile_cap: int = 10_000_000) -> ChainCheck:
+                      node_cap: int = DEFAULT_NODE_CAP,
+                      profile_cap: int = DEFAULT_PROFILE_CAP) -> ChainCheck:
     """Evaluate the full inequality chain on the remainder-one optimal graph.
 
     Requires n = 1 (mod q).  Runs worst-policy greedy and the brute-force

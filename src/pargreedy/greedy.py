@@ -12,10 +12,19 @@ by exact rational equality; the tie policies are:
 * ``all``               -- return every resolution, deduplicated by final
   decision set.
 
-The tie tree is explored depth-first with a node-count cap.  Because agent
-decision sets are disjoint, the set of decisions taken so far identifies the
-resolution path uniquely, so the tree is explored without memoization; the
-cap guards against blowup.
+All five policies walk the same tie tree, depth-first in ground order over
+an explicit stack (no recursion, so the number of agents is not bounded by
+the interpreter's recursion limit); ``first`` / ``last`` keep one tie per
+level, so their tree is a single path.  Every node, leaves and null-decision
+agents included, counts against a node cap, which guards against blowup.
+
+Agent i's gains depend only on the union of its visible sources' decisions,
+so its tie set is computed once per distinct visible union and reused on
+every branch that reaches it with the same view.  No running total is
+carried: agent decision sets are disjoint, so the union of the decisions
+taken identifies a leaf, and a leaf costs one evaluation of that union.
+Marginals telescope to f(union) - f(empty), so the value and per-agent
+marginals are built only for the leaves that are kept.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from itertools import product
 from typing import Optional, Union
 
 from .errors import CapacityError, InputError, UndefinedRatioError
-from .objective import AgentSpace, SetFunction, ZERO, check_partition
+from .objective import AgentSpace, SetFunction, check_partition
 from .structure import (
     InformationGraph,
     IterationAssignment,
@@ -77,76 +86,87 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
                    visible_sources: list[list[int]], policy: str,
                    node_cap: int, schedule: Schedule
                    ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
-    """Shared DFS over tie resolutions.  ``visible_sources[i]`` lists the
-    agents (0-based) whose decisions agent i observes."""
+    """Shared depth-first walk over tie resolutions.  ``visible_sources[i]``
+    lists the agents (0-based) whose decisions agent i observes."""
     n = len(decisions)
-    chosen_mask = [0] * n
-    profile: list[Optional[str]] = [None] * n
-    marginals: list[Fraction] = [ZERO] * n
-
+    # The decision sets are disjoint, so what agent i sees of the decisions
+    # taken so far is their union cut down to its sources' decision sets
+    # (distinct single bits, so their sum is their union).
+    seen = [sum(m for j in sources for _, m in decisions[j]) for sources in visible_sources]
     single_pass = policy in ("first", "last")
+    tie_sets: list[dict[int, list]] = [{} for _ in range(n)]
+
     nodes = 0
     leaves = 0
-    # worst/best incumbent, "all" collector keyed by final decision-set mask
+    taken: list[tuple[Optional[str], int]] = []  # (id, mask) per level so far
+    untried: list = []                           # per level: its remaining ties
+    union = 0
+    # worst/best/first/last incumbent path, "all" paths keyed by final union
     incumbent: Optional[tuple] = None
+    incumbent_value: Optional[Fraction] = None
     collected: dict[int, tuple] = {}
-
-    def record_leaf(union_mask: int, total: Fraction) -> None:
-        nonlocal incumbent, leaves
-        leaves += 1
-        snap = (total, tuple(profile), tuple(marginals), union_mask)
-        if policy == "worst":
-            if incumbent is None or total < incumbent[0]:
-                incumbent = snap
-        elif policy == "best":
-            if incumbent is None or total > incumbent[0]:
-                incumbent = snap
-        elif single_pass:
-            incumbent = snap
-        else:
-            collected.setdefault(union_mask, snap)
-
-    def dfs(i: int, union_mask: int, total: Fraction) -> None:
-        nonlocal nodes
+    while True:
         nodes += 1
         if nodes > node_cap:
             raise CapacityError(f"tie-tree enumeration exceeded {node_cap} nodes")
-        if i == n:
-            record_leaf(union_mask, total)
-            return
-        opts = decisions[i]
-        if not opts:
-            profile[i] = None
-            marginals[i] = ZERO
-            dfs(i + 1, union_mask, total)
-            return
-        vis = 0
-        for j in visible_sources[i]:
-            vis |= chosen_mask[j]
-        base = f.mask_value(vis)
-        gains = [(f.mask_value(vis | m) - base, e, m) for e, m in opts]
-        top = max(g for g, _, _ in gains)
-        ties = [(e, m) for g, e, m in gains if g == top]
-        if single_pass:
-            ties = [ties[0] if policy == "first" else ties[-1]]
-        before = f.mask_value(union_mask)
-        for e, m in ties:
-            realized = f.mask_value(union_mask | m) - before
-            profile[i] = e
-            marginals[i] = realized
-            chosen_mask[i] = m
-            dfs(i + 1, union_mask | m, total + realized)
-            chosen_mask[i] = 0
-        profile[i] = None
-        marginals[i] = ZERO
+        i = len(taken)
+        if i < n:
+            vis = union & seen[i]
+            ties = tie_sets[i].get(vis)
+            if ties is None:
+                opts = decisions[i]
+                if opts:
+                    values = [f.mask_value(vis | m) for _, m in opts]
+                    top = max(values)
+                    ties = [opt for opt, v in zip(opts, values) if v == top]
+                    if single_pass:
+                        ties = [ties[0] if policy == "first" else ties[-1]]
+                else:
+                    ties = [(None, 0)]
+                tie_sets[i][vis] = ties
+            rest = iter(ties)
+            step = next(rest)
+            untried.append(rest)
+            taken.append(step)
+            union |= step[1]
+            continue
 
-    dfs(0, 0, ZERO)
+        leaves += 1
+        if policy == "all":
+            if union not in collected:
+                collected[union] = tuple(taken)
+        else:
+            value = f.mask_value(union)
+            if incumbent is None or (value > incumbent_value if policy == "best"
+                                     else value < incumbent_value):
+                incumbent, incumbent_value = tuple(taken), value
+        while untried:
+            union ^= taken.pop()[1]
+            step = next(untried[-1], None)
+            if step is not None:
+                taken.append(step)
+                union |= step[1]
+                break
+            untried.pop()
+        else:
+            break
 
-    if policy in ("first", "last", "worst", "best"):
-        total, prof, margs, _ = incumbent
-        return GreedyOutcome(prof, total, margs, leaves, schedule)
-    outcomes = [GreedyOutcome(prof, total, margs, leaves, schedule)
-                for total, prof, margs, _ in collected.values()]
+    empty = f.mask_value(0)
+
+    def outcome(path: tuple) -> GreedyOutcome:
+        # marginals telescope: the value is f(union) - f(empty)
+        prefix, before, marginals = 0, empty, []
+        for _, m in path:
+            prefix |= m
+            after = f.mask_value(prefix)
+            marginals.append(after - before)
+            before = after
+        return GreedyOutcome(tuple(e for e, _ in path), before - empty,
+                             tuple(marginals), leaves, schedule)
+
+    if policy != "all":
+        return outcome(incumbent)
+    outcomes = [outcome(path) for path in collected.values()]
     order = {e: k for k, e in enumerate(f.ground)}
     outcomes.sort(key=lambda o: tuple(-1 if d is None else order[d] for d in o.profile))
     return tuple(outcomes)
@@ -175,8 +195,9 @@ def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: Iteratio
     """Parallelized greedy driven directly by an iteration assignment:
     agent i sees every agent assigned to a strictly earlier iteration.
 
-    Independent of :func:`run_greedy`; the two must agree on the induced
-    graph, which the test suite checks differentially.
+    Derives who sees whom independently of :func:`run_greedy` and shares
+    its tie-tree engine; the two must agree on the induced graph, which the
+    test suite checks differentially.
     """
     _check_policy(policy)
     violation = validate_assignment(assignment)

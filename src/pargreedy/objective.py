@@ -563,12 +563,15 @@ def total_curvature(f: SetFunction) -> Fraction:
     2n + 1 evaluations and has no size cap.  Returns 0 when no element has
     positive value.
 
-    Assumes f passed :func:`check_properties`.  On an arbitrary function the
-    closed form is one term of the subset-wise maximum, so it can only
-    understate that maximum: a smaller lam raises the curvature lower bound
-    of :func:`pargreedy.bounds.certify`, which can then only turn a
-    ``pass`` into a ``FAIL``, never the other way.  The result may exceed
-    1 on non-monotone functions.
+    Assumes f passed :func:`check_properties`; nothing here checks it.  On
+    an arbitrary function the closed form is one term of the subset-wise
+    maximum, so it can understate that maximum, and the clamp at 0 hides a
+    negative term.  An understated lam raises the curvature lower bound of
+    :func:`pargreedy.bounds.certify`, which can then print ``pass`` for an
+    instance the theorem does not cover: the supermodular pair
+    f(a) = f(b) = 1, f(ab) = 3 gets lam = 0, so a lower bound of 1, and a
+    two-agent edgeless row of it certifies as ``pass``.  The result may
+    exceed 1 on non-monotone functions.
     """
     n = len(f.ground)
     full = (1 << n) - 1

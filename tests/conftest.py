@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from pargreedy import AgentSpace, InformationGraph, SetFunction
+from pargreedy import AgentSpace, GreedyOutcome, InformationGraph, SetFunction
 
 
 # -- graph oracles (subset scans, no branch and bound) -----------------
@@ -137,6 +137,71 @@ def brute_optimum(f: SetFunction, agents: AgentSpace):
         if best is None or v > best[1]:
             best = (profile, v)
     return best
+
+
+# -- greedy oracle (recursive tie-tree walk, no caching) ---------------
+
+
+def brute_greedy(f: SetFunction, agents: AgentSpace, sources, policy: str, schedule):
+    """What ``run_greedy`` / ``run_parallel_greedy`` return, from the tie
+    tree walked recursively: every node recomputes its agent's gains from
+    what its sources (``sources[i]``, 0-based agents) chose, every branch
+    carries its running total of realized marginals, and every leaf is
+    kept.  ``worst`` / ``best`` take the first minimal / maximal leaf,
+    ``all`` the first leaf of each decision set, sorted by ground order."""
+    decisions = [[(e, f.subset_mask((e,))) for e in sorted(d, key=f.ground_index)]
+                 for d in agents.decisions]
+    n = len(decisions)
+    chosen = [0] * n
+    profile = [None] * n
+    marginals = [Fraction(0)] * n
+    leaves = []  # (total, profile, marginals, union)
+
+    def dfs(i: int, union: int, total: Fraction) -> None:
+        if i == n:
+            leaves.append((total, tuple(profile), tuple(marginals), union))
+            return
+        opts = decisions[i]
+        if not opts:
+            dfs(i + 1, union, total)
+            return
+        vis = 0
+        for j in sources[i]:
+            vis |= chosen[j]
+        base = f.mask_value(vis)
+        gains = [(f.mask_value(vis | m) - base, e, m) for e, m in opts]
+        top = max(g for g, _, _ in gains)
+        ties = [(e, m) for g, e, m in gains if g == top]
+        if policy == "first":
+            ties = ties[:1]
+        elif policy == "last":
+            ties = ties[-1:]
+        before = f.mask_value(union)
+        for e, m in ties:
+            realized = f.mask_value(union | m) - before
+            profile[i], marginals[i], chosen[i] = e, realized, m
+            dfs(i + 1, union | m, total + realized)
+        profile[i], marginals[i], chosen[i] = None, Fraction(0), 0
+
+    dfs(0, 0, Fraction(0))
+
+    def outcome(leaf) -> GreedyOutcome:
+        total, prof, margs, _ = leaf
+        return GreedyOutcome(prof, total, margs, len(leaves), schedule)
+
+    if policy == "worst":
+        return outcome(min(leaves, key=lambda leaf: leaf[0]))
+    if policy == "best":
+        return outcome(max(leaves, key=lambda leaf: leaf[0]))
+    if policy in ("first", "last"):
+        (leaf,) = leaves
+        return outcome(leaf)
+    firsts = {}
+    for leaf in leaves:
+        firsts.setdefault(leaf[3], leaf)
+    order = {e: k for k, e in enumerate(f.ground)}
+    return tuple(sorted((outcome(leaf) for leaf in firsts.values()),
+                        key=lambda o: [-1 if d is None else order[d] for d in o.profile]))
 
 
 # -- shared fixtures ---------------------------------------------------

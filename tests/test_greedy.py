@@ -6,8 +6,11 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pargreedy
 from pargreedy import (
@@ -15,16 +18,22 @@ from pargreedy import (
     CapacityError,
     InformationGraph,
     InputError,
+    IterationAssignment,
+    Schedule,
     SetFunction,
     UndefinedRatioError,
     brute_force_optimum,
     clique_cover_number,
     curvature_witness,
+    earliest_schedule,
     empirical_ratio,
     induced_graph,
+    normalize_assignment,
+    p_additive_witness,
     run_greedy,
     run_parallel_greedy,
 )
+from pargreedy.greedy import POLICIES
 from pargreedy.suites import (
     edgeless_graph,
     random_assignment,
@@ -32,7 +41,7 @@ from pargreedy.suites import (
     random_feasible_graph,
 )
 
-from conftest import brute_optimum
+from conftest import brute_greedy, brute_optimum
 
 F = Fraction
 
@@ -115,6 +124,20 @@ class TestOutcomeInvariants:
         f, X, g = tie_fixture
         with pytest.raises(CapacityError, match="tie-tree"):
             run_greedy(f, X, g, "worst", node_cap=2)
+
+    def test_node_cap_counts_every_node(self):
+        # a tied members below e null agents: a chain of e nodes, then a
+        # full binary tree of 2^(a+1) - 1 nodes whose 2^a leaves count too
+        a, e = 5, 2
+        w = curvature_witness(edgeless_graph(a), F(1, 2))
+        X = AgentSpace([set()] * e + list(w.agents.decisions))
+        g = edgeless_graph(a + e)
+        cap = 2 ** (a + 1) - 1 + e
+        assert cap == 65
+        out = run_greedy(w.objective, X, g, "worst", node_cap=cap)
+        assert out.resolutions_explored == 2 ** a
+        with pytest.raises(CapacityError, match="exceeded 64 nodes"):
+            run_greedy(w.objective, X, g, "worst", node_cap=cap - 1)
 
     def test_prefix_monotone_along_every_resolution(self):
         rng = random.Random(20)
@@ -218,31 +241,98 @@ class TestParallelDifferential:
             assert run_greedy(f, X, g, policy) == run_parallel_greedy(f, X, P, policy)
 
     def test_tie_fixture_parallel(self, tie_fixture):
-        from pargreedy import IterationAssignment
         f, X, _ = tie_fixture
         P = IterationAssignment(2, 2, (1, 2))
         out = run_parallel_greedy(f, X, P, "worst")
         assert out.value == 1 and out.schedule.depth == 2
 
     def test_invalid_assignment_rejected(self, tie_fixture):
-        from pargreedy import IterationAssignment
         f, X, _ = tie_fixture
         with pytest.raises(InputError, match="order"):
             run_parallel_greedy(f, X, IterationAssignment(2, 2, (2, 1)), "worst")
 
 
+@st.composite
+def greedy_instances(draw):
+    """(f, agents, graph, assignment) on at most 6 agents: a random cover, a
+    small-integer tabular table (not normalized, so f(empty) may be
+    nonzero), or a curvature or p-additive witness; the graph and the
+    assignment are drawn independently of each other."""
+    kind = draw(st.sampled_from(("cover", "tabular", "curvature", "p-additive")))
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    graph = random_feasible_graph(rng, n, rng.randint(1, n))
+    if kind == "cover":
+        f, X = random_cover_instance(rng, n)
+    elif kind == "tabular":
+        owner = [rng.randrange(n) for _ in range(rng.randint(0, 7))]
+        ground = tuple(f"e{k}" for k in range(len(owner)))
+        f = SetFunction.tabular(ground, {c: rng.randint(0, 3) for r in range(len(ground) + 1)
+                                         for c in combinations(ground, r)})
+        X = AgentSpace([{e for e, o in zip(ground, owner) if o == i} for i in range(n)])
+    elif kind == "curvature":
+        lam = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(1))))
+        w = curvature_witness(graph, lam)
+        f, X = w.objective, w.agents
+    else:
+        w = p_additive_witness(graph, draw(st.integers(1, min(3, n))))
+        f, X = w.objective, w.agents
+    return f, X, graph, random_assignment(rng, n, rng.randint(1, n))
+
+
+def assert_matches_oracle(f, X, graph, assignment):
+    n = graph.n
+    graph_sources = [[j for j in range(i) if graph.has_edge(j + 1, i + 1)] for i in range(n)]
+    P = assignment.P
+    round_sources = [[j for j in range(n) if P[j] < P[i]] for i in range(n)]
+    ranked = normalize_assignment(assignment)
+    for policy in POLICIES:
+        assert run_greedy(f, X, graph, policy) == \
+            brute_greedy(f, X, graph_sources, policy, earliest_schedule(graph))
+        assert run_parallel_greedy(f, X, assignment, policy) == \
+            brute_greedy(f, X, round_sources, policy, Schedule(ranked.P, ranked.q))
+
+
+class TestTieTreeOracle:
+    """The engine against the recursive walk of ``conftest.brute_greedy``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(greedy_instances())
+    def test_engine_matches_recursive_walk(self, instance):
+        assert_matches_oracle(*instance)
+
+    def test_tie_set_depends_on_the_branch(self):
+        # agent 2 sees agent 1, whose tie between a and b decides which of
+        # c and d is agent 2's only best choice
+        f = SetFunction.cover(
+            ("a", "b", "c", "d"), ("y1", "y2"), {"y1": 1, "y2": 1},
+            {"a": ("y1",), "b": ("y2",), "c": ("y1",), "d": ("y2",)})
+        X = AgentSpace([{"a", "b"}, {"c", "d"}])
+        g = InformationGraph(2, [(1, 2)])
+        assert_matches_oracle(f, X, g, IterationAssignment(2, 2, (1, 2)))
+        outs = run_greedy(f, X, g, "all")
+        assert [o.profile for o in outs] == [("a", "d"), ("b", "c")]
+        assert all(o.value == 2 for o in outs)
+
+
 FRESH_PROCESS_PROBE = textwrap.dedent("""
     import random, sys
-    from pargreedy import (AgentSpace, InformationGraph, SetFunction, brute_force_optimum,
-                           clique_cover_number, clique_number, has_p_sibling,
-                           has_sibling_condition, independence_number,
+    from pargreedy import (AgentSpace, InformationGraph, IterationAssignment, SetFunction,
+                           brute_force_optimum, clique_cover_number, clique_number,
+                           has_p_sibling, has_sibling_condition, independence_number,
                            maximum_independent_sets, maximum_pseudo_independent_sets,
-                           pseudo_independence_number, verify_no_disjoint_max_sets)
+                           pseudo_independence_number, run_greedy, run_parallel_greedy,
+                           verify_no_disjoint_max_sets)
 
     limit = sys.getrecursionlimit()
     ground = tuple(f"e{i}" for i in range(1500))
     f = SetFunction.cover(ground, ("y",), {"y": 1}, {e: ("y",) for e in ground})
-    assert brute_force_optimum(f, AgentSpace([{e} for e in ground])) == (ground, 1)
+    X = AgentSpace([{e} for e in ground])
+    assert brute_force_optimum(f, X) == (ground, 1)
+    one_round = IterationAssignment(1500, 1, (1,) * 1500)
+    for policy in ("first", "worst"):
+        assert run_greedy(f, X, InformationGraph(1500), policy).value == 1
+        assert run_parallel_greedy(f, X, one_round, policy).value == 1
 
     rng = random.Random(5)
     g = InformationGraph(20, [(i, j) for i in range(1, 21) for j in range(i + 1, 21)
