@@ -16,14 +16,11 @@ from typing import Iterable, Optional
 
 from .errors import CapacityError, InputError
 from .graphmetrics import (
-    DEFAULT_GRAPH_CAP,
     clique_cover_number,
     has_sibling_condition,
     independence_number,
 )
 from .greedy import (
-    DEFAULT_NODE_CAP,
-    DEFAULT_PROFILE_CAP,
     brute_force_optimum,
     empirical_ratio,
     run_greedy,
@@ -73,15 +70,15 @@ def _curvature_bounds(alpha: int, theta: int, lam: Fraction) -> RatioBounds:
         source="curvature-graph")
 
 
-def graph_ratio_bounds(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> RatioBounds:
+def graph_ratio_bounds(graph: InformationGraph) -> RatioBounds:
     """1/(theta+1) <= gamma(G) <= 1/alpha, refined to 1/(alpha+1) when some
     maximum independent set has an observed member."""
-    return _graph_bounds(independence_number(graph, cap=cap).value,
-                         clique_cover_number(graph, cap=cap).value,
-                         has_sibling_condition(graph, cap=cap) is not None)
+    return _graph_bounds(independence_number(graph).value,
+                         clique_cover_number(graph).value,
+                         has_sibling_condition(graph) is not None)
 
 
-def curvature_graph_bounds(graph: InformationGraph, lam, *, cap: int = DEFAULT_GRAPH_CAP) -> RatioBounds:
+def curvature_graph_bounds(graph: InformationGraph, lam) -> RatioBounds:
     """Bounds under total curvature lam:
     (theta-(theta-1)lam)/(theta+lam) <= gamma <= (alpha-(alpha-1)lam)/alpha.
 
@@ -89,8 +86,8 @@ def curvature_graph_bounds(graph: InformationGraph, lam, *, cap: int = DEFAULT_G
     both sides equal 1.
     """
     lam = as_lambda(lam)
-    return _curvature_bounds(independence_number(graph, cap=cap).value,
-                             clique_cover_number(graph, cap=cap).value, lam)
+    return _curvature_bounds(independence_number(graph).value,
+                             clique_cover_number(graph).value, lam)
 
 
 def curvature_eta_bounds(n: int, q: int, lam) -> RatioBounds:
@@ -154,9 +151,7 @@ STAGE_NAMES = (
 )
 
 
-def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int, *,
-                      node_cap: int = DEFAULT_NODE_CAP,
-                      profile_cap: int = DEFAULT_PROFILE_CAP) -> ChainCheck:
+def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int) -> ChainCheck:
     """Evaluate the full inequality chain on the remainder-one optimal graph.
 
     Requires n = 1 (mod q).  Runs worst-policy greedy and the brute-force
@@ -171,8 +166,8 @@ def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int, *,
         raise InputError(f"agents: expected {n} agents, got {agents.n}")
     graph = optimal_graph(n, q)
     r = ceil_div(n, q)
-    sol = run_greedy(f, agents, graph, "worst", node_cap=node_cap)
-    opt_profile, opt_value = brute_force_optimum(f, agents, profile_cap=profile_cap)
+    sol = run_greedy(f, agents, graph, "worst")
+    opt_profile, opt_value = brute_force_optimum(f, agents)
 
     def mask_of(profile, agent_ids) -> int:
         m = 0
@@ -322,8 +317,7 @@ class BoundsReport:
         }
 
 
-def certify(entries: Iterable[SuiteEntry], *,
-            graph_cap: int = DEFAULT_GRAPH_CAP) -> BoundsReport:
+def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
     """Check every entry's empirical ratio against its guaranteed lower
     bound, and witnesses against their predicted ratios.
 
@@ -339,10 +333,9 @@ def certify(entries: Iterable[SuiteEntry], *,
     for entry in entries:
         try:
             graph = entry.graph
-            alpha = independence_number(graph, cap=graph_cap).value
-            theta = clique_cover_number(graph, cap=graph_cap).value
-            gb = _graph_bounds(alpha, theta,
-                               has_sibling_condition(graph, cap=graph_cap) is not None)
+            alpha = independence_number(graph).value
+            theta = clique_cover_number(graph).value
+            gb = _graph_bounds(alpha, theta, has_sibling_condition(graph) is not None)
             lam = total_curvature(entry.objective)
             if lam > 1:
                 raise InputError(

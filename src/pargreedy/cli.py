@@ -399,6 +399,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        # inputs are read through serialize, which raises InputError, so
+        # this is an output file that cannot be written; it names the path
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

@@ -11,7 +11,7 @@ class InputError(PargreedyError):
 
 class CapacityError(PargreedyError):
     """An exact exhaustive computation was refused because the instance
-    exceeds the configured cap.  Never silently truncated."""
+    exceeds its fixed cap.  Never silently truncated."""
 
 
 class UndefinedRatioError(InputError):

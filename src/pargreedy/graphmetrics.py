@@ -10,8 +10,8 @@ before excluding it, skips every vertex that can no longer join the set and
 prunes on a clique bound, so it meets the sets in one fixed order ("index
 order"): the reported maximum set and every witness are the first ones in
 that order.  The maximum sets are enumerated lazily, so a predicate stops at
-its first witness.  Computations refuse graphs above the cap with a
-CapacityError instead of approximating.
+its first witness.  Computations refuse graphs of more than ``GRAPH_CAP``
+vertices with a CapacityError instead of approximating.
 
 The in-neighborhood convention is fixed module-wide: N_i contains only the
 lower-index neighbors of i, matching the direction of information flow.
@@ -25,12 +25,12 @@ from typing import Optional
 from .errors import CapacityError, InputError
 from .structure import InformationGraph
 
-DEFAULT_GRAPH_CAP = 20
+GRAPH_CAP = 20
 
 
-def _require_cap(graph: InformationGraph, cap: int, what: str) -> None:
-    if graph.n > cap:
-        raise CapacityError(f"{what} on {graph.n} vertices exceeds exact-search cap {cap}")
+def _require_cap(graph: InformationGraph, what: str) -> None:
+    if graph.n > GRAPH_CAP:
+        raise CapacityError(f"{what} on {graph.n} vertices exceeds exact-search cap {GRAPH_CAP}")
 
 
 def _bits(mask: int):
@@ -54,18 +54,18 @@ class InvariantWitness:
         return self.value
 
 
-def independence_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
+def independence_number(graph: InformationGraph) -> InvariantWitness:
     """alpha(G), witnessed by the first maximum independent set in index
     order (``maximum_independent_sets(graph)[0]``)."""
-    _require_cap(graph, cap, "independence number")
+    _require_cap(graph, "independence number")
     mask = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, 1)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
-def clique_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
+def clique_number(graph: InformationGraph) -> InvariantWitness:
     """omega(G): the independence number of the complement, witnessed by the
     first maximum clique in index order."""
-    _require_cap(graph, cap, "clique number")
+    _require_cap(graph, "clique number")
     mask = _max_pseudo_independent_mask(graph.complement().adjacency_masks(), graph.n, 1)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
@@ -118,11 +118,11 @@ def _chromatic_number(adj: list[int], n: int, lb: int) -> tuple[int, list[int]]:
     return ub, best
 
 
-def clique_cover_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
+def clique_cover_number(graph: InformationGraph) -> InvariantWitness:
     """theta(G): chromatic number of the complement, witnessed by a minimum
     partition of the vertices into cliques.  The coloring's lower bound, the
     clique number of the complement, is alpha(G)."""
-    _require_cap(graph, cap, "clique cover number")
+    _require_cap(graph, "clique cover number")
     alpha = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, 1).bit_count()
     k, coloring = _chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
     classes: dict[int, list[int]] = {}
@@ -132,10 +132,10 @@ def clique_cover_number(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP
     return InvariantWitness(k, partition)
 
 
-def maximum_independent_sets(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> list[tuple[int, ...]]:
+def maximum_independent_sets(graph: InformationGraph) -> list[tuple[int, ...]]:
     """All maximum independent sets, as sorted vertex tuples, in index
     order."""
-    _require_cap(graph, cap, "maximum independent set enumeration")
+    _require_cap(graph, "maximum independent set enumeration")
     return [_vertices(m) for m in _maximum_sets(graph, 1)]
 
 
@@ -147,7 +147,7 @@ class SiblingWitness:
     member: int
 
 
-def has_sibling_condition(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_CAP) -> Optional[SiblingWitness]:
+def has_sibling_condition(graph: InformationGraph) -> Optional[SiblingWitness]:
     """Search the maximum independent sets I, in index order, for a vertex w
     with a member of I in its in-neighborhood.  Returns the first witness
     (lowest w of the first such I, its lowest such member) or None.
@@ -156,7 +156,7 @@ def has_sibling_condition(graph: InformationGraph, *, cap: int = DEFAULT_GRAPH_C
     member of I is not itself in I.  The sets are enumerated lazily, so the
     search ends at the first I that has such a w; None costs a full
     enumeration."""
-    _require_cap(graph, cap, "sibling condition")
+    _require_cap(graph, "sibling condition")
     sibling = _first_p_sibling(graph, 1)
     if sibling is None:
         return None
@@ -257,18 +257,18 @@ def _check_p(p) -> None:
         raise InputError(f"p: must be a positive integer, got {p!r}")
 
 
-def pseudo_independence_number(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> InvariantWitness:
+def pseudo_independence_number(graph: InformationGraph, p: int) -> InvariantWitness:
     """alpha_p(G): largest J whose every member has fewer than p
     in-neighbors inside J.  alpha_1 coincides with alpha."""
     _check_p(p)
-    _require_cap(graph, cap, "pseudo-independence number")
+    _require_cap(graph, "pseudo-independence number")
     mask = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
-def maximum_pseudo_independent_sets(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> list[tuple[int, ...]]:
+def maximum_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
     _check_p(p)
-    _require_cap(graph, cap, "pseudo-independent set enumeration")
+    _require_cap(graph, "pseudo-independent set enumeration")
     return [_vertices(m) for m in _maximum_sets(graph, p)]
 
 
@@ -293,7 +293,7 @@ def _first_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitnes
     return None
 
 
-def has_p_sibling(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> Optional[PSiblingWitness]:
+def has_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitness]:
     """Search the maximum p-pseudo-independent sets J, in index order, for a
     vertex outside J with at least p members of J in its in-neighborhood.
     Returns the first witness (lowest such vertex of the first such J) or
@@ -303,7 +303,7 @@ def has_p_sibling(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_C
     has such a vertex; None costs a full enumeration.  A witness's set is a
     maximum set, so its size is alpha_p."""
     _check_p(p)
-    _require_cap(graph, cap, "p-sibling property")
+    _require_cap(graph, "p-sibling property")
     return _first_p_sibling(graph, p)
 
 
@@ -320,11 +320,11 @@ class DisjointSetsCheck:
     counterexample: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
 
-def verify_no_disjoint_max_sets(graph: InformationGraph, p: int, *, cap: int = DEFAULT_GRAPH_CAP) -> DisjointSetsCheck:
+def verify_no_disjoint_max_sets(graph: InformationGraph, p: int) -> DisjointSetsCheck:
     """For graphs without the p-sibling property, assert that maximum
     p-pseudo-independent sets pairwise intersect."""
     _check_p(p)
-    _require_cap(graph, cap, "disjoint maximum set check")
+    _require_cap(graph, "disjoint maximum set check")
     if _first_p_sibling(graph, p) is not None:
         return DisjointSetsCheck(applicable=False, holds=True)
     masks = list(_maximum_sets(graph, p))

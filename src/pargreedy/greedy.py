@@ -16,7 +16,7 @@ All five policies walk the same tie tree, depth-first in ground order over
 an explicit stack (no recursion, so the number of agents is not bounded by
 the interpreter's recursion limit); ``first`` / ``last`` keep one tie per
 level, so their tree is a single path.  Every node, leaves and null-decision
-agents included, counts against a node cap, which guards against blowup.
+agents included, counts against ``NODE_CAP``, which guards against blowup.
 
 Agent i's gains depend only on the union of its visible sources' decisions,
 so its tie set is computed once per distinct visible union and reused on
@@ -47,8 +47,8 @@ from .structure import (
 
 POLICIES = ("first", "last", "worst", "best", "all")
 
-DEFAULT_NODE_CAP = 1_000_000
-DEFAULT_PROFILE_CAP = 10_000_000
+NODE_CAP = 1_000_000
+PROFILE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def _ordered_decisions(f: SetFunction, agents: AgentSpace) -> list[list[tuple[st
 
 
 def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
-                   visible_sources: list[list[int]], policy: str,
-                   node_cap: int, schedule: Schedule
+                   visible_sources: list[list[int]], policy: str, schedule: Schedule
                    ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
     """Shared depth-first walk over tie resolutions.  ``visible_sources[i]``
     lists the agents (0-based) whose decisions agent i observes."""
@@ -94,6 +93,7 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
     # (distinct single bits, so their sum is their union).
     seen = [sum(m for j in sources for _, m in decisions[j]) for sources in visible_sources]
     single_pass = policy in ("first", "last")
+    node_cap = NODE_CAP  # read once per call, not once per node
     tie_sets: list[dict[int, list]] = [{} for _ in range(n)]
 
     nodes = 0
@@ -173,8 +173,7 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
 
 
 def run_greedy(f: SetFunction, agents: AgentSpace, graph: InformationGraph,
-               policy: str = "worst", *, node_cap: int = DEFAULT_NODE_CAP
-               ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
+               policy: str = "worst") -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
     """Generalized greedy over an information graph.
 
     Agent i sees exactly the decisions of its in-neighbors {j < i : {j,i} in E}.
@@ -186,11 +185,11 @@ def run_greedy(f: SetFunction, agents: AgentSpace, graph: InformationGraph,
     decisions = _ordered_decisions(f, agents)
     in_masks = graph.in_neighbor_masks()
     sources = [[j for j in range(i) if in_masks[i] >> j & 1] for i in range(graph.n)]
-    return _greedy_engine(f, decisions, sources, policy, node_cap, earliest_schedule(graph))
+    return _greedy_engine(f, decisions, sources, policy, earliest_schedule(graph))
 
 
 def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: IterationAssignment,
-                        policy: str = "worst", *, node_cap: int = DEFAULT_NODE_CAP
+                        policy: str = "worst"
                         ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
     """Parallelized greedy driven directly by an iteration assignment:
     agent i sees every agent assigned to a strictly earlier iteration.
@@ -212,11 +211,10 @@ def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: Iteratio
     # dense rank of the iteration values = earliest feasible round
     ranked = normalize_assignment(assignment)
     schedule = Schedule(ranked.P, ranked.q)
-    return _greedy_engine(f, decisions, sources, policy, node_cap, schedule)
+    return _greedy_engine(f, decisions, sources, policy, schedule)
 
 
-def brute_force_optimum(f: SetFunction, agents: AgentSpace, *,
-                        profile_cap: int = DEFAULT_PROFILE_CAP
+def brute_force_optimum(f: SetFunction, agents: AgentSpace
                         ) -> tuple[tuple[Optional[str], ...], Fraction]:
     """Exact maximum of f over all action profiles, by full enumeration.
 
@@ -226,8 +224,8 @@ def brute_force_optimum(f: SetFunction, agents: AgentSpace, *,
     count = 1
     for opts in decisions:
         count *= max(1, len(opts))
-        if count > profile_cap:
-            raise CapacityError(f"profile enumeration exceeds cap {profile_cap}")
+        if count > PROFILE_CAP:
+            raise CapacityError(f"profile enumeration exceeds cap {PROFILE_CAP}")
 
     best_masks: tuple[int, ...] = ()
     best_value: Optional[Fraction] = None
@@ -240,16 +238,14 @@ def brute_force_optimum(f: SetFunction, agents: AgentSpace, *,
     return tuple(by_mask.get(m) for by_mask, m in zip(ids, best_masks)), best_value
 
 
-def empirical_ratio(f: SetFunction, agents: AgentSpace, graph: InformationGraph, *,
-                    node_cap: int = DEFAULT_NODE_CAP,
-                    profile_cap: int = DEFAULT_PROFILE_CAP) -> Fraction:
+def empirical_ratio(f: SetFunction, agents: AgentSpace, graph: InformationGraph) -> Fraction:
     """Worst-tie-broken greedy value divided by the exact optimum.
 
     This is an upper estimate of the graph's true competitive ratio, which
     is an infimum over all objectives and decision spaces.
     """
-    _, opt = brute_force_optimum(f, agents, profile_cap=profile_cap)
+    _, opt = brute_force_optimum(f, agents)
     if opt == 0:
         raise UndefinedRatioError("optimum value is 0, ratio undefined")
-    worst = run_greedy(f, agents, graph, "worst", node_cap=node_cap)
+    worst = run_greedy(f, agents, graph, "worst")
     return worst.value / opt

@@ -63,12 +63,14 @@ def as_lambda(lam) -> Fraction:
 
 def require(obj: dict, field: str, types, where: str = ""):
     """``obj[field]`` of a parsed JSON object, rejected with an InputError
-    naming ``where.field`` when it is missing or not of ``types``."""
+    naming ``where.field`` when it is missing or not of ``types``.  A JSON
+    boolean is not an int here, though bool subclasses int in Python."""
     prefix = f"{where}." if where else ""
     if field not in obj:
         raise InputError(f"{prefix}{field}: missing required field")
     value = obj[field]
-    if not isinstance(value, types):
+    allowed = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
         raise InputError(f"{prefix}{field}: unexpected type {type(value).__name__}")
     return value
 
@@ -111,15 +113,14 @@ class SetFunction:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def tabular(ground: Sequence[str], values: Mapping, *, cap: int = EXHAUSTIVE_CAP
-                ) -> "TabularFunction":
+    def tabular(ground: Sequence[str], values: Mapping) -> "TabularFunction":
         """Dense table: ``values`` maps frozensets (or iterables) of ids to
         rationals and must define every one of the 2^|ground| subsets."""
         def entries():
             for key, raw in values.items():
                 ids = (key,) if isinstance(key, str) else tuple(key)
                 yield ids, as_fraction(raw, f"values[{sorted(ids)!r}]")
-        return TabularFunction(ground, entries(), cap)
+        return TabularFunction(ground, entries())
 
     @staticmethod
     def cover(ground: Sequence[str], targets: Sequence[str],
@@ -186,12 +187,12 @@ class SetFunction:
     def singleton(self, element: str) -> Fraction:
         return self.mask_value(self.subset_mask((element,)))
 
-    def full_table(self, cap: int = EXHAUSTIVE_CAP) -> list[Fraction]:
-        """Values of all 2^n subsets, indexed by mask.  Capped."""
+    def full_table(self) -> list[Fraction]:
+        """Values of all 2^n subsets, indexed by mask.  Capped at EXHAUSTIVE_CAP."""
         n = len(self.ground)
-        if n > cap:
+        if n > EXHAUSTIVE_CAP:
             raise CapacityError(
-                f"exhaustive scan over 2^{n} subsets exceeds cap of {cap} elements")
+                f"exhaustive scan over 2^{n} subsets exceeds cap of {EXHAUSTIVE_CAP} elements")
         return [self.mask_value(m) for m in range(1 << n)]
 
     def __repr__(self) -> str:
@@ -207,13 +208,12 @@ class TabularFunction(SetFunction):
 
     kind = "tabular"
 
-    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[Sequence[str], Fraction]],
-                 cap: int = EXHAUSTIVE_CAP):
+    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[Sequence[str], Fraction]]):
         """``entries`` yields (subset ids, value), once for every subset."""
         super().__init__(ground)
         n = len(self.ground)
-        if n > cap:
-            raise CapacityError(f"tabular ground set of {n} elements exceeds cap {cap}")
+        if n > EXHAUSTIVE_CAP:
+            raise CapacityError(f"tabular ground set of {n} elements exceeds cap {EXHAUSTIVE_CAP}")
         table = self._cache
         for ids, val in entries:
             try:
@@ -485,7 +485,7 @@ class PropertyReport:
         return self.normalized and self.monotone and self.submodular
 
 
-def check_properties(f: SetFunction, *, cap: int = EXHAUSTIVE_CAP) -> PropertyReport:
+def check_properties(f: SetFunction) -> PropertyReport:
     """Verify the three axioms by exhaustive enumeration over all subsets.
 
     Monotonicity checks every (element, context) pair.  Submodularity checks
@@ -495,7 +495,7 @@ def check_properties(f: SetFunction, *, cap: int = EXHAUSTIVE_CAP) -> PropertyRe
     when all three axioms hold.
     """
     n = len(f.ground)
-    table = f.full_table(cap)
+    table = f.full_table()
     normalized = table[0] == 0
     violation: Optional[PropertyViolation] = None
     if not normalized:

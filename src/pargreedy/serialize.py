@@ -137,12 +137,16 @@ PathLike = Union[str, Path]
 
 def _load_json(path: PathLike) -> dict:
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"file not found: {p}")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise InputError(f"file not found: {p}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, undecodable bytes, nesting or an integer literal
+        # beyond the parser's limits
+        raise InputError(f"{p}: unreadable JSON: {exc}") from None
 
 
 def _dump_json(obj: dict, path: PathLike) -> None:

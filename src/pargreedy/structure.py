@@ -14,6 +14,12 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (bool subclasses int, so JSON true would
+    otherwise pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ceil_div(a: int, b: int) -> int:
     """Integer ceiling of a / b for b > 0."""
     return -(-a // b)
@@ -66,7 +72,7 @@ def validate_assignment(assignment: IterationAssignment) -> Optional[AssignmentV
     """None when order preservation and iteration range both hold."""
     P, q = assignment.P, assignment.q
     for i, p in enumerate(P, start=1):
-        if not isinstance(p, int) or not 1 <= p <= q:
+        if not _is_int(p) or not 1 <= p <= q:
             return AssignmentViolation("range", (i,), f"P({i})={p} outside 1..{q}")
     for i in range(1, assignment.n):
         if P[i - 1] > P[i]:
@@ -80,7 +86,7 @@ class InformationGraph:
     """Undirected graph over agents 1..n with canonical (min, max) edges."""
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise InputError(f"n: must be a nonnegative integer, got {n!r}")
         canon = set()
         for e in edges:
@@ -88,7 +94,7 @@ class InformationGraph:
             if len(pair) != 2:
                 raise InputError(f"edges: expected a pair, got {pair!r}")
             i, j = pair
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (_is_int(i) and _is_int(j)):
                 raise InputError(f"edges: vertex ids must be integers, got {pair!r}")
             if i == j:
                 raise InputError(f"edges: self-loop at vertex {i}")

@@ -39,22 +39,22 @@ def star_graph(leaves: int) -> InformationGraph:
 
 
 def random_cover_instance(rng: random.Random, n_agents: int, *,
-                          max_ground: int = 8, max_targets: int = 5,
-                          max_weight: int = 9) -> tuple[SetFunction, AgentSpace]:
+                          max_ground: int = 8) -> tuple[SetFunction, AgentSpace]:
     """Seeded weighted-cover instance with a guaranteed positive optimum.
 
     Each agent owns one or two decisions (trimmed to ``max_ground`` total);
-    every target has a positive weight and the first decision always covers
-    at least one target, so some profile scores above zero.
+    there are 1 to 5 targets, each with a weight from 1 to 9, and the first
+    decision always covers at least one target, so some profile scores above
+    zero.
     """
     max_ground = max(max_ground, n_agents)
     counts = [rng.choice((1, 1, 2, 2)) for _ in range(n_agents)]
     while sum(counts) > max_ground:
         heavy = [i for i, c in enumerate(counts) if c > 1]
         counts[rng.choice(heavy)] -= 1
-    n_targets = rng.randint(1, max_targets)
+    n_targets = rng.randint(1, 5)
     targets = tuple(f"y{t}" for t in range(1, n_targets + 1))
-    weights = {t: rng.randint(1, max_weight) for t in targets}
+    weights = {t: rng.randint(1, 9) for t in targets}
     ground: list[str] = []
     agents: list[list[str]] = []
     coverage: dict[str, tuple[str, ...]] = {}
@@ -80,13 +80,13 @@ def random_assignment(rng: random.Random, n: int, q: int) -> IterationAssignment
     return IterationAssignment(n, q, P)
 
 
-def random_feasible_graph(rng: random.Random, n: int, q: int, *,
-                          drop: float = 0.4) -> InformationGraph:
+def random_feasible_graph(rng: random.Random, n: int, q: int) -> InformationGraph:
     """Random member of the q-iteration feasible family: the induced graph
-    of a random assignment with edges dropped at random.  Removing edges can
-    only lower the earliest schedule, so feasibility is preserved."""
+    of a random assignment with each edge dropped with probability 0.4.
+    Removing edges can only lower the earliest schedule, so feasibility is
+    preserved."""
     full = induced_graph(random_assignment(rng, n, q))
-    kept = [e for e in full.sorted_edges() if rng.random() >= drop]
+    kept = [e for e in full.sorted_edges() if rng.random() >= 0.4]
     return InformationGraph(n, kept)
 
 
@@ -130,15 +130,16 @@ def standard_witness_entries(alpha_max: int, lambdas: Sequence,
     return entries
 
 
-def random_cover_entries(seed: int, count: int, n_max: int, *,
-                         max_ground: int = 8) -> list[SuiteEntry]:
+def random_cover_entries(seed: int, count: int, n_max: int) -> list[SuiteEntry]:
     """Seeded cover instances alternating between the optimal construction
     and random feasible graphs."""
+    if not isinstance(n_max, int) or n_max < 1:
+        raise InputError(f"n_max: must be a positive integer, got {n_max!r}")
     rng = random.Random(seed)
     entries = []
     for k in range(count):
         n = rng.randint(1, n_max)
-        f, agents = random_cover_instance(rng, n, max_ground=max_ground)
+        f, agents = random_cover_instance(rng, n)
         q = rng.randint(1, n)
         if k % 2 == 0:
             graph = optimal_graph(n, q)

@@ -257,7 +257,7 @@ class TestCertify:
         f, X = random_cover_instance(rng, 3)
         big = SuiteEntry("big", "g25", f, X, InformationGraph(25))
         small = witness_entry(curvature_witness(edgeless_graph(2), F(1, 2)), "small", "g2")
-        report = certify([big, small], graph_cap=20)
+        report = certify([big, small])
         assert report.capacity_errors == 1 and report.failures == 0
         assert [r.verdict for r in report.rows] == ["capacity-error", "pass"]
 

@@ -198,6 +198,12 @@ class TestCertifyVerb:
         code, _, err = run_cli(capsys, "certify", "--suite", "random")
         assert code == 2 and "--seed" in err
 
+    def test_random_rejects_n_max_below_one(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--suite", "random", "--seed", "1",
+                                 "--n-max", "0")
+        assert code == 2 and out == ""
+        assert err == "input error: n_max: must be a positive integer, got 0\n"
+
     def test_random_deterministic(self, capsys):
         args = ("certify", "--suite", "random", "--seed", "7", "--count", "20")
         code1, out1, _ = run_cli(capsys, *args)
@@ -270,3 +276,62 @@ class TestUsageErrors:
     def test_missing_input_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "graph", "--in", "/nonexistent.json")
         assert code == 2 and "not found" in err
+
+    @pytest.mark.parametrize("name, write, detail", [
+        ("dir.json", lambda p: p.mkdir(), "Is a directory"),
+        ("latin1.json", lambda p: p.write_bytes(b'{"n": 1, "edges": []}\xff'),
+         "can't decode byte 0xff"),
+        ("deep.json", lambda p: p.write_text("[" * 100_000 + "]" * 100_000),
+         "maximum recursion depth"),
+        ("digits.json", lambda p: p.write_text('{"n": ' + "9" * 5000 + ', "edges": []}'),
+         "integer string conversion"),
+    ], ids=["directory", "invalid-utf8", "deep-nesting", "long-integer"])
+    def test_unreadable_input_file(self, capsys, tmp_path, name, write, detail):
+        path = tmp_path / name
+        write(path)
+        code, out, err = run_cli(capsys, "analyze", "graph", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {path}: unreadable JSON: ") and detail in err
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "graph", "--n", "3", "--q", "2"),
+        ("adversarial", "--family", "sequential-half"),
+        ("scan", "--curve", "curvature-bounds", "--r", "2"),
+    ], ids=["construct", "adversarial", "scan"])
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("input error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
+
+class TestJsonBooleans:
+    """bool subclasses int in Python, but a JSON true is not a number."""
+
+    def test_boolean_vertex_id(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[true, 2]]}')
+        code, _, err = run_cli(capsys, "analyze", "graph", "--in", str(path))
+        assert code == 2
+        assert err == "input error: graph.edges: vertex ids must be integers, got (True, 2)\n"
+
+    def test_boolean_q(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"q": true, "P": [1, 1]}')
+        code, _, err = run_cli(capsys, "analyze", "assignment", "--in", str(path))
+        assert code == 2 and err == "input error: assignment.q: unexpected type bool\n"
+
+    def test_boolean_iteration_is_a_range_violation(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"q": 2, "P": [true, 2]}')
+        code, out, _ = run_cli(capsys, "analyze", "assignment", "--in", str(path))
+        assert code == 0
+        assert out == "ok=false violation=range agents=1 detail=P(1)=True outside 1..2\n"
+
+    def test_boolean_p(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "ground": ["u1", "v1"], "agents": [["u1"], ["v1"]],
+            "objective": {"kind": "p-additive-witness", "p": True, "u": ["u1"], "v": ["v1"]}}))
+        code, _, err = run_cli(capsys, "analyze", "instance", "--in", str(path))
+        assert code == 2 and err == "input error: objective.p: unexpected type bool\n"

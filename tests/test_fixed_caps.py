@@ -1,0 +1,43 @@
+"""The exhaustive searches have fixed caps: no public entry point takes a
+cap or a generator parameter as an option."""
+
+import inspect
+
+import pargreedy
+from pargreedy import SetFunction, graphmetrics, greedy, objective, suites
+from pargreedy.objective import TabularFunction
+
+
+def _public_callables():
+    for name in pargreedy.__all__:
+        yield f"pargreedy.{name}", getattr(pargreedy, name)
+    for name, obj in vars(suites).items():
+        if not name.startswith("_"):
+            yield f"suites.{name}", obj
+    for cls in (SetFunction, TabularFunction):
+        for name, obj in vars(cls).items():
+            if not name.startswith("_") or name == "__init__":
+                yield f"{cls.__name__}.{name}", getattr(cls, name)
+
+
+def test_no_public_callable_takes_a_cap_or_generator_option():
+    offending = []
+    for qualname, obj in _public_callables():
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to inspect
+            continue
+        offending += [f"{qualname}({p})" for p in params
+                      if p in ("cap", "max_targets", "max_weight", "drop") or p.endswith("_cap")]
+    assert offending == []
+
+
+def test_random_cover_entries_has_no_max_ground():
+    assert "max_ground" not in inspect.signature(suites.random_cover_entries).parameters
+
+
+def test_caps_are_module_constants():
+    assert (graphmetrics.GRAPH_CAP, greedy.NODE_CAP, greedy.PROFILE_CAP,
+            objective.EXHAUSTIVE_CAP) == (20, 1_000_000, 10_000_000, 16)

@@ -93,7 +93,7 @@ class TestIndependenceNumber:
 
     def test_cap(self):
         with pytest.raises(CapacityError):
-            independence_number(InformationGraph(21), cap=20)
+            independence_number(InformationGraph(21))
 
 
 class TestCliqueCoverNumber:

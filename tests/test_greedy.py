@@ -120,12 +120,13 @@ class TestOutcomeInvariants:
         with pytest.raises(InputError, match="agents"):
             run_greedy(f, X, InformationGraph(3), "worst")
 
-    def test_node_cap(self, tie_fixture):
+    def test_node_cap(self, tie_fixture, monkeypatch):
         f, X, g = tie_fixture
+        monkeypatch.setattr("pargreedy.greedy.NODE_CAP", 2)
         with pytest.raises(CapacityError, match="tie-tree"):
-            run_greedy(f, X, g, "worst", node_cap=2)
+            run_greedy(f, X, g, "worst")
 
-    def test_node_cap_counts_every_node(self):
+    def test_node_cap_counts_every_node(self, monkeypatch):
         # a tied members below e null agents: a chain of e nodes, then a
         # full binary tree of 2^(a+1) - 1 nodes whose 2^a leaves count too
         a, e = 5, 2
@@ -134,10 +135,12 @@ class TestOutcomeInvariants:
         g = edgeless_graph(a + e)
         cap = 2 ** (a + 1) - 1 + e
         assert cap == 65
-        out = run_greedy(w.objective, X, g, "worst", node_cap=cap)
+        monkeypatch.setattr("pargreedy.greedy.NODE_CAP", cap)
+        out = run_greedy(w.objective, X, g, "worst")
         assert out.resolutions_explored == 2 ** a
+        monkeypatch.setattr("pargreedy.greedy.NODE_CAP", cap - 1)
         with pytest.raises(CapacityError, match="exceeded 64 nodes"):
-            run_greedy(w.objective, X, g, "worst", node_cap=cap - 1)
+            run_greedy(w.objective, X, g, "worst")
 
     def test_prefix_monotone_along_every_resolution(self):
         rng = random.Random(20)
@@ -169,11 +172,12 @@ class TestBruteForce:
         _, value = brute_force_optimum(w.objective, w.agents)
         assert value == 3
 
-    def test_profile_cap(self):
+    def test_profile_cap(self, monkeypatch):
         rng = random.Random(21)
         f, X = random_cover_instance(rng, 4)
+        monkeypatch.setattr("pargreedy.greedy.PROFILE_CAP", 1)
         with pytest.raises(CapacityError):
-            brute_force_optimum(f, X, profile_cap=1)
+            brute_force_optimum(f, X)
 
     def test_matches_oracle(self):
         rng = random.Random(22)

@@ -109,7 +109,7 @@ class TestTabular:
     def test_cap(self):
         ground = tuple(f"e{i}" for i in range(17))
         with pytest.raises(CapacityError):
-            SetFunction.tabular(ground, {}, cap=16)
+            SetFunction.tabular(ground, {})
 
     def test_lookup(self):
         f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): "3/2"})
@@ -155,10 +155,10 @@ class TestCheckProperties:
         assert report.counterexample.prop == "monotone"
 
     def test_cap_error(self):
-        ids = tuple(f"e{i}" for i in range(6))
+        ids = tuple(f"e{i}" for i in range(17))
         f = SetFunction.cover(ids, ("y",), {"y": 1}, {e: ("y",) for e in ids})
         with pytest.raises(CapacityError):
-            check_properties(f, cap=5)
+            check_properties(f)
 
     def test_matches_full_quantifier_oracle(self):
         good = SetFunction.cover(

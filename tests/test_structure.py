@@ -38,6 +38,20 @@ class TestValidateAssignment:
         v = validate_assignment(assignment(1, 3, q=2))
         assert v is not None and v.kind == "range" and v.agents == (2,)
 
+    def test_boolean_iteration_is_a_range_violation(self):
+        v = validate_assignment(IterationAssignment(2, 2, (True, 2)))
+        assert v is not None and v.kind == "range" and v.agents == (1,)
+
+
+class TestInformationGraphRejectsBooleans:
+    def test_vertex_count(self):
+        with pytest.raises(InputError, match="^n: must be a nonnegative integer, got True$"):
+            InformationGraph(True)
+
+    def test_vertex_id(self):
+        with pytest.raises(InputError, match="vertex ids must be integers"):
+            InformationGraph(3, [(True, 2)])
+
 
 class TestOptimalAssignment:
     def test_remainder_one_case(self):
