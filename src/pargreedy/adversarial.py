@@ -19,7 +19,7 @@ from .graphmetrics import (
     pseudo_independence_number,
 )
 from .objective import ONE, ZERO, AgentSpace, SetFunction, as_lambda
-from .structure import InformationGraph
+from .structure import InformationGraph, is_int
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def p_additive_witness(graph: InformationGraph, p: int) -> WitnessInstance:
     decision t that never contributes.  The shared min(1, |x n U|/p) term
     saturates once p u's are taken, which is what the worst greedy run does.
     """
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise InputError(f"p: must be a positive integer, got {p!r}")
     sibling = has_p_sibling(graph, p)
     if sibling is not None:

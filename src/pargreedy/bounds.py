@@ -26,7 +26,7 @@ from .greedy import (
     run_greedy,
 )
 from .objective import ZERO, AgentSpace, SetFunction, as_lambda, total_curvature
-from .structure import InformationGraph, ceil_div, check_n_q, optimal_graph, remainder_one
+from .structure import InformationGraph, ceil_div, check_n_q, is_int, optimal_graph, remainder_one
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def min_edges_bound(n: int, k: int) -> int:
     size floor(n/k).  Stated for k >= 2; k = 1 degenerates to the complete
     graph and is accepted.
     """
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputError(f"n: must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise InputError(f"k: must be a positive integer, got {k!r}")
     m = n % k
     hi = ceil_div(n, k)

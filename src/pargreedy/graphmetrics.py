@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError, InputError
-from .structure import InformationGraph
+from .structure import InformationGraph, is_int
 
 GRAPH_CAP = 20
 
@@ -253,7 +253,7 @@ def _maximum_sets(graph: InformationGraph, p: int):
 
 
 def _check_p(p) -> None:
-    if not isinstance(p, int) or p < 1:
+    if not is_int(p) or p < 1:
         raise InputError(f"p: must be a positive integer, got {p!r}")
 
 

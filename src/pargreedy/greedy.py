@@ -3,7 +3,9 @@ empirical competitive ratios.
 
 Each agent, visited in index order, maximizes its marginal contribution with
 respect to the decisions of its in-neighbors only.  Argmax ties are detected
-by exact rational equality; the tie policies are:
+by exact equality of the objective's scaled integer values
+(:meth:`SetFunction.scaled_value`, f times the objective's fixed
+denominator); the tie policies are:
 
 * ``first`` / ``last``  -- pick the tied decision that is earliest / latest
   in ground order (single pass),
@@ -24,7 +26,9 @@ every branch that reaches it with the same view.  No running total is
 carried: agent decision sets are disjoint, so the union of the decisions
 taken identifies a leaf, and a leaf costs one evaluation of that union.
 Marginals telescope to f(union) - f(empty), so the value and per-agent
-marginals are built only for the leaves that are kept.
+marginals are built only for the leaves that are kept.  The walk and
+:func:`brute_force_optimum` add and compare scaled integers; a
+``Fraction`` is built only for the values they return.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
     """Shared depth-first walk over tie resolutions.  ``visible_sources[i]``
     lists the agents (0-based) whose decisions agent i observes."""
     n = len(decisions)
+    value = f.scaled_value
     # The decision sets are disjoint, so what agent i sees of the decisions
     # taken so far is their union cut down to its sources' decision sets
     # (distinct single bits, so their sum is their union).
@@ -103,7 +108,7 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
     union = 0
     # worst/best/first/last incumbent path, "all" paths keyed by final union
     incumbent: Optional[tuple] = None
-    incumbent_value: Optional[Fraction] = None
+    incumbent_value = None
     collected: dict[int, tuple] = {}
     while True:
         nodes += 1
@@ -116,7 +121,7 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
             if ties is None:
                 opts = decisions[i]
                 if opts:
-                    values = [f.mask_value(vis | m) for _, m in opts]
+                    values = [value(vis | m) for _, m in opts]
                     top = max(values)
                     ties = [opt for opt, v in zip(opts, values) if v == top]
                     if single_pass:
@@ -136,10 +141,10 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
             if union not in collected:
                 collected[union] = tuple(taken)
         else:
-            value = f.mask_value(union)
-            if incumbent is None or (value > incumbent_value if policy == "best"
-                                     else value < incumbent_value):
-                incumbent, incumbent_value = tuple(taken), value
+            v = value(union)
+            if incumbent is None or (v > incumbent_value if policy == "best"
+                                     else v < incumbent_value):
+                incumbent, incumbent_value = tuple(taken), v
         while untried:
             union ^= taken.pop()[1]
             step = next(untried[-1], None)
@@ -151,17 +156,18 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
         else:
             break
 
-    empty = f.mask_value(0)
+    empty = value(0)
+    scale = f.scale
 
     def outcome(path: tuple) -> GreedyOutcome:
         # marginals telescope: the value is f(union) - f(empty)
         prefix, before, marginals = 0, empty, []
         for _, m in path:
             prefix |= m
-            after = f.mask_value(prefix)
-            marginals.append(after - before)
+            after = value(prefix)
+            marginals.append(Fraction(after - before, scale))
             before = after
-        return GreedyOutcome(tuple(e for e, _ in path), before - empty,
+        return GreedyOutcome(tuple(e for e, _ in path), Fraction(before - empty, scale),
                              tuple(marginals), leaves, schedule)
 
     if policy != "all":
@@ -228,14 +234,16 @@ def brute_force_optimum(f: SetFunction, agents: AgentSpace
             raise CapacityError(f"profile enumeration exceeds cap {PROFILE_CAP}")
 
     best_masks: tuple[int, ...] = ()
-    best_value: Optional[Fraction] = None
+    best_value = None
+    value = f.scaled_value
     # the masks are distinct single bits, so their sum is their union
     for masks in product(*([m for _, m in opts] or [0] for opts in decisions)):
-        v = f.mask_value(sum(masks))
+        v = value(sum(masks))
         if best_value is None or v > best_value:
             best_value, best_masks = v, masks
     ids = [{m: e for e, m in opts} for opts in decisions]
-    return tuple(by_mask.get(m) for by_mask, m in zip(ids, best_masks)), best_value
+    return (tuple(by_mask.get(m) for by_mask, m in zip(ids, best_masks)),
+            Fraction(best_value, f.scale))
 
 
 def empirical_ratio(f: SetFunction, agents: AgentSpace, graph: InformationGraph) -> Fraction:

@@ -1,11 +1,14 @@
 """Submodular objective functions over a finite ground set.
 
-Values are exact rationals (``fractions.Fraction``) throughout, so equality
-and ordering tests used elsewhere in the package are never subject to
-floating-point noise.  A :class:`SetFunction` owns an ordered ground set of
-element ids and evaluates arbitrary subsets.  Each kind of objective is a
-subclass, and :data:`OBJECTIVE_KINDS` maps the kind's name in instance files
-to it:
+Values are exact: each objective has an integer scale D, a common
+denominator of all its values fixed at construction, and evaluates a subset
+to the integer f(A) * D.  D cancels in every comparison, difference and
+ratio, so the searches elsewhere in the package add and compare integers
+and build a ``fractions.Fraction`` only for what they return; nothing is
+ever subject to floating-point noise.  A :class:`SetFunction` owns an
+ordered ground set of element ids and evaluates arbitrary subsets.  Each
+kind of objective is a subclass, and :data:`OBJECTIVE_KINDS` maps the
+kind's name in instance files to it:
 
 * :class:`TabularFunction`          -- a dense table with one value per subset,
 * :class:`CoverFunction`            -- weighted set cover (sum of weights of
@@ -23,12 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, InputError
+from .structure import is_int
 
 # Exhaustive enumeration cap for dense tables and property scans.
 EXHAUSTIVE_CAP = 16
+
+# Bit length cap of a table's common denominator.  Unrelated denominators
+# make the lcm grow with the table (a 13-element table of 6-digit ones gives
+# D of some 59,000 bits), so above this cap a table keeps its values as
+# Fractions over D = 1 instead.
+SCALE_BITS_CAP = 64
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,6 +62,31 @@ def as_fraction(value, field: str = "value") -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{field}: invalid rational {value!r} ({exc})") from None
     raise InputError(f"{field}: expected int, 'p/q' string or Fraction, got {type(value).__name__}")
+
+
+def _table_value(raw, field: str) -> tuple[int, int]:
+    """A table value as (numerator, denominator) in lowest terms.
+
+    A JSON int, or a plain ASCII ``"N"`` or ``"N/M"`` string with M nonzero,
+    is read with ``int`` and ``gcd``, building no Fraction.  Every other
+    value goes through :func:`as_fraction`, so what is accepted and every
+    rejection message are the same as there.
+    """
+    if type(raw) is int:
+        return raw, 1
+    if type(raw) is str and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if num.isdigit() and (den.isdigit() or not slash):
+            try:
+                n, d = int(num), int(den) if slash else 1
+            except ValueError:  # more digits than int() converts
+                pass
+            else:
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+    value = as_fraction(raw, field)
+    return value.numerator, value.denominator
 
 
 def as_lambda(lam) -> Fraction:
@@ -90,14 +126,21 @@ class SetFunction:
     Each kind is a subclass with a class attribute ``kind`` (its name in
     instance files), ``_evaluate(mask)`` for a mask not yet in the value
     cache, ``to_obj()`` for the payload and the classmethod
-    ``from_obj(ground, payload)``.  Every evaluation goes through
-    :meth:`mask_value`, which no kind overrides, so a tool that counts
-    evaluations needs to rebind that one attribute only.
+    ``from_obj(ground, payload)``.
+
+    ``scale`` is the integer D fixed at construction, and ``_evaluate``
+    returns f(A) * D.  Every evaluation goes through :meth:`scaled_value`,
+    the cached integer entry point that the searches use; :meth:`mask_value`
+    is its exact ``Fraction`` view for the public boundary.  No kind
+    overrides either, so a tool that counts evaluations rebinds one of
+    them.  A table whose common denominator exceeds ``SCALE_BITS_CAP`` bits
+    keeps Fraction values over D = 1; consumers only compare and subtract
+    scaled values and divide by D, so the same code serves both.
     """
 
     kind: str
 
-    def __init__(self, ground: Sequence[str]):
+    def __init__(self, ground: Sequence[str], scale: int = 1):
         ground = tuple(ground)
         seen = set()
         for g in ground:
@@ -107,8 +150,9 @@ class SetFunction:
                 raise InputError(f"ground: duplicate element id {g!r}")
             seen.add(g)
         self.ground = ground
+        self.scale = scale
         self._index = {g: i for i, g in enumerate(ground)}
-        self._cache: dict[int, Fraction] = {}
+        self._cache: dict[int, int] = {}
 
     # -- constructors -------------------------------------------------
 
@@ -119,7 +163,7 @@ class SetFunction:
         def entries():
             for key, raw in values.items():
                 ids = (key,) if isinstance(key, str) else tuple(key)
-                yield ids, as_fraction(raw, f"values[{sorted(ids)!r}]")
+                yield (ids, *_table_value(raw, f"values[{sorted(ids)!r}]"))
         return TabularFunction(ground, entries())
 
     @staticmethod
@@ -167,12 +211,17 @@ class SetFunction:
     def mask_subset(self, mask: int) -> frozenset[str]:
         return frozenset(self._members(mask))
 
-    def mask_value(self, mask: int) -> Fraction:
-        """Exact value of the subset encoded by ``mask``."""
+    def scaled_value(self, mask: int) -> int:
+        """f * scale of the subset encoded by ``mask``: an int, or a
+        Fraction for a table over the denominator cap (scale 1)."""
         val = self._cache.get(mask)
         if val is None:
             val = self._cache[mask] = self._evaluate(mask)
         return val
+
+    def mask_value(self, mask: int) -> Fraction:
+        """Exact value of the subset encoded by ``mask``."""
+        return Fraction(self.scaled_value(mask), self.scale)
 
     def value(self, subset: Iterable[str]) -> Fraction:
         """f(A) for a subset given by element ids."""
@@ -187,13 +236,13 @@ class SetFunction:
     def singleton(self, element: str) -> Fraction:
         return self.mask_value(self.subset_mask((element,)))
 
-    def full_table(self) -> list[Fraction]:
-        """Values of all 2^n subsets, indexed by mask.  Capped at EXHAUSTIVE_CAP."""
+    def scaled_table(self) -> list[int]:
+        """Scaled values of all 2^n subsets, indexed by mask.  Capped at EXHAUSTIVE_CAP."""
         n = len(self.ground)
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(
                 f"exhaustive scan over 2^{n} subsets exceeds cap of {EXHAUSTIVE_CAP} elements")
-        return [self.mask_value(m) for m in range(1 << n)]
+        return [self.scaled_value(m) for m in range(1 << n)]
 
     def __repr__(self) -> str:
         return f"SetFunction(kind={self.kind!r}, n={len(self.ground)})"
@@ -203,33 +252,45 @@ class TabularFunction(SetFunction):
     """A dense table with one value per subset.
 
     The table is the value cache, filled in full on construction, so every
-    evaluation of a subset of the ground set is a cache hit.
+    evaluation of a subset of the ground set is a cache hit.  The scale is
+    the lcm of the values' reduced denominators, unless that exceeds
+    ``SCALE_BITS_CAP`` bits: then the table holds the values as Fractions
+    and the scale is 1.
     """
 
     kind = "tabular"
 
-    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[Sequence[str], Fraction]]):
-        """``entries`` yields (subset ids, value), once for every subset."""
+    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[Sequence[str], int, int]]):
+        """``entries`` yields (subset ids, numerator, denominator), once for
+        every subset, the value in lowest terms with a positive denominator."""
         super().__init__(ground)
         n = len(self.ground)
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(f"tabular ground set of {n} elements exceeds cap {EXHAUSTIVE_CAP}")
         table = self._cache
-        for ids, val in entries:
+        scale = 1  # the lcm of the denominators so far, 0 once over the cap
+        for ids, num, den in entries:
             try:
                 mask = self.subset_mask(ids)
             except InputError as exc:
                 raise InputError(f"values: {exc}") from None
             if mask in table:
                 raise InputError(f"values: subset {sorted(ids)!r} defined twice")
-            if val < 0:
-                raise InputError(f"values[{sorted(ids)!r}]: negative value {val}")
-            table[mask] = val
+            if num < 0:
+                raise InputError(f"values[{sorted(ids)!r}]: negative value {Fraction(num, den)}")
+            table[mask] = num, den
+            if scale and scale % den:
+                scale = lcm(scale, den)
+                if scale.bit_length() > SCALE_BITS_CAP:
+                    scale = 0
         if len(table) < 1 << n:
             missing = next(m for m in range(1 << n) if m not in table)
             raise InputError(f"values: no value for subset {self._members(missing)!r}")
+        for mask, (num, den) in table.items():
+            table[mask] = num * (scale // den) if scale else Fraction(num, den)
+        self.scale = scale or 1
 
-    def _evaluate(self, mask: int) -> Fraction:
+    def _evaluate(self, mask: int) -> int:
         raise InputError(f"mask {mask}: not a subset of the {len(self.ground)}-element ground set")
 
     def to_obj(self) -> dict:
@@ -247,7 +308,7 @@ class TabularFunction(SetFunction):
                 ids = [e for e in key.split(",") if e]
                 if len(set(ids)) != len(ids):
                     raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
-                yield ids, as_fraction(raw, f"objective.values[{key!r}]")
+                yield (ids, *_table_value(raw, f"objective.values[{key!r}]"))
         return cls(ground, entries())
 
 
@@ -266,7 +327,7 @@ class CoverFunction(SetFunction):
             if t in tindex:
                 raise InputError(f"targets: duplicate target id {t!r}")
             tindex[t] = len(tindex)
-        wlist: list[Fraction] = [ZERO] * len(targets)
+        wlist = [ZERO] * len(targets)
         for t, raw in weights.items():
             if t not in tindex:
                 raise InputError(f"weights: unknown target id {t!r}")
@@ -293,11 +354,12 @@ class CoverFunction(SetFunction):
         if uncovered:
             raise InputError(f"coverage: no entry for element {sorted(uncovered)[0]!r}")
         self.targets = targets
-        self.weights = tuple(wlist)
+        self.scale = lcm(*(w.denominator for w in wlist))
+        self._weights = tuple(w.numerator * (self.scale // w.denominator) for w in wlist)
         self._element_target_masks = emasks
-        self._target_cache: dict[int, Fraction] = {0: ZERO}
+        self._target_cache: dict[int, int] = {0: 0}
 
-    def _evaluate(self, mask: int) -> Fraction:
+    def _evaluate(self, mask: int) -> int:
         tm = 0
         masks = self._element_target_masks
         while mask:
@@ -306,14 +368,15 @@ class CoverFunction(SetFunction):
             mask ^= b
         val = self._target_cache.get(tm)
         if val is None:
-            val = sum((w for i, w in enumerate(self.weights) if tm >> i & 1), ZERO)
+            val = sum(w for i, w in enumerate(self._weights) if tm >> i & 1)
             self._target_cache[tm] = val
         return val
 
     def to_obj(self) -> dict:
         return {"kind": self.kind,
                 "targets": list(self.targets),
-                "weights": {t: str(w) for t, w in zip(self.targets, self.weights)},
+                "weights": {t: str(Fraction(w, self.scale))
+                            for t, w in zip(self.targets, self._weights)},
                 "coverage": {e: [t for i, t in enumerate(self.targets) if m >> i & 1]
                              for e, m in zip(self.ground, self._element_target_masks)}}
 
@@ -346,20 +409,21 @@ class _TwoBlockWitness(SetFunction):
 
 class CurvatureWitnessFunction(_TwoBlockWitness):
     """f(A) = min(1, |A n U|) * lam + |A n U| * (1 - lam) + |A n V| on the
-    ground set U + V."""
+    ground set U + V, at the scale of lam's denominator."""
 
     kind = "curvature-witness"
 
     def __init__(self, u_ids: Sequence[str], v_ids: Sequence[str], lam):
         lam = as_lambda(lam)
-        super().__init__(tuple(u_ids) + tuple(v_ids))
+        super().__init__(tuple(u_ids) + tuple(v_ids), lam.denominator)
         self.lam = lam
         self._set_blocks(u_ids, v_ids)
 
-    def _evaluate(self, mask: int) -> Fraction:
+    def _evaluate(self, mask: int) -> int:
         cu = (mask & self._u_mask).bit_count()
         cv = (mask & self._v_mask).bit_count()
-        return (self.lam if cu else ZERO) + cu * (ONE - self.lam) + cv
+        a, d = self.lam.numerator, self.scale
+        return (a if cu else 0) + cu * (d - a) + cv * d
 
     def to_obj(self) -> dict:
         return {**super().to_obj(), "lambda": str(self.lam)}
@@ -374,7 +438,7 @@ class CurvatureWitnessFunction(_TwoBlockWitness):
 
 
 class PAdditiveWitnessFunction(_TwoBlockWitness):
-    """f(A) = min(1, |A n U| / p) + |A n V| / p.
+    """f(A) = min(1, |A n U| / p) + |A n V| / p, at scale p.
 
     Elements of the ground set outside U and V contribute nothing anywhere.
     """
@@ -382,18 +446,18 @@ class PAdditiveWitnessFunction(_TwoBlockWitness):
     kind = "p-additive-witness"
 
     def __init__(self, ground: Sequence[str], u_ids: Sequence[str], v_ids: Sequence[str], p: int):
-        if not isinstance(p, int) or p < 1:
+        if not is_int(p) or p < 1:
             raise InputError(f"p: must be a positive integer, got {p!r}")
-        super().__init__(ground)
+        super().__init__(ground, p)
         self.p = p
         self._set_blocks(u_ids, v_ids)
         if self._u_mask & self._v_mask:
             raise InputError("u/v: the two blocks must be disjoint")
 
-    def _evaluate(self, mask: int) -> Fraction:
+    def _evaluate(self, mask: int) -> int:
         cu = (mask & self._u_mask).bit_count()
         cv = (mask & self._v_mask).bit_count()
-        return min(ONE, Fraction(cu, self.p)) + Fraction(cv, self.p)
+        return min(self.p, cu) + cv
 
     def to_obj(self) -> dict:
         return {**super().to_obj(), "p": self.p}
@@ -495,11 +559,12 @@ def check_properties(f: SetFunction) -> PropertyReport:
     when all three axioms hold.
     """
     n = len(f.ground)
-    table = f.full_table()
+    table = f.scaled_table()
+    d = f.scale
     normalized = table[0] == 0
     violation: Optional[PropertyViolation] = None
     if not normalized:
-        violation = PropertyViolation("normalized", None, (frozenset(),), (table[0],))
+        violation = PropertyViolation("normalized", None, (frozenset(),), (Fraction(table[0], d),))
 
     monotone = True
     mono_violation = None
@@ -512,7 +577,7 @@ def check_properties(f: SetFunction) -> PropertyReport:
                 monotone = False
                 mono_violation = PropertyViolation(
                     "monotone", f.ground[i], (f.mask_subset(m),),
-                    (table[m | (1 << i)] - base,))
+                    (Fraction(table[m | (1 << i)] - base, d),))
                 break
         if not monotone:
             break
@@ -538,7 +603,7 @@ def check_properties(f: SetFunction) -> PropertyReport:
                     sub_violation = PropertyViolation(
                         "submodular", f.ground[i],
                         (f.mask_subset(m), f.mask_subset(mj)),
-                        (gain_small, gain_large))
+                        (Fraction(gain_small, d), Fraction(gain_large, d)))
                     break
             if not submodular:
                 break
@@ -575,14 +640,16 @@ def total_curvature(f: SetFunction) -> Fraction:
     """
     n = len(f.ground)
     full = (1 << n) - 1
-    f_full = f.mask_value(full)
-    worst = ZERO
+    f_full = f.scaled_value(full)
+    # the largest lam_e = (f(e) - f(e | S \ {e})) / f(e) so far, as a pair
+    # of scaled values (the scale cancels), compared by cross-multiplying
+    top, bottom = 0, 1
     for i in range(n):
         bit = 1 << i
-        fe = f.mask_value(bit)
+        fe = f.scaled_value(bit)
         if fe <= 0:
             continue
-        lam = 1 - (f_full - f.mask_value(full ^ bit)) / fe
-        if lam > worst:
-            worst = lam
-    return worst
+        gap = fe - f_full + f.scaled_value(full ^ bit)
+        if gap * bottom > top * fe:
+            top, bottom = gap, fe
+    return Fraction(top, bottom)

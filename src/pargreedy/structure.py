@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool (bool subclasses int, so JSON true would
+def is_int(value) -> bool:
+    """An int that is not a bool (bool subclasses int, so True would
     otherwise pass as 1)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -36,9 +36,9 @@ def remainder_one(n: int, q: int) -> bool:
 
 def check_n_q(n: int, q: int, q_name: str = "q") -> None:
     """Reject n < 1 and a q (named ``q_name``) outside 1..n."""
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InputError(f"n: must be a positive integer, got {n!r}")
-    if not isinstance(q, int) or q < 1 or q > n:
+    if not is_int(q) or q < 1 or q > n:
         raise InputError(f"{q_name}: must satisfy 1 <= {q_name} <= n, got {q!r}")
 
 
@@ -72,7 +72,7 @@ def validate_assignment(assignment: IterationAssignment) -> Optional[AssignmentV
     """None when order preservation and iteration range both hold."""
     P, q = assignment.P, assignment.q
     for i, p in enumerate(P, start=1):
-        if not _is_int(p) or not 1 <= p <= q:
+        if not is_int(p) or not 1 <= p <= q:
             return AssignmentViolation("range", (i,), f"P({i})={p} outside 1..{q}")
     for i in range(1, assignment.n):
         if P[i - 1] > P[i]:
@@ -86,7 +86,7 @@ class InformationGraph:
     """Undirected graph over agents 1..n with canonical (min, max) edges."""
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
-        if not _is_int(n) or n < 0:
+        if not is_int(n) or n < 0:
             raise InputError(f"n: must be a nonnegative integer, got {n!r}")
         canon = set()
         for e in edges:
@@ -94,7 +94,7 @@ class InformationGraph:
             if len(pair) != 2:
                 raise InputError(f"edges: expected a pair, got {pair!r}")
             i, j = pair
-            if not (_is_int(i) and _is_int(j)):
+            if not (is_int(i) and is_int(j)):
                 raise InputError(f"edges: vertex ids must be integers, got {pair!r}")
             if i == j:
                 raise InputError(f"edges: self-loop at vertex {i}")
@@ -212,7 +212,7 @@ def earliest_schedule(graph: InformationGraph) -> Schedule:
 
 def is_feasible(graph: InformationGraph, q: int) -> bool:
     """Whether the graph admits a parallelization in at most q iterations."""
-    if not isinstance(q, int) or q < 1:
+    if not is_int(q) or q < 1:
         raise InputError(f"q: must be a positive integer, got {q!r}")
     return earliest_schedule(graph).depth <= q
 

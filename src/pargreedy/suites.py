@@ -22,6 +22,7 @@ from .structure import (
     InformationGraph,
     IterationAssignment,
     induced_graph,
+    is_int,
     optimal_graph,
 )
 
@@ -32,7 +33,7 @@ def edgeless_graph(n: int) -> InformationGraph:
 
 def star_graph(leaves: int) -> InformationGraph:
     """Leaves 1..leaves all observed by a final center vertex."""
-    if not isinstance(leaves, int) or leaves < 1:
+    if not is_int(leaves) or leaves < 1:
         raise InputError(f"leaves: must be a positive integer, got {leaves!r}")
     center = leaves + 1
     return InformationGraph(center, [(i, center) for i in range(1, center)])
@@ -133,7 +134,7 @@ def standard_witness_entries(alpha_max: int, lambdas: Sequence,
 def random_cover_entries(seed: int, count: int, n_max: int) -> list[SuiteEntry]:
     """Seeded cover instances alternating between the optimal construction
     and random feasible graphs."""
-    if not isinstance(n_max, int) or n_max < 1:
+    if not is_int(n_max) or n_max < 1:
         raise InputError(f"n_max: must be a positive integer, got {n_max!r}")
     rng = random.Random(seed)
     entries = []

@@ -7,12 +7,15 @@ two unrelated routes to the same number.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import strategies as st
 
 from pargreedy import AgentSpace, GreedyOutcome, InformationGraph, SetFunction
+from pargreedy.suites import random_assignment, random_feasible_graph
 
 
 # -- graph oracles (subset scans, no branch and bound) -----------------
@@ -202,6 +205,114 @@ def brute_greedy(f: SetFunction, agents: AgentSpace, sources, policy: str, sched
     order = {e: k for k, e in enumerate(f.ground)}
     return tuple(sorted((outcome(leaf) for leaf in firsts.values()),
                         key=lambda o: [-1 if d is None else order[d] for d in o.profile]))
+
+
+# -- objective oracle (Fraction formulas, scale 1) ---------------------
+
+
+class FractionOracle(SetFunction):
+    """The objective an ``"objective"`` payload describes, evaluated by the
+    kind's formula in ``Fraction`` arithmetic at scale 1, where the library
+    evaluates integers over a common denominator.  It reads the payload
+    itself, with ``Fraction(raw)`` for every value, and shares no parsing or
+    evaluation code with the library's kinds."""
+
+    kind = "fraction-oracle"
+
+    def __init__(self, ground, payload: dict):
+        super().__init__(ground)
+        self.payload = payload
+        if payload["kind"] == "tabular":
+            self.table = {frozenset(e for e in key.split(",") if e): Fraction(raw)
+                          for key, raw in payload["values"].items()}
+
+    def _evaluate(self, mask: int) -> Fraction:
+        obj = self.payload
+        members = self.mask_subset(mask)
+        if obj["kind"] == "tabular":
+            return self.table[members]
+        if obj["kind"] == "cover":
+            covered = {t for e in members for t in obj["coverage"][e]}
+            return sum((Fraction(obj["weights"][t]) for t in covered), Fraction(0))
+        cu = len(members & set(obj["u"]))
+        cv = len(members & set(obj["v"]))
+        if obj["kind"] == "curvature-witness":
+            lam = Fraction(obj["lambda"])
+            return (lam if cu else Fraction(0)) + cu * (1 - lam) + cv
+        p = obj["p"]
+        return min(Fraction(1), Fraction(cu, p)) + Fraction(cv, p)
+
+
+def _rational_text(draw, den_max: int = 4):
+    """A nonnegative rational as JSON might hold it: an int, "N" or an
+    unreduced "N/M"."""
+    den = draw(st.integers(1, den_max))
+    num = draw(st.integers(0, 3 * den))
+    return draw(st.sampled_from((num // den, str(num // den), f"{num}/{den}",
+                                 f"{2 * num}/{2 * den}")))
+
+
+def blow_up_values(ground, seed: int) -> dict:
+    """Table values with unrelated 6-digit denominators: their lcm is far
+    beyond ``SCALE_BITS_CAP`` once the table has a few dozen entries."""
+    rng = random.Random(seed)
+    values = {}
+    for mask in range(1 << len(ground)):
+        key = ",".join(e for i, e in enumerate(ground) if mask >> i & 1)
+        values[key] = f"{rng.randint(0, 10 ** 6)}/{rng.randint(10 ** 5, 10 ** 6 - 1)}"
+    return values
+
+
+@st.composite
+def objective_instances(draw, max_agents: int = 5):
+    """(ground, payload, agents, graph, assignment): an ``"objective"``
+    payload of any kind over at most 7 elements, partitioned among at most
+    ``max_agents`` agents (some with no decision), with a feasible graph and
+    an assignment drawn independently of each other.  A table is arbitrary
+    or normalized and monotone, its values written as ints, "N" or
+    unreduced "N/M" strings, or it has unrelated 6-digit denominators,
+    whose lcm exceeds the denominator cap on all but the smallest grounds."""
+    kind = draw(st.sampled_from(("tabular", "cover", "curvature-witness",
+                                 "p-additive-witness")))
+    n = draw(st.integers(1, max_agents))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    ground = tuple(f"e{k}" for k in range(draw(st.integers(1, 7 if kind != "tabular" else 5))))
+    if kind == "tabular":
+        keys = [",".join(e for i, e in enumerate(ground) if m >> i & 1)
+                for m in range(1 << len(ground))]
+        shape = draw(st.sampled_from(("any", "monotone", "blow-up")))
+        if shape == "blow-up":
+            values = blow_up_values(ground, rng.randrange(2 ** 32))
+        else:
+            values = dict(zip(keys, (_rational_text(draw) for _ in keys)))
+        if shape == "monotone":
+            # normalized and monotone, so that a submodularity violation
+            # is the one reported: f(S) = max of the drawn values within S
+            top = [Fraction(0)] * len(keys)
+            for m in range(1, len(keys)):
+                top[m] = max([Fraction(values[keys[m]])]
+                             + [top[m ^ 1 << i] for i in range(len(ground)) if m >> i & 1])
+            values = {k: f"{2 * v.numerator}/{2 * v.denominator}" for k, v in zip(keys, top)}
+        payload = {"kind": kind, "values": values}
+    elif kind == "cover":
+        targets = [f"y{t}" for t in range(draw(st.integers(1, 4)))]
+        payload = {"kind": kind, "targets": targets,
+                   "weights": {t: _rational_text(draw, 6) for t in targets},
+                   "coverage": {e: [t for t in targets if rng.random() < 0.4] for e in ground}}
+    else:
+        cut = rng.randint(0, len(ground))
+        u, v = list(ground[:cut]), list(ground[cut:])
+        if kind == "curvature-witness":
+            den = draw(st.integers(1, 6))
+            payload = {"kind": kind, "u": u, "v": v,
+                       "lambda": f"{draw(st.integers(0, den))}/{den}"}
+        else:
+            v = v[:len(v) // 2]  # the rest of the ground is in neither block
+            payload = {"kind": kind, "u": u, "v": v, "p": draw(st.integers(1, 3))}
+    owner = [rng.randrange(n) for _ in ground]
+    agents = AgentSpace([{e for e, o in zip(ground, owner) if o == i} for i in range(n)])
+    graph = random_feasible_graph(rng, n, rng.randint(1, n))
+    return ground, payload, agents, graph, random_assignment(rng, n, rng.randint(1, n))
 
 
 # -- shared fixtures ---------------------------------------------------

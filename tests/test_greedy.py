@@ -34,6 +34,7 @@ from pargreedy import (
     run_parallel_greedy,
 )
 from pargreedy.greedy import POLICIES
+from pargreedy.objective import OBJECTIVE_KINDS, total_curvature
 from pargreedy.suites import (
     edgeless_graph,
     random_assignment,
@@ -41,7 +42,13 @@ from pargreedy.suites import (
     random_feasible_graph,
 )
 
-from conftest import brute_greedy, brute_optimum
+from conftest import (
+    FractionOracle,
+    blow_up_values,
+    brute_greedy,
+    brute_optimum,
+    objective_instances,
+)
 
 F = Fraction
 
@@ -317,6 +324,61 @@ class TestTieTreeOracle:
         outs = run_greedy(f, X, g, "all")
         assert [o.profile for o in outs] == [("a", "d"), ("b", "c")]
         assert all(o.value == 2 for o in outs)
+
+
+def _drivers(f, X, graph, assignment):
+    """Every policy through both drivers, then the brute-force optimum."""
+    runs = [run(f, X, structure, policy) for run, structure in
+            ((run_greedy, graph), (run_parallel_greedy, assignment)) for policy in POLICIES]
+    return runs + [brute_force_optimum(f, X)]
+
+
+class TestAgainstFractionOracle:
+    """The engine and the brute force add and compare scaled integers; the
+    same searches over ``FractionOracle`` (the kinds' Fraction formulas at
+    scale 1) must return the same outcomes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(objective_instances())
+    def test_every_policy_both_drivers_and_the_optimum(self, instance):
+        ground, payload, X, graph, assignment = instance
+        f = OBJECTIVE_KINDS[payload["kind"]].from_obj(ground, payload)
+        oracle = FractionOracle(ground, payload)
+        assert _drivers(f, X, graph, assignment) == _drivers(oracle, X, graph, assignment)
+        assert brute_force_optimum(f, X) == brute_optimum(oracle, X)
+
+    def test_searches_never_build_a_mask_value(self, monkeypatch):
+        # one instance of each kind, the table over the denominator cap too
+        ground = tuple(f"e{i}" for i in range(6))
+        thirds = {",".join(e for i, e in enumerate(ground) if m >> i & 1): f"{m.bit_count()}/3"
+                  for m in range(1 << 6)}
+        payloads = [
+            {"kind": "tabular", "values": thirds},
+            {"kind": "tabular", "values": blow_up_values(ground, 2)},
+            {"kind": "cover", "targets": ["y1", "y2"], "weights": {"y1": "1/2", "y2": "2/3"},
+             "coverage": {"e0": ["y1"], "e1": ["y1", "y2"], "e2": ["y2"], "e3": ["y2"],
+                          "e4": [], "e5": ["y1"]}},
+            {"kind": "curvature-witness", "u": list(ground[:3]), "v": list(ground[3:]),
+             "lambda": "2/5"},
+            {"kind": "p-additive-witness", "u": list(ground[:3]), "v": list(ground[3:5]),
+             "p": 2},
+        ]
+        X = AgentSpace([{"e0", "e3"}, {"e1", "e4"}, {"e2", "e5"}])
+        graph = InformationGraph(3, [(1, 3)])
+        assignment = IterationAssignment(3, 2, (1, 1, 2))
+        cases = []
+        for payload in payloads:
+            f = OBJECTIVE_KINDS[payload["kind"]].from_obj(ground, payload)
+            oracle = FractionOracle(ground, payload)
+            cases.append((f, _drivers(oracle, X, graph, assignment) + [total_curvature(oracle)]))
+        assert [f.scale for f, _ in cases] == [3, 1, 6, 5, 2]
+
+        def refuse(f, mask):
+            raise AssertionError("mask_value called inside a search")
+
+        monkeypatch.setattr(SetFunction, "mask_value", refuse)
+        for f, expected in cases:
+            assert _drivers(f, X, graph, assignment) + [total_curvature(f)] == expected
 
 
 FRESH_PROCESS_PROBE = textwrap.dedent("""

@@ -1,6 +1,7 @@
 """Objective evaluation, axiom checks and total curvature."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +10,26 @@ from hypothesis import strategies as st
 from pargreedy import (
     AgentSpace,
     CapacityError,
+    InformationGraph,
     InputError,
     SetFunction,
+    brute_force_optimum,
     check_partition,
     check_properties,
+    run_greedy,
     total_curvature,
 )
 
+from pargreedy.objective import OBJECTIVE_KINDS, SCALE_BITS_CAP, TabularFunction, as_fraction
 from pargreedy.suites import random_cover_entries, standard_witness_entries
 
-from conftest import brute_submodular, brute_total_curvature
+from conftest import (
+    FractionOracle,
+    blow_up_values,
+    brute_submodular,
+    brute_total_curvature,
+    objective_instances,
+)
 
 F = Fraction
 
@@ -62,14 +73,46 @@ def _one_of_each_kind():
 
 
 class TestEvaluationEntryPoint:
-    """Every evaluation goes through ``SetFunction.mask_value``: tools that
-    count evaluations rebind that one attribute."""
+    """Every evaluation goes through ``SetFunction.scaled_value``, and every
+    exact value through its view ``SetFunction.mask_value``: tools that
+    count evaluations rebind one of these attributes."""
 
     def test_no_kind_overrides_mask_value(self):
         for f in _one_of_each_kind():
             for cls in type(f).__mro__:
                 if cls is not SetFunction:
                     assert "mask_value" not in cls.__dict__, (f.kind, cls)
+                    assert "scaled_value" not in cls.__dict__, (f.kind, cls)
+
+    def test_mask_value_is_the_scaled_value_over_the_scale(self):
+        scales = []
+        for f in _one_of_each_kind():
+            for mask in range(1 << len(f.ground)):
+                v = f.scaled_value(mask)
+                assert type(v) is int and type(f.scale) is int and f.scale >= 1
+                assert f.mask_value(mask) == Fraction(v, f.scale)
+            scales.append(f.scale)
+        assert scales == [1, 1, 2, 1]
+
+    def test_rebound_scaled_value_sees_every_kind_and_every_search(self, monkeypatch):
+        original = SetFunction.__dict__["scaled_value"]
+        seen = []
+
+        def counting(f, mask):
+            seen.append(f.kind)
+            return original(f, mask)
+
+        monkeypatch.setattr(SetFunction, "scaled_value", counting)
+        for f in _one_of_each_kind():
+            assert f.value(("a",)) == 1
+            X = AgentSpace([{"a"}])
+            assert brute_force_optimum(f, X) == (("a",), 1)
+            assert run_greedy(f, X, InformationGraph(1), "worst").value == 1
+            assert total_curvature(f) == 0
+            assert check_properties(f).all_hold
+        kinds = ["tabular", "cover", "curvature-witness", "p-additive-witness"]
+        assert list(dict.fromkeys(seen)) == kinds
+        assert all(seen.count(k) >= 5 for k in kinds)
 
     def test_rebound_mask_value_sees_every_kind(self, monkeypatch):
         original = SetFunction.__dict__["mask_value"]
@@ -116,6 +159,57 @@ class TestTabular:
         assert f.value(("a", "b")) == F(3, 2)
 
 
+class TestTableParse:
+    """``TabularFunction.from_obj`` reads plain integers and "N" / "N/M"
+    strings itself: each value gets what ``as_fraction`` gives it, the same
+    value or the same rejection."""
+
+    VALUES = ["0", "007", "2/4", "1/0", "0/0", " 1/2", "+1", "-1",
+              "1.5", "1e3", "1_0", "\u0663", "1/-2", "/2", "1/", "",
+              3, -3, 1.5, True]
+
+    @staticmethod
+    def _parse(raw):
+        try:
+            f = TabularFunction.from_obj(("a",), {"values": {"": 0, "a": raw}})
+        except InputError as exc:
+            return "error", str(exc)
+        return "value", f.mask_value(1)
+
+    @staticmethod
+    def _as_fraction(raw):
+        try:
+            v = as_fraction(raw, "objective.values['a']")
+        except InputError as exc:
+            return "error", str(exc)
+        if v < 0:
+            return "error", f"values[['a']]: negative value {v}"
+        return "value", v
+
+    @pytest.mark.parametrize("raw", VALUES, ids=repr)
+    def test_same_as_as_fraction(self, raw):
+        assert self._parse(raw) == self._as_fraction(raw)
+
+    def test_accepts_exactly_these(self):
+        accepted = [raw for raw in self.VALUES if self._parse(raw)[0] == "value"]
+        assert accepted == ["0", "007", "2/4", " 1/2", "+1", "1.5", "1e3", "1_0", "\u0663", 3]
+
+    def test_plain_values_build_no_fraction(self, monkeypatch):
+        def refuse(raw, field="value"):
+            raise AssertionError(f"as_fraction({raw!r})")
+
+        monkeypatch.setattr("pargreedy.objective.as_fraction", refuse)
+        for raw in ("0", "007", "2/4", 3):
+            assert self._parse(raw) == ("value", Fraction(raw))
+
+    def test_unreduced_values_share_one_scale(self):
+        f = TabularFunction.from_obj(("a", "b"), {"values": {
+            "": "0", "a": "2/4", "b": "4/6", "a,b": "10/12"}})
+        assert f.scale == 6
+        assert [f.scaled_value(m) for m in range(4)] == [0, 3, 4, 5]
+        assert [f.mask_value(m) for m in range(4)] == [0, F(1, 2), F(2, 3), F(5, 6)]
+
+
 class TestCheckProperties:
     def test_cover_is_submodular(self, cover_fixture):
         report = check_properties(cover_fixture)
@@ -135,6 +229,19 @@ class TestCheckProperties:
         # witness values recompute against f (here: gain 1 before, 2 after)
         assert f.marginal((cx.element,), small) == cx.values[0] == 1
         assert f.marginal((cx.element,), large) == cx.values[1] == 2
+
+    def test_counterexample_values_are_exact_off_scale_one(self):
+        f = SetFunction.tabular(
+            ("a", "b"), {(): 0, ("a",): "1/2", ("b",): "1/2", ("a", "b"): "3/2"})
+        assert f.scale == 2
+        cx = check_properties(f).counterexample
+        assert cx.prop == "submodular" and cx.values == (F(1, 2), F(1))
+        g = SetFunction.tabular(("a",), {(): "1/3", ("a",): "1/6"})
+        cx = check_properties(g).counterexample
+        assert cx.prop == "normalized" and cx.values == (F(1, 3),)
+        h = SetFunction.tabular(("a", "b"), {(): 0, ("a",): "1/3", ("b",): 1, ("a", "b"): "1/6"})
+        cx = check_properties(h).counterexample
+        assert cx.prop == "monotone" and cx.values == (F(-1, 6),)
 
     def test_zero_function(self):
         f = SetFunction.tabular(("a", "b"), {s: 0 for s in [(), ("a",), ("b",), ("a", "b")]})
@@ -313,3 +420,47 @@ class TestClosedFormCurvatureAgainstScan:
             ("a", "c"): 2, ("b", "c"): 2, ("a", "b", "c"): 3})
         assert not check_properties(f).submodular
         assert total_curvature(f) == 0 < brute_total_curvature(f) == 1
+
+
+class TestAgainstFractionOracle:
+    """Integer evaluation over one denominator against ``FractionOracle``,
+    the kinds' Fraction formulas at scale 1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(objective_instances())
+    def test_values_curvature_and_properties(self, instance):
+        ground, payload, _, _, _ = instance
+        f = OBJECTIVE_KINDS[payload["kind"]].from_obj(ground, payload)
+        oracle = FractionOracle(ground, payload)
+        for mask in range(1 << len(ground)):
+            v = f.mask_value(mask)
+            assert type(v) is Fraction and v == oracle.mask_value(mask)
+        assert total_curvature(f) == total_curvature(oracle)
+        assert check_properties(f) == check_properties(oracle)
+
+    def test_table_over_the_denominator_cap_keeps_fractions(self):
+        ground = tuple(f"e{i}" for i in range(13))
+        payload = {"kind": "tabular", "values": blow_up_values(ground, 1)}
+        f = TabularFunction.from_obj(ground, payload)
+        oracle = FractionOracle(ground, payload)
+        assert f.scale == 1
+        assert all(type(f.scaled_value(m)) is Fraction for m in range(1 << 13))
+        assert all(f.mask_value(m) == oracle.mask_value(m) for m in range(1 << 13))
+        assert lcm(*(oracle.mask_value(m).denominator for m in range(1 << 13))).bit_length() \
+            > SCALE_BITS_CAP
+        X = AgentSpace([set(ground[k::4]) for k in range(4)])
+        assert brute_force_optimum(f, X) == brute_force_optimum(oracle, X)
+        for policy in ("worst", "best", "all"):
+            assert run_greedy(f, X, InformationGraph(4, [(1, 3), (2, 4)]), policy) == \
+                run_greedy(oracle, X, InformationGraph(4, [(1, 3), (2, 4)]), policy)
+        assert total_curvature(f) == total_curvature(oracle)
+        assert check_properties(f) == check_properties(oracle)
+
+    def test_scale_cap_boundary(self):
+        big = 2 ** 61 - 1
+        for small, scale in ((3, 3 * big), (15, 1)):
+            f = TabularFunction.from_obj(("a", "b"), {"values": {
+                "": 0, "a": f"1/{small}", "b": f"1/{big}", "a,b": f"2/{small}"}})
+            assert (f.scale, (3 * big).bit_length(), (15 * big).bit_length()) == (scale, 63, 65)
+            assert type(f.scaled_value(3)) is (int if scale > 1 else Fraction)
+            assert [f.mask_value(m) for m in range(4)] == [0, F(1, small), F(1, big), F(2, small)]

@@ -22,7 +22,9 @@ from pargreedy.serialize import (
     instance_from_obj,
     instance_to_obj,
     load_graph,
+    load_witness,
     save_graph,
+    save_witness,
     witness_from_obj,
     witness_to_obj,
 )
@@ -190,6 +192,16 @@ class TestWitnessFormat:
         n = len(w.objective.ground)
         for mask in range(1 << n):
             assert w2.objective.mask_value(mask) == w.objective.mask_value(mask)
+
+    def test_boolean_p_never_reaches_a_file(self, tmp_path):
+        # p=True once built a witness that save_witness wrote and
+        # load_witness refused
+        path = tmp_path / "w.json"
+        with pytest.raises(InputError, match="^p: must be a positive integer, got True$"):
+            save_witness(p_additive_witness(star_graph(2), True), path)
+        assert not path.exists()
+        save_witness(p_additive_witness(star_graph(2), 1), path)
+        assert load_witness(path).params["p"] == 1
 
     def test_predicted_ratio_required(self):
         w = sequential_half_witness()

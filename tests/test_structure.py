@@ -19,6 +19,16 @@ from pargreedy import (
     validate_assignment,
 )
 
+from pargreedy import (
+    SetFunction,
+    has_p_sibling,
+    min_edges_bound,
+    p_additive_witness,
+    pseudo_independence_number,
+)
+from pargreedy.structure import check_n_q
+from pargreedy.suites import random_cover_entries, star_graph
+
 from conftest import is_clique
 
 
@@ -51,6 +61,40 @@ class TestInformationGraphRejectsBooleans:
     def test_vertex_id(self):
         with pytest.raises(InputError, match="vertex ids must be integers"):
             InformationGraph(3, [(True, 2)])
+
+
+class TestLibraryIntegersRejectBooleans:
+    """Every integer parameter is checked by ``structure.is_int``, so True
+    is not taken for 1."""
+
+    CALLS = {
+        "p_additive_witness": (lambda: p_additive_witness(star_graph(2), True),
+                               "p: must be a positive integer, got True"),
+        "PAdditiveWitnessFunction": (lambda: SetFunction.p_additive_witness(("a",), ("a",), (), True),
+                                     "p: must be a positive integer, got True"),
+        "pseudo_independence_number": (lambda: pseudo_independence_number(InformationGraph(2), True),
+                                       "p: must be a positive integer, got True"),
+        "has_p_sibling": (lambda: has_p_sibling(InformationGraph(2), True),
+                          "p: must be a positive integer, got True"),
+        "check_n_q.n": (lambda: check_n_q(True, 1), "n: must be a positive integer, got True"),
+        "check_n_q.q": (lambda: check_n_q(2, True), "q: must satisfy 1 <= q <= n, got True"),
+        "is_feasible": (lambda: is_feasible(InformationGraph(2), True),
+                        "q: must be a positive integer, got True"),
+        "min_edges_bound.n": (lambda: min_edges_bound(True, 1),
+                              "n: must be a positive integer, got True"),
+        "min_edges_bound.k": (lambda: min_edges_bound(2, True),
+                              "k: must be a positive integer, got True"),
+        "star_graph": (lambda: star_graph(True), "leaves: must be a positive integer, got True"),
+        "random_cover_entries": (lambda: random_cover_entries(1, 1, True),
+                                 "n_max: must be a positive integer, got True"),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_true_is_rejected(self, name):
+        call, message = self.CALLS[name]
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestOptimalAssignment:
