@@ -324,7 +324,8 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
     Every row gets the curvature-form lower bound
     (theta-(theta-1)lam)/(theta+lam), with lam the closed-form total
     curvature of the row's objective (no size cap); it is never below the
-    plain 1/(theta+1).  alpha and theta are computed once per row.  Capacity
+    plain 1/(theta+1).  alpha, theta and the sibling condition share one
+    maximum-set search per row (the graph's memo).  Capacity
     errors are recorded per row without aborting the suite; a row whose
     total curvature exceeds 1 (a non-monotone objective) aborts it with an
     InputError naming the row.

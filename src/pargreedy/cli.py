@@ -5,12 +5,18 @@ Reports are line-oriented key=value text by default; ``--json`` switches any
 verb to a single JSON document on stdout.  Rationals print as p/q in lowest
 terms.  Exit status: 0 success, 1 failing certification rows, 2 usage or
 input error, 3 capacity error.
+
+:func:`main` builds its argument parser at its first call and reuses it for
+every later call in the process, so in-process callers pay for it once and
+importing this module builds nothing.  Parsing leaves no state on the
+parser: every call gets a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -59,6 +65,7 @@ def _parse_lambdas(text: str) -> list[Fraction]:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pargreedy",
@@ -203,12 +210,8 @@ def _cmd_analyze(args) -> int:
                   ("omega", omega.value), ("feasible_q", depth),
                   ("edges", graph.edge_count)]
         if args.p is not None:
-            # a p-sibling witness's set is a maximum set, so its size is alpha_p
             sib = graphmetrics.has_p_sibling(graph, args.p)
-            if sib is not None:
-                ap = len(sib.pseudo_independent_set)
-            else:
-                ap = graphmetrics.pseudo_independence_number(graph, args.p).value
+            ap = graphmetrics.pseudo_independence_number(graph, args.p).value
             pairs += [("alpha_p", ap), ("p_sibling", "true" if sib else "false")]
     elif args.kind == "assignment":
         assignment = serialize.load_unchecked_assignment(args.path)
@@ -389,8 +392,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except CapacityError as exc:

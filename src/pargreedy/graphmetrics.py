@@ -13,6 +13,12 @@ that order.  The maximum sets are enumerated lazily, so a predicate stops at
 its first witness.  Computations refuse graphs of more than ``GRAPH_CAP``
 vertices with a CapacityError instead of approximating.
 
+Each graph is searched at most once per p: every invariant reads the first
+maximum set through the graph's own memo,
+:meth:`~pargreedy.structure.InformationGraph.max_set_mask`, and omega is
+alpha of the graph's kept complement.  So alpha, theta and the sibling
+search share one search, and the results do not depend on call order.
+
 The in-neighborhood convention is fixed module-wide: N_i contains only the
 lower-index neighbors of i, matching the direction of information flow.
 """
@@ -58,7 +64,7 @@ def independence_number(graph: InformationGraph) -> InvariantWitness:
     """alpha(G), witnessed by the first maximum independent set in index
     order (``maximum_independent_sets(graph)[0]``)."""
     _require_cap(graph, "independence number")
-    mask = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, 1)
+    mask = _max_mask(graph, 1)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
@@ -66,7 +72,7 @@ def clique_number(graph: InformationGraph) -> InvariantWitness:
     """omega(G): the independence number of the complement, witnessed by the
     first maximum clique in index order."""
     _require_cap(graph, "clique number")
-    mask = _max_pseudo_independent_mask(graph.complement().adjacency_masks(), graph.n, 1)
+    mask = _max_mask(graph.complement(), 1)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
@@ -123,7 +129,7 @@ def clique_cover_number(graph: InformationGraph) -> InvariantWitness:
     partition of the vertices into cliques.  The coloring's lower bound, the
     clique number of the complement, is alpha(G)."""
     _require_cap(graph, "clique cover number")
-    alpha = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, 1).bit_count()
+    alpha = _max_mask(graph, 1).bit_count()
     k, coloring = _chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(coloring):
@@ -244,11 +250,17 @@ def _max_pseudo_independent_mask(adj: list[int], n: int, p: int) -> int:
         best = bigger
 
 
+def _max_mask(graph: InformationGraph, p: int) -> int:
+    """The first maximum p-pseudo-independent set of the graph, searched
+    once per graph and p."""
+    return graph.max_set_mask(p, _max_pseudo_independent_mask)
+
+
 def _maximum_sets(graph: InformationGraph, p: int):
     """Every maximum p-pseudo-independent set of the graph, as bitmasks, in
     index order (lazily)."""
     adj = graph.adjacency_masks()
-    size = _max_pseudo_independent_mask(adj, graph.n, p).bit_count()
+    size = _max_mask(graph, p).bit_count()
     return _all_pseudo_independent_of_size(adj, graph.n, p, size, _suffix_cliques(adj, graph.n))
 
 
@@ -262,7 +274,7 @@ def pseudo_independence_number(graph: InformationGraph, p: int) -> InvariantWitn
     in-neighbors inside J.  alpha_1 coincides with alpha."""
     _check_p(p)
     _require_cap(graph, "pseudo-independence number")
-    mask = _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p)
+    mask = _max_mask(graph, p)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 

@@ -17,6 +17,7 @@ from .objective import OBJECTIVE_KINDS, AgentSpace, SetFunction, as_fraction, ch
 from .structure import (
     InformationGraph,
     IterationAssignment,
+    is_int,
     validate_assignment,
 )
 
@@ -56,7 +57,7 @@ def _assignment_shape_from_obj(obj: dict) -> IterationAssignment:
 
 def assignment_from_obj(obj: dict) -> IterationAssignment:
     assignment = _assignment_shape_from_obj(obj)
-    if not all(isinstance(p, int) for p in assignment.P):
+    if not all(is_int(p) for p in assignment.P):
         raise InputError("assignment.P: iterations must be integers")
     violation = validate_assignment(assignment)
     if violation is not None:
@@ -173,7 +174,12 @@ def load_unchecked_assignment(path: PathLike) -> IterationAssignment:
 
 
 def save_assignment(assignment: IterationAssignment, path: PathLike) -> None:
-    _dump_json(assignment_to_obj(assignment), path)
+    """Write the assignment, after the checks of :func:`load_assignment`:
+    an assignment that would not load back raises InputError and writes no
+    file."""
+    obj = assignment_to_obj(assignment)
+    assignment_from_obj(obj)
+    _dump_json(obj, path)
 
 
 def load_instance(path: PathLike) -> tuple[SetFunction, AgentSpace]:

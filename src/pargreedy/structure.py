@@ -9,7 +9,7 @@ label-sensitive, so no isomorphism checking anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
 
@@ -83,7 +83,12 @@ def validate_assignment(assignment: IterationAssignment) -> Optional[AssignmentV
 
 
 class InformationGraph:
-    """Undirected graph over agents 1..n with canonical (min, max) edges."""
+    """Undirected graph over agents 1..n with canonical (min, max) edges.
+
+    ``n`` and ``edges`` are read-only, so what is derived from them once and
+    kept on the instance (the adjacency masks, the complement and the
+    maximum-set memo of :meth:`max_set_mask`) cannot go stale.
+    """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not is_int(n) or n < 0:
@@ -102,9 +107,19 @@ class InformationGraph:
             if lo < 1 or hi > n:
                 raise InputError(f"edges: pair {pair!r} outside vertices 1..{n}")
             canon.add((lo, hi))
-        self.n = n
-        self.edges = frozenset(canon)
+        self._n = n
+        self._edges = frozenset(canon)
         self._adj: Optional[list[int]] = None
+        self._complement: Optional[InformationGraph] = None
+        self._max_masks: dict[int, int] = {}
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return self._edges
 
     @property
     def edge_count(self) -> int:
@@ -132,9 +147,26 @@ class InformationGraph:
         return tuple(j for j in range(1, i) if (j, i) in self.edges)
 
     def complement(self) -> "InformationGraph":
-        edges = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)
-                 if (i, j) not in self.edges]
-        return InformationGraph(self.n, edges)
+        """The complement graph, built at the first call and kept."""
+        if self._complement is None:
+            edges = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)
+                     if (i, j) not in self.edges]
+            self._complement = InformationGraph(self.n, edges)
+        return self._complement
+
+    def max_set_mask(self, p: int, search: Callable[[list[int], int, int], int]) -> int:
+        """The first maximum p-pseudo-independent set in index order, as a
+        bitmask: ``search(self.adjacency_masks(), self.n, p)`` at the first
+        call for each p, and the kept result after that.
+
+        ``search`` is the exact search of :mod:`pargreedy.graphmetrics`,
+        which reads every invariant it reports through this memo, so a graph
+        is searched at most once per p whatever the order of the calls.
+        """
+        mask = self._max_masks.get(p)
+        if mask is None:
+            mask = self._max_masks[p] = search(self.adjacency_masks(), self.n, p)
+        return mask
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

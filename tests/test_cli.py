@@ -2,12 +2,21 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from pargreedy import pseudo_independence_number
-from pargreedy.cli import main
-from pargreedy.serialize import load_graph
+import pargreedy
+from pargreedy import (
+    optimal_assignment,
+    optimal_graph,
+    pseudo_independence_number,
+    sequential_half_witness,
+)
+from pargreedy.cli import _build_parser, main
+from pargreedy.serialize import load_graph, save_assignment, save_graph, save_instance, save_witness
 
 
 def run_cli(capsys, *argv):
@@ -70,8 +79,8 @@ class TestConstructAnalyze:
         assert code == 0 and "alpha_p=4" in out and "p_sibling=true" in out
 
     @pytest.mark.parametrize("edges, sibling", [
-        ([[1, 5], [2, 5], [3, 5], [4, 5]], True),  # star: alpha_p from the witness
-        ([], False),                               # edgeless: the separate search
+        ([[1, 5], [2, 5], [3, 5], [4, 5]], True),  # star: a p-sibling
+        ([], False),                               # edgeless: none
     ])
     @pytest.mark.parametrize("as_json", [False, True])
     def test_analyze_alpha_p_with_and_without_p_sibling(self, capsys, tmp_path,
@@ -335,3 +344,96 @@ class TestJsonBooleans:
             "objective": {"kind": "p-additive-witness", "p": True, "u": ["u1"], "v": ["v1"]}}))
         code, _, err = run_cli(capsys, "analyze", "instance", "--in", str(path))
         assert code == 2 and err == "input error: objective.p: unexpected type bool\n"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see state
+    left by an earlier one."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh_outcome(self, capsys, argv):
+        _build_parser.cache_clear()
+        return self.outcome(capsys, argv)
+
+    @pytest.fixture
+    def every_verb(self, tmp_path):
+        graph, assignment, instance, witness = (
+            str(tmp_path / name) for name in ("g.json", "p.json", "i.json", "w.json"))
+        save_graph(optimal_graph(6, 3), graph)
+        save_assignment(optimal_assignment(6, 2), assignment)
+        w = sequential_half_witness()
+        save_instance(w.objective, w.agents, instance)
+        save_witness(w, witness)
+        return [
+            ["bounds", "--in", graph, "--lambda", "1/2"],
+            ["bounds", "--n", "7", "--q", "3", "--json"],
+            ["construct", "graph", "--n", "6", "--q", "3", "--json"],
+            ["construct", "assignment", "--n", "6", "--q", "4"],
+            ["analyze", "graph", "--in", graph, "--p", "2"],
+            ["analyze", "assignment", "--in", assignment, "--json"],
+            ["analyze", "instance", "--in", instance],
+            ["schedule", "--in", graph],
+            ["run", "--instance", instance, "--assignment", assignment, "--policy", "all",
+             "--ratio"],
+            ["adversarial", "--family", "p-additive", "--graph", graph, "--p", "2", "--json"],
+            ["certify", "--witness", witness, "--suite", "witnesses", "--alpha-max", "2",
+             "--lambdas", "1/2"],
+            ["certify", "--suite", "random", "--count", "3", "--seed", "5", "--json"],
+            ["scan", "--curve", "curvature-bounds", "--r", "2,3", "--lambda-steps", "4"],
+        ]
+
+    def test_every_verb_matches_a_fresh_parser(self, capsys, every_verb):
+        fresh = [self.fresh_outcome(capsys, argv) for argv in every_verb]
+        for order in (every_verb, every_verb[::-1]):
+            reused = {tuple(argv): self.outcome(capsys, argv) for argv in order}
+            assert [reused[tuple(argv)] for argv in every_verb] == fresh
+
+    def test_witness_list_does_not_leak(self, capsys, tmp_path):
+        witness = tmp_path / "w.json"
+        save_witness(sequential_half_witness(), witness)
+        random_suite = ("certify", "--suite", "random", "--count", "4", "--seed", "9")
+        expected = self.fresh_outcome(capsys, random_suite)
+        code, out, _ = self.outcome(capsys, ("certify", "--witness", str(witness),
+                                             "--witness", str(witness)))
+        assert code == 0 and "rows=2 " in out
+        assert self.outcome(capsys, random_suite) == expected
+        assert _build_parser().parse_args(random_suite).witness == []
+
+    @pytest.mark.parametrize("bad", [
+        ("frobnicate",),
+        ("certify", "--witness", "w.json", "--count", "many"),
+        ("analyze", "graph"),
+    ], ids=["unknown-verb", "bad-int-after-append", "missing-required"])
+    def test_usage_error_then_valid_call(self, capsys, bad):
+        valid = ("certify", "--suite", "random", "--count", "2", "--seed", "3")
+        expected = self.fresh_outcome(capsys, valid)
+        code, out, err = self.outcome(capsys, bad)
+        assert code == 2 and out == "" and "usage: pargreedy" in err
+        assert self.outcome(capsys, valid) == expected
+
+    @pytest.mark.parametrize("argv", [("--help",)] + [
+        (verb, "--help") for verb in ("bounds", "construct", "analyze", "schedule", "run",
+                                      "adversarial", "certify", "scan")])
+    def test_help_text_unchanged(self, capsys, argv):
+        expected = self.fresh_outcome(capsys, argv)
+        assert expected[0] == 0 and "usage: pargreedy" in expected[1]
+        self.outcome(capsys, ("bounds", "--n", "5", "--q", "2"))
+        self.outcome(capsys, ("frobnicate",))
+        assert self.outcome(capsys, argv) == expected
+
+    def test_import_does_not_build_the_parser(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pargreedy.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import pargreedy.cli as cli; info = cli._build_parser.cache_info(); "
+                "print(info.hits, info.misses)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0 0\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pargreedy import graphmetrics
 from pargreedy import (
     CapacityError,
     DisjointSetsCheck,
@@ -29,6 +30,9 @@ from pargreedy import (
     SiblingWitness,
     verify_no_disjoint_max_sets,
 )
+from pargreedy.cli import main
+from pargreedy.graphmetrics import _max_pseudo_independent_mask
+from pargreedy.serialize import save_graph
 
 from conftest import (
     brute_alpha,
@@ -327,6 +331,90 @@ class TestPrunedSearchAgainstOracle:
         assert independence_number(g) == InvariantWitness(len(sets[0]), sets[0])
         cliques = brute_pseudo_independent_sets(g.complement(), 1)
         assert clique_number(g) == InvariantWitness(len(cliques[0]), cliques[0])
+
+
+def _invariant_calls(p):
+    """Every public invariant of a graph, with p where it takes one."""
+    return {
+        "alpha": independence_number,
+        "omega": clique_number,
+        "theta": clique_cover_number,
+        "max_independent_sets": maximum_independent_sets,
+        "sibling": has_sibling_condition,
+        "alpha_p": lambda g: pseudo_independence_number(g, p),
+        "max_p_sets": lambda g: maximum_pseudo_independent_sets(g, p),
+        "p_sibling": lambda g: has_p_sibling(g, p),
+        "disjoint": lambda g: verify_no_disjoint_max_sets(g, p),
+    }
+
+
+def _fresh(g):
+    return InformationGraph(g.n, g.edges)
+
+
+def _uncached(adj, n, p):
+    mask = _max_pseudo_independent_mask(adj, n, p)
+    return InvariantWitness(mask.bit_count(), tuple(v + 1 for v in range(n) if mask >> v & 1))
+
+
+class TestSearchMemo:
+    """Each graph keeps the first maximum set per p and its complement, so
+    the invariants share one search; results must not depend on the order
+    of the calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(n_max=10), st.sampled_from((1, 2, 3)), st.randoms())
+    def test_call_order_does_not_change_any_result(self, g, p, rnd):
+        calls = _invariant_calls(p)
+        names = list(calls)
+        rnd.shuffle(names)
+        shared = {name: calls[name](g) for name in names}
+        for name in names:
+            assert shared[name] == calls[name](_fresh(g)), name
+        assert shared["alpha"] == _uncached(_fresh(g).adjacency_masks(), g.n, 1)
+        assert shared["omega"] == _uncached(_fresh(g).complement().adjacency_masks(), g.n, 1)
+        assert shared["alpha_p"] == _uncached(_fresh(g).adjacency_masks(), g.n, p)
+
+    def test_complement_is_built_once(self):
+        g = optimal_graph(7, 3)
+        assert g.complement() is g.complement()
+        assert g.complement() == InformationGraph(
+            7, [e for e in combinations(range(1, 8), 2) if not g.has_edge(*e)])
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Count the exact searches and the complement graphs built."""
+        searches = []
+        complements = []
+        search = graphmetrics._max_pseudo_independent_mask
+        complement = InformationGraph.complement
+
+        def counting_search(adj, n, p):
+            searches.append(p)
+            return search(adj, n, p)
+
+        def counting_complement(self):
+            built = complement(self)
+            complements.append(built)
+            return built
+
+        monkeypatch.setattr(graphmetrics, "_max_pseudo_independent_mask", counting_search)
+        monkeypatch.setattr(InformationGraph, "complement", counting_complement)
+        return searches, complements
+
+    def test_analyze_graph_searches_alpha_omega_and_alpha_p_once(self, counts, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "g.json"
+        save_graph(optimal_graph(12, 4), path)
+        assert main(["analyze", "graph", "--in", str(path), "--p", "2"]) == 0
+        searches, complements = counts
+        assert sorted(searches) == [1, 1, 2]
+        assert len({id(c) for c in complements}) == 1
+
+    def test_certify_row_searches_once(self, counts, capsys):
+        assert main(["certify", "--suite", "random", "--count", "1", "--seed", "7"]) == 0
+        searches, _ = counts
+        assert searches == [1]
 
 
 @pytest.mark.parametrize("call, what", [

@@ -21,8 +21,10 @@ from pargreedy.serialize import (
     graph_to_obj,
     instance_from_obj,
     instance_to_obj,
+    load_assignment,
     load_graph,
     load_witness,
+    save_assignment,
     save_graph,
     save_witness,
     witness_from_obj,
@@ -79,6 +81,28 @@ class TestAssignmentFormat:
     def test_range_violation(self):
         with pytest.raises(InputError, match="outside"):
             assignment_from_obj({"q": 2, "P": [1, 3]})
+
+    def test_file_round_trip(self, tmp_path):
+        a = IterationAssignment(5, 3, (1, 1, 2, 3, 3))
+        path = tmp_path / "p.json"
+        save_assignment(a, path)
+        assert load_assignment(path) == a
+
+    def test_boolean_iteration_at_load(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"q": 2, "P": [true, 2]}')
+        with pytest.raises(InputError, match=r"^assignment\.P: iterations must be integers$"):
+            load_assignment(path)
+
+    @pytest.mark.parametrize("P, message", [
+        ((True, 2), r"^assignment\.P: iterations must be integers$"),
+        ((2, 1), r"^assignment\.P: order preservation violated"),
+    ], ids=["boolean", "order"])
+    def test_save_refuses_what_load_rejects(self, tmp_path, P, message):
+        path = tmp_path / "p.json"
+        with pytest.raises(InputError, match=message):
+            save_assignment(IterationAssignment(2, 2, P), path)
+        assert not path.exists()
 
 
 class TestInstanceFormat:

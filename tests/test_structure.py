@@ -63,6 +63,15 @@ class TestInformationGraphRejectsBooleans:
             InformationGraph(3, [(True, 2)])
 
 
+class TestInformationGraphIsReadOnly:
+    @pytest.mark.parametrize("field, value", [("n", 4), ("edges", frozenset())])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        g = InformationGraph(3, [(1, 2)])
+        with pytest.raises(AttributeError):
+            setattr(g, field, value)
+        assert g == InformationGraph(3, [(1, 2)])
+
+
 class TestLibraryIntegersRejectBooleans:
     """Every integer parameter is checked by ``structure.is_int``, so True
     is not taken for 1."""
