@@ -76,7 +76,7 @@ def clique_number(graph: InformationGraph) -> InvariantWitness:
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
-def _chromatic_number(adj: list[int], n: int, lb: int) -> tuple[int, list[int]]:
+def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[int]]:
     """Exact chromatic number with one optimal coloring, by backtracking.
 
     Vertices are tried in degree-descending order; each vertex may only open
@@ -169,7 +169,7 @@ def has_sibling_condition(graph: InformationGraph) -> Optional[SiblingWitness]:
     return SiblingWitness(sibling.vertex, sibling.pseudo_independent_set, sibling.members[0])
 
 
-def _suffix_cliques(adj: list[int], n: int) -> list[int]:
+def _suffix_cliques(adj: tuple[int, ...], n: int) -> list[int]:
     """A partition of the vertices into cliques, first fit from the highest
     index down, so that its restriction to the vertices from any index on
     (where the search's ``alive`` vertices lie) is the first-fit partition
@@ -185,7 +185,7 @@ def _suffix_cliques(adj: list[int], n: int) -> list[int]:
     return cliques
 
 
-def _all_pseudo_independent_of_size(adj: list[int], n: int, p: int, size: int,
+def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: int,
                                     cliques: list[int]):
     """Yield every p-pseudo-independent set of exactly ``size`` vertices, as
     bitmasks, in index order.  At p = 1 these are the independent sets.
@@ -232,7 +232,7 @@ def _all_pseudo_independent_of_size(adj: list[int], n: int, p: int, size: int,
         stack.append((cur, alive, have + 1))
 
 
-def _max_pseudo_independent_mask(adj: list[int], n: int, p: int) -> int:
+def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int) -> int:
     """Maximum set J with |N_j n J| < p for every j in J, the first one in
     index order.  At p = 1, the first maximum independent set.
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, InputError
 from .structure import is_int
@@ -64,13 +64,14 @@ def as_fraction(value, field: str = "value") -> Fraction:
     raise InputError(f"{field}: expected int, 'p/q' string or Fraction, got {type(value).__name__}")
 
 
-def _table_value(raw, field: str) -> tuple[int, int]:
+def _table_value(raw, field: Callable[[], str]) -> tuple[int, int]:
     """A table value as (numerator, denominator) in lowest terms.
 
     A JSON int, or a plain ASCII ``"N"`` or ``"N/M"`` string with M nonzero,
     is read with ``int`` and ``gcd``, building no Fraction.  Every other
     value goes through :func:`as_fraction`, so what is accepted and every
-    rejection message are the same as there.
+    rejection message are the same as there.  ``field()`` names the value
+    for :func:`as_fraction`; a plain value never builds the name.
     """
     if type(raw) is int:
         return raw, 1
@@ -85,8 +86,25 @@ def _table_value(raw, field: str) -> tuple[int, int]:
                 if d:
                     g = gcd(n, d)
                     return n // g, d // g
-    value = as_fraction(raw, field)
+    value = as_fraction(raw, field())
     return value.numerator, value.denominator
+
+
+def _element_bits(ground: Sequence[str]) -> dict[str, int]:
+    """Each element id's bit in a subset mask over ``ground``."""
+    return {g: 1 << i for i, g in enumerate(ground)}
+
+
+def _ids_mask(bits: dict[str, int], ids: Iterable[str]) -> int:
+    """The mask of a table key's ids, or an InputError naming the first
+    unknown one."""
+    mask = 0
+    for e in ids:
+        b = bits.get(e)
+        if b is None:
+            raise InputError(f"values: unknown element id {e!r}")
+        mask |= b
+    return mask
 
 
 def as_lambda(lam) -> Fraction:
@@ -159,11 +177,19 @@ class SetFunction:
     @staticmethod
     def tabular(ground: Sequence[str], values: Mapping) -> "TabularFunction":
         """Dense table: ``values`` maps frozensets (or iterables) of ids to
-        rationals and must define every one of the 2^|ground| subsets."""
+        rationals and must define every one of the 2^|ground| subsets.  A
+        key that repeats an element is rejected, as in an instance file."""
         def entries():
+            bits = _element_bits(ground)
             for key, raw in values.items():
                 ids = (key,) if isinstance(key, str) else tuple(key)
-                yield (ids, *_table_value(raw, f"values[{sorted(ids)!r}]"))
+
+                def label():
+                    return f"values[{sorted(ids)!r}]"
+                if len(set(ids)) != len(ids):
+                    raise InputError(f"{label()}: repeated element in subset key")
+                value = _table_value(raw, label)
+                yield _ids_mask(bits, ids), value
         return TabularFunction(ground, entries())
 
     @staticmethod
@@ -256,36 +282,43 @@ class TabularFunction(SetFunction):
     the lcm of the values' reduced denominators, unless that exceeds
     ``SCALE_BITS_CAP`` bits: then the table holds the values as Fractions
     and the scale is 1.
+
+    :meth:`from_obj` reads a table in one pass of a few dictionary
+    operations per entry.  A key's mask is its prefix's mask (the key up to
+    its last comma, read earlier in every file :meth:`to_obj` or a sorted
+    dump writes) with the last id's bit added, and each distinct value
+    string is parsed once.  Any other spelling of a key, and every faulty
+    one, is split and checked in full on the spot, so the same messages
+    come in the same order.
     """
 
     kind = "tabular"
 
-    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[Sequence[str], int, int]]):
-        """``entries`` yields (subset ids, numerator, denominator), once for
-        every subset, the value in lowest terms with a positive denominator."""
+    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[int, tuple[int, int]]]):
+        """``entries`` yields (subset mask, (numerator, denominator)) once
+        for every subset, the value in lowest terms with a positive
+        denominator.  It is read after the ground set is checked."""
         super().__init__(ground)
         n = len(self.ground)
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(f"tabular ground set of {n} elements exceeds cap {EXHAUSTIVE_CAP}")
         table = self._cache
-        scale = 1  # the lcm of the denominators so far, 0 once over the cap
-        for ids, num, den in entries:
-            try:
-                mask = self.subset_mask(ids)
-            except InputError as exc:
-                raise InputError(f"values: {exc}") from None
+        for mask, value in entries:
             if mask in table:
-                raise InputError(f"values: subset {sorted(ids)!r} defined twice")
-            if num < 0:
-                raise InputError(f"values[{sorted(ids)!r}]: negative value {Fraction(num, den)}")
-            table[mask] = num, den
-            if scale and scale % den:
-                scale = lcm(scale, den)
-                if scale.bit_length() > SCALE_BITS_CAP:
-                    scale = 0
+                raise InputError(f"values: subset {sorted(self._members(mask))!r} defined twice")
+            if value[0] < 0:
+                raise InputError(f"values[{sorted(self._members(mask))!r}]: "
+                                 f"negative value {Fraction(*value)}")
+            table[mask] = value
         if len(table) < 1 << n:
             missing = next(m for m in range(1 << n) if m not in table)
             raise InputError(f"values: no value for subset {self._members(missing)!r}")
+        scale = 1
+        for den in {den for _, den in table.values()}:
+            scale = lcm(scale, den)
+            if scale.bit_length() > SCALE_BITS_CAP:
+                scale = 0
+                break
         for mask, (num, den) in table.items():
             table[mask] = num * (scale // den) if scale else Fraction(num, den)
         self.scale = scale or 1
@@ -304,11 +337,28 @@ class TabularFunction(SetFunction):
         values = require(payload, "values", dict, "objective")
 
         def entries():
+            bits = _element_bits(ground)
+            masks = {"": 0}  # the mask of every key read so far
+            parsed = {}      # (numerator, denominator) of every value string read so far
             for key, raw in values.items():
-                ids = [e for e in key.split(",") if e]
-                if len(set(ids)) != len(ids):
-                    raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
-                yield (ids, *_table_value(raw, f"objective.values[{key!r}]"))
+                prefix, _, last = key.rpartition(",")
+                mask, bit = masks.get(prefix), bits.get(last)
+                ids = None
+                if mask is None or bit is None or mask & bit:
+                    # another spelling, or a faulty key: split and check it in full
+                    ids = [e for e in key.split(",") if e]
+                    if len(set(ids)) != len(ids):
+                        raise InputError(
+                            f"objective.values[{key!r}]: repeated element in subset key")
+                # strings only: True and 1.0 hash equal to 1, and are not 1 here
+                value = parsed.get(raw) if type(raw) is str else None
+                if value is None:
+                    value = _table_value(raw, lambda: f"objective.values[{key!r}]")
+                    if type(raw) is str:
+                        parsed[raw] = value
+                # a bad value is named before an unknown id
+                mask = masks[key] = mask | bit if ids is None else _ids_mask(bits, ids)
+                yield mask, value
         return cls(ground, entries())
 
 

@@ -109,7 +109,7 @@ class InformationGraph:
             canon.add((lo, hi))
         self._n = n
         self._edges = frozenset(canon)
-        self._adj: Optional[list[int]] = None
+        self._adj: Optional[tuple[int, ...]] = None
         self._complement: Optional[InformationGraph] = None
         self._max_masks: dict[int, int] = {}
 
@@ -128,14 +128,16 @@ class InformationGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def adjacency_masks(self) -> list[int]:
-        """Per-vertex neighbor bitmask, 0-indexed (bit k is vertex k+1)."""
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Per-vertex neighbor bitmask, 0-indexed (bit k is vertex k+1),
+        built at the first call and kept; a tuple, so that no caller can
+        change what later invariants of this graph see."""
         if self._adj is None:
             adj = [0] * self.n
             for i, j in self.edges:
                 adj[i - 1] |= 1 << (j - 1)
                 adj[j - 1] |= 1 << (i - 1)
-            self._adj = adj
+            self._adj = tuple(adj)
         return self._adj
 
     def in_neighbor_masks(self) -> list[int]:
@@ -154,7 +156,7 @@ class InformationGraph:
             self._complement = InformationGraph(self.n, edges)
         return self._complement
 
-    def max_set_mask(self, p: int, search: Callable[[list[int], int, int], int]) -> int:
+    def max_set_mask(self, p: int, search: Callable[[tuple[int, ...], int, int], int]) -> int:
         """The first maximum p-pseudo-independent set in index order, as a
         bitmask: ``search(self.adjacency_masks(), self.n, p)`` at the first
         call for each p, and the kept result after that.

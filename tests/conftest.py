@@ -10,11 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import strategies as st
 
-from pargreedy import AgentSpace, GreedyOutcome, InformationGraph, SetFunction
+from pargreedy import AgentSpace, GreedyOutcome, InformationGraph, InputError, SetFunction
+from pargreedy.objective import SCALE_BITS_CAP, _table_value, require
 from pargreedy.suites import random_assignment, random_feasible_graph
 
 
@@ -313,6 +315,113 @@ def objective_instances(draw, max_agents: int = 5):
     agents = AgentSpace([{e for e, o in zip(ground, owner) if o == i} for i in range(n)])
     graph = random_feasible_graph(rng, n, rng.randint(1, n))
     return ground, payload, agents, graph, random_assignment(rng, n, rng.randint(1, n))
+
+
+# -- table parser oracle (every key split, every value parsed) ---------
+
+
+class EntryByEntryTable(SetFunction):
+    """A dense table read the way the library read it before its one-pass
+    parser: every key is split and checked in full, every value is parsed
+    anew, and the scale grows one entry at a time.  The one-pass parser must
+    give the same scale and scaled table, or raise the same error."""
+
+    kind = "entry-by-entry"
+
+    def __init__(self, ground, payload: dict):
+        super().__init__(ground)
+        values = require(payload, "values", dict, "objective")
+        n = len(self.ground)
+        table = self._cache
+        scale = 1  # the lcm of the denominators so far, 0 once over the cap
+        for key, raw in values.items():
+            ids = [e for e in key.split(",") if e]
+            if len(set(ids)) != len(ids):
+                raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
+            num, den = _table_value(raw, lambda: f"objective.values[{key!r}]")
+            try:
+                mask = self.subset_mask(ids)
+            except InputError as exc:
+                raise InputError(f"values: {exc}") from None
+            if mask in table:
+                raise InputError(f"values: subset {sorted(ids)!r} defined twice")
+            if num < 0:
+                raise InputError(f"values[{sorted(ids)!r}]: negative value {Fraction(num, den)}")
+            table[mask] = num, den
+            if scale and scale % den:
+                scale = lcm(scale, den)
+                if scale.bit_length() > SCALE_BITS_CAP:
+                    scale = 0
+        if len(table) < 1 << n:
+            missing = next(m for m in range(1 << n) if m not in table)
+            raise InputError(f"values: no value for subset {self._members(missing)!r}")
+        for mask, (num, den) in table.items():
+            table[mask] = num * (scale // den) if scale else Fraction(num, den)
+        self.scale = scale or 1
+
+
+# Table values: plain ones, drawn often so that value strings repeat, and
+# odd or faulty ones.  True and 1.0 hash equal to 1 and "1".
+PLAIN_VALUES = (0, 1, 3, "0", "1", "2", "1/2", "2/4", "3/2", "5/3")
+ODD_VALUES = (-1, "-1", "-2/4", True, 1.0, [1], " 1/2", "1.5", "1/0", "x", "007")
+
+
+def _spell_key(rng: random.Random, ids: list) -> str:
+    """A table key naming ``ids``, spelled the usual way (ids in the given
+    order, comma-separated) or with empty parts or a leading or trailing
+    comma."""
+    parts = list(ids)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        parts.insert(rng.randint(0, len(parts)), "")
+    return ",".join(parts)
+
+
+@st.composite
+def table_payloads(draw):
+    """(ground, values): a dense table payload over 0-6 elements in the
+    order of a sorted dump, of ``to_obj`` or shuffled, whose keys may list
+    ids out of ground order, with empty parts or a stray comma, spell one
+    subset twice, repeat an id, name an unknown one or leave a subset out,
+    and whose values are plain, odd or faulty, or have unrelated 6-digit
+    denominators whose lcm is over ``SCALE_BITS_CAP``."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 6))
+    ground = [f"e{k}" for k in rng.sample(range(10), n)]
+    fault = draw(st.sampled_from((0.0, 0.0, 0.02, 0.1)))
+    odd_spelling = draw(st.sampled_from((0.0, 0.2, 1.0)))
+    blow_up = draw(st.booleans())
+    entries = []
+    for mask in range(1 << n):
+        ids = [e for i, e in enumerate(ground) if mask >> i & 1]
+        if rng.random() < odd_spelling:
+            ids = rng.sample(ids, len(ids))
+            key = _spell_key(rng, ids)
+        else:
+            key = ",".join(ids)
+        if blow_up:
+            raw = f"{rng.randint(0, 10 ** 6)}/{rng.randint(10 ** 5, 10 ** 6 - 1)}"
+        elif rng.random() < fault:
+            raw = rng.choice(ODD_VALUES)
+        else:
+            raw = rng.choice(PLAIN_VALUES)
+        if rng.random() < fault:
+            fix = rng.choice(("repeat", "unknown", "missing", "twice"))
+            if fix == "repeat" and ids:
+                entries.append((key + "," + rng.choice(ids), raw))
+            elif fix == "unknown":
+                unknown = rng.choice(("x", "e10", ground[0] + "x" if n else "y"))
+                key = _spell_key(rng, ids + [unknown])
+            elif fix == "missing":
+                continue
+            elif fix == "twice":
+                entries.append(("," + ",".join(rng.sample(ids, len(ids))), raw))
+        entries.append((key, raw))
+    order = draw(st.sampled_from(("sorted", "to_obj", "shuffled")))
+    if order == "sorted":
+        entries.sort(key=lambda entry: entry[0])
+    elif order == "shuffled":
+        rng.shuffle(entries)
+    return tuple(ground), dict(entries)
 
 
 # -- shared fixtures ---------------------------------------------------

@@ -1,5 +1,7 @@
 """Objective evaluation, axiom checks and total curvature."""
 
+import json
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -20,15 +22,19 @@ from pargreedy import (
     total_curvature,
 )
 
+from pargreedy import objective
 from pargreedy.objective import OBJECTIVE_KINDS, SCALE_BITS_CAP, TabularFunction, as_fraction
+from pargreedy.serialize import load_instance, save_instance
 from pargreedy.suites import random_cover_entries, standard_witness_entries
 
 from conftest import (
+    EntryByEntryTable,
     FractionOracle,
     blow_up_values,
     brute_submodular,
     brute_total_curvature,
     objective_instances,
+    table_payloads,
 )
 
 F = Fraction
@@ -149,6 +155,13 @@ class TestTabular:
         with pytest.raises(InputError, match="defined twice"):
             SetFunction.tabular(("a",), {(): 0, "a": 1, ("a",): 2})
 
+    def test_repeated_element_rejected_as_in_files(self):
+        repeated = "repeated element in subset key"
+        with pytest.raises(InputError, match=rf"^values\[\['a', 'a'\]\]: {repeated}$"):
+            SetFunction.tabular(("a", "b"), {(): 0, ("a", "a"): 1, ("b",): 1, ("a", "b"): 2})
+        with pytest.raises(InputError, match=rf"^objective.values\['a,a'\]: {repeated}$"):
+            TabularFunction.from_obj(("a", "b"), {"values": {"": 0, "a,a": 1, "b": 1, "a,b": 2}})
+
     def test_cap(self):
         ground = tuple(f"e{i}" for i in range(17))
         with pytest.raises(CapacityError):
@@ -208,6 +221,78 @@ class TestTableParse:
         assert f.scale == 6
         assert [f.scaled_value(m) for m in range(4)] == [0, 3, 4, 5]
         assert [f.mask_value(m) for m in range(4)] == [0, F(1, 2), F(2, 3), F(5, 6)]
+
+
+class TestOnePassTableParse:
+    """``TabularFunction.from_obj`` against ``EntryByEntryTable``, the
+    parser that splits every key and parses every value: the same scale and
+    scaled table, or the same error first."""
+
+    @staticmethod
+    def _read(build, ground, values):
+        try:
+            f = build(ground, {"values": values})
+        except InputError as exc:
+            return "error", str(exc)
+        table = [f.scaled_value(m) for m in range(1 << len(ground))]
+        return f.scale, [type(v) for v in table], table
+
+    @settings(max_examples=400, deadline=None)
+    @given(table_payloads())
+    def test_same_as_entry_by_entry(self, table):
+        ground, values = table
+        assert self._read(TabularFunction.from_obj, ground, values) == \
+            self._read(EntryByEntryTable, ground, values)
+
+    @pytest.mark.parametrize("values", [
+        {"": 0, "b": 1, "a": 1, "b,a": 2},             # ids out of ground order
+        {"": 0, ",a": 1, "b,": 1, "a,,b": 2},          # empty parts, stray commas
+        {"": 0, "a": 1, "b": 1, "a,b": 2, "b,a": 2},   # one subset spelled twice
+        {"": 0, "a": 1, "b": 1, "a,b,a": 2},           # a repeated id
+        {"": 0, "a": 1, "b": 1, "a,b": 2, "a,b,b": 2},  # a repeated id after its prefix
+        {"": 0, "a": 1, "b": 1, "a,c": 2},             # an unknown id
+        {"": 0, "a": 1, "b": 1, "a,c": True},          # an unknown id and a boolean
+        {"": 0, "a": 1, "b": 1},                       # a subset left out
+        {"": 0, "a": "1", "b": True, "a,b": 1},        # True after "1" and 1
+        {"": 0, "a": 1, "b": 1.0, "a,b": 2},           # 1.0 after 1
+        {"": 0, "a": "2/4", "b": "-2/4", "a,b": 1},    # a negative value
+        {"": 0, "a": [1], "b": 1, "a,b": 2},           # a list
+    ], ids=repr)
+    def test_named_faults_and_spellings(self, values):
+        expected = self._read(EntryByEntryTable, ("a", "b"), values)
+        assert self._read(TabularFunction.from_obj, ("a", "b"), values) == expected
+
+    def test_each_distinct_value_string_parsed_once(self, monkeypatch, tmp_path):
+        rng = random.Random(13)
+        ground = tuple(f"e{i:02d}" for i in range(13))
+        f = SetFunction.cover(ground, ("y0", "y1", "y2", "y3", "y4"),
+                              {t: F(rng.randint(1, 12), rng.randint(1, 4))
+                               for t in ("y0", "y1", "y2", "y3", "y4")},
+                              {e: [t for t in ("y0", "y1", "y2", "y3", "y4") if rng.random() < 0.3]
+                               for e in ground})
+        table = SetFunction.tabular(ground, {f.mask_subset(m): f.mask_value(m)
+                                             for m in range(1 << 13)})
+        agents = AgentSpace([ground[k::3] for k in range(3)])
+        path = tmp_path / "table.json"
+        save_instance(table, agents, path)
+        written = json.loads(path.read_text(encoding="utf-8"))["objective"]["values"]
+
+        calls = []
+        counted = objective._table_value
+
+        def count(raw, field):
+            calls.append(raw)
+            return counted(raw, field)
+
+        monkeypatch.setattr(objective, "_table_value", count)
+        loaded, loaded_agents = load_instance(path)
+        assert len(written) == 1 << 13
+        assert sorted(calls) == sorted(set(written.values())) and len(calls) < 100
+        assert [loaded.mask_value(m) for m in range(1 << 13)] == \
+            [f.mask_value(m) for m in range(1 << 13)]
+        again = tmp_path / "again.json"
+        save_instance(loaded, loaded_agents, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestCheckProperties:

@@ -22,6 +22,7 @@ from pargreedy import (
 from pargreedy import (
     SetFunction,
     has_p_sibling,
+    independence_number,
     min_edges_bound,
     p_additive_witness,
     pseudo_independence_number,
@@ -70,6 +71,18 @@ class TestInformationGraphIsReadOnly:
         with pytest.raises(AttributeError):
             setattr(g, field, value)
         assert g == InformationGraph(3, [(1, 2)])
+
+    def test_kept_adjacency_masks_cannot_be_changed(self):
+        h = optimal_graph(6, 3)
+        masks = h.adjacency_masks()
+        assert isinstance(masks, tuple)
+        with pytest.raises(TypeError):
+            masks[:] = [0] * 6
+        with pytest.raises(TypeError):
+            masks[0] = 0
+        fresh = InformationGraph(6, h.edges)
+        assert h.adjacency_masks() == masks == fresh.adjacency_masks()
+        assert independence_number(h).value == independence_number(fresh).value < 6
 
 
 class TestLibraryIntegersRejectBooleans:
