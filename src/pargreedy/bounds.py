@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, UndefinedRatioError
 from .graphmetrics import (
     clique_cover_number,
     has_sibling_condition,
@@ -25,7 +25,14 @@ from .greedy import (
     empirical_ratio,
     run_greedy,
 )
-from .objective import ZERO, AgentSpace, SetFunction, as_lambda, total_curvature
+from .objective import (
+    ZERO,
+    AgentSpace,
+    SetFunction,
+    as_lambda,
+    check_properties,
+    total_curvature,
+)
 from .structure import InformationGraph, ceil_div, check_n_q, is_int, optimal_graph, remainder_one
 
 
@@ -253,7 +260,7 @@ class CertifyRow:
     refined_upper: Optional[Fraction]
     curvature: Optional[Fraction]
     predicted: Optional[Fraction]
-    verdict: str            # "pass", "FAIL" or "capacity-error"
+    verdict: str  # "pass", "FAIL", "capacity-error", "inapplicable" or "undefined"
     note: str = ""
 
 
@@ -268,6 +275,20 @@ class BoundsReport:
     @property
     def capacity_errors(self) -> int:
         return sum(1 for r in self.rows if r.verdict == "capacity-error")
+
+    @property
+    def inapplicable(self) -> int:
+        return sum(1 for r in self.rows if r.verdict == "inapplicable")
+
+    @property
+    def undefined(self) -> int:
+        return sum(1 for r in self.rows if r.verdict == "undefined")
+
+    def _rare_counts(self) -> list[tuple[str, int]]:
+        """The inapplicable and undefined counts that are nonzero.  Reports
+        leave a zero one out, so a suite without such rows reads as before."""
+        return [(k, v) for k, v in (("inapplicable", self.inapplicable),
+                                    ("undefined", self.undefined)) if v]
 
     @property
     def equalities(self) -> int:
@@ -295,8 +316,11 @@ class BoundsReport:
             if r.note:
                 parts.append(f"note={r.note}")
             lines.append(" ".join(parts))
-        lines.append(f"rows={len(self.rows)} failures={self.failures} "
-                     f"capacity_errors={self.capacity_errors} equalities={self.equalities}")
+        lines.append(" ".join(
+            [f"rows={len(self.rows)}", f"failures={self.failures}",
+             f"capacity_errors={self.capacity_errors}"]
+            + [f"{k}={v}" for k, v in self._rare_counts()]
+            + [f"equalities={self.equalities}"]))
         return lines
 
     def to_json_obj(self) -> dict:
@@ -313,8 +337,15 @@ class BoundsReport:
             } for r in self.rows],
             "failures": self.failures,
             "capacity_errors": self.capacity_errors,
+            **dict(self._rare_counts()),
             "equalities": self.equalities,
         }
+
+
+def _unrated_row(entry: SuiteEntry, verdict: str, note: str) -> CertifyRow:
+    """The row of an entry that gets no ratio or bounds."""
+    return CertifyRow(entry.instance_id, entry.graph_id, None, None, None, None,
+                      None, entry.predicted_ratio, verdict, note)
 
 
 def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
@@ -325,23 +356,28 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
     (theta-(theta-1)lam)/(theta+lam), with lam the closed-form total
     curvature of the row's objective (no size cap); it is never below the
     plain 1/(theta+1).  alpha, theta and the sibling condition share one
-    maximum-set search per row (the graph's memo).  Capacity
-    errors are recorded per row without aborting the suite; a row whose
-    total curvature exceeds 1 (a non-monotone objective) aborts it with an
-    InputError naming the row.
+    maximum-set search per row (the graph's memo).
+
+    The bounds hold only for a normalized, monotone, submodular objective.
+    A row whose objective kind does not hold these axioms by construction
+    (a table) has them checked exhaustively first; if one fails, the row is
+    ``inapplicable`` and its note names the violation.  A row whose optimum
+    is 0 is ``undefined``, and one that exceeds a cap is ``capacity-error``.
+    None of these aborts the suite.
     """
     rows = []
     for entry in entries:
         try:
+            if not entry.objective.axioms_by_construction:
+                violation = check_properties(entry.objective).counterexample
+                if violation is not None:
+                    rows.append(_unrated_row(entry, "inapplicable", violation.describe()))
+                    continue
             graph = entry.graph
             alpha = independence_number(graph).value
             theta = clique_cover_number(graph).value
             gb = _graph_bounds(alpha, theta, has_sibling_condition(graph) is not None)
             lam = total_curvature(entry.objective)
-            if lam > 1:
-                raise InputError(
-                    f"instance {entry.instance_id}: total curvature {lam} exceeds 1, "
-                    f"so the objective is not monotone")
             lower = _curvature_bounds(alpha, theta, lam).lower
             emp = empirical_ratio(entry.objective, entry.agents, graph)
             ok = lower <= emp <= 1
@@ -355,8 +391,8 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
                 entry.instance_id, entry.graph_id, emp, lower, gb.upper,
                 gb.refined_upper, lam, entry.predicted_ratio,
                 "pass" if ok else "FAIL", note))
+        except UndefinedRatioError as exc:
+            rows.append(_unrated_row(entry, "undefined", str(exc)))
         except CapacityError as exc:
-            rows.append(CertifyRow(
-                entry.instance_id, entry.graph_id, None, None, None, None,
-                None, entry.predicted_ratio, "capacity-error", str(exc)))
+            rows.append(_unrated_row(entry, "capacity-error", str(exc)))
     return BoundsReport(tuple(rows))

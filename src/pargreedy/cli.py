@@ -3,8 +3,9 @@
 Verbs: bounds, construct, analyze, schedule, run, adversarial, certify, scan.
 Reports are line-oriented key=value text by default; ``--json`` switches any
 verb to a single JSON document on stdout.  Rationals print as p/q in lowest
-terms.  Exit status: 0 success, 1 failing certification rows, 2 usage or
-input error, 3 capacity error.
+terms.  Exit status: 0 success, 1 certification rows that failed, were
+inapplicable or had an undefined ratio, 2 usage or input error, 3 capacity
+error.
 
 :func:`main` builds its argument parser at its first call and reuses it for
 every later call in the process, so in-process callers pay for it once and
@@ -330,7 +331,7 @@ def _cmd_certify(args) -> int:
     else:
         for line in report.to_lines():
             print(line)
-    if report.failures:
+    if report.failures or report.inapplicable or report.undefined:
         return EXIT_FAIL
     if report.capacity_errors:
         return EXIT_CAPACITY

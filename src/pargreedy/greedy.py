@@ -1,5 +1,5 @@
-"""Greedy execution over an information graph, brute-force optima, and
-empirical competitive ratios.
+"""Greedy execution over an information graph, exact optima by profile
+enumeration, and empirical competitive ratios.
 
 Each agent, visited in index order, maximizes its marginal contribution with
 respect to the decisions of its in-neighbors only.  Argmax ties are detected
@@ -29,6 +29,12 @@ Marginals telescope to f(union) - f(empty), so the value and per-agent
 marginals are built only for the leaves that are kept.  The walk and
 :func:`brute_force_optimum` add and compare scaled integers; a
 ``Fraction`` is built only for the values they return.
+
+:func:`brute_force_optimum` enumerates the action profiles in
+lexicographic ground order.  On an objective whose kind holds its axioms by
+construction, so is monotone, it stops at the first profile worth
+f(ground), which no profile can exceed; on any other it enumerates every
+profile.
 """
 
 from __future__ import annotations
@@ -222,9 +228,15 @@ def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: Iteratio
 
 def brute_force_optimum(f: SetFunction, agents: AgentSpace
                         ) -> tuple[tuple[Optional[str], ...], Fraction]:
-    """Exact maximum of f over all action profiles, by full enumeration.
+    """Exact maximum of f over all action profiles.
 
-    Returns the first maximizing profile in lexicographic ground order.
+    Enumerates the profiles in lexicographic ground order and returns the
+    first maximizing one.  When ``f.axioms_by_construction`` holds, f is
+    monotone and the decisions partition the ground set, so no profile is
+    worth more than f(ground), and the enumeration stops at the first
+    profile that reaches it.  Any other objective has every profile
+    evaluated.  The profile count is checked against ``PROFILE_CAP`` before
+    any profile is evaluated.
     """
     decisions = _ordered_decisions(f, agents)
     count = 1
@@ -236,11 +248,15 @@ def brute_force_optimum(f: SetFunction, agents: AgentSpace
     best_masks: tuple[int, ...] = ()
     best_value = None
     value = f.scaled_value
+    # check_partition made the full mask the union of all decisions
+    ceiling = value((1 << len(f.ground)) - 1) if f.axioms_by_construction else None
     # the masks are distinct single bits, so their sum is their union
     for masks in product(*([m for _, m in opts] or [0] for opts in decisions)):
         v = value(sum(masks))
         if best_value is None or v > best_value:
             best_value, best_masks = v, masks
+            if v == ceiling:
+                break
     ids = [{m: e for e, m in opts} for opts in decisions]
     return (tuple(by_mask.get(m) for by_mask, m in zip(ids, best_masks)),
             Fraction(best_value, f.scale))

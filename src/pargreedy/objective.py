@@ -137,7 +137,7 @@ def id_list(value, field: str) -> list[str]:
 
 
 class SetFunction:
-    """A normalized monotone submodular objective, evaluated exactly.
+    """A set function over a finite ground set, evaluated exactly.
 
     Build one with the static constructors below, or from an instance
     file's ``"objective"`` payload with ``OBJECTIVE_KINDS[kind].from_obj``.
@@ -154,9 +154,16 @@ class SetFunction:
     them.  A table whose common denominator exceeds ``SCALE_BITS_CAP`` bits
     keeps Fraction values over D = 1; consumers only compare and subtract
     scaled values and divide by D, so the same code serves both.
+
+    ``axioms_by_construction`` is true on a kind whose constructor accepts
+    only normalized, monotone, submodular functions.  Only for such a kind
+    does :func:`pargreedy.greedy.brute_force_optimum` rely on monotonicity,
+    and :func:`pargreedy.bounds.certify` checks every other function with
+    :func:`check_properties` before it uses a bound.
     """
 
     kind: str
+    axioms_by_construction = False
 
     def __init__(self, ground: Sequence[str], scale: int = 1):
         ground = tuple(ground)
@@ -293,6 +300,7 @@ class TabularFunction(SetFunction):
     """
 
     kind = "tabular"
+    axioms_by_construction = False  # any nonnegative table is accepted
 
     def __init__(self, ground: Sequence[str], entries: Iterable[tuple[int, tuple[int, int]]]):
         """``entries`` yields (subset mask, (numerator, denominator)) once
@@ -367,6 +375,7 @@ class CoverFunction(SetFunction):
     the union of the coverage sets of A's elements."""
 
     kind = "cover"
+    axioms_by_construction = True  # weights are checked to be >= 0
 
     def __init__(self, ground: Sequence[str], targets: Sequence[str],
                  weights: Mapping[str, object], coverage: Mapping[str, Iterable[str]]):
@@ -462,6 +471,7 @@ class CurvatureWitnessFunction(_TwoBlockWitness):
     ground set U + V, at the scale of lam's denominator."""
 
     kind = "curvature-witness"
+    axioms_by_construction = True  # lam is checked to lie in [0, 1]
 
     def __init__(self, u_ids: Sequence[str], v_ids: Sequence[str], lam):
         lam = as_lambda(lam)
@@ -494,6 +504,7 @@ class PAdditiveWitnessFunction(_TwoBlockWitness):
     """
 
     kind = "p-additive-witness"
+    axioms_by_construction = True  # p is checked to be >= 1
 
     def __init__(self, ground: Sequence[str], u_ids: Sequence[str], v_ids: Sequence[str], p: int):
         if not is_int(p) or p < 1:
@@ -584,6 +595,16 @@ class PropertyViolation:
     element: Optional[str]
     contexts: tuple[frozenset[str], ...]
     values: tuple[Fraction, ...]
+
+    def describe(self) -> str:
+        """One line naming the axiom and the values that break it, e.g.
+        ``not monotone: f(b|{a}) = -1``."""
+        terms = []
+        for ctx, v in zip(self.contexts, self.values):
+            subset = "{" + ",".join(sorted(ctx)) + "}"
+            arg = subset if self.element is None else f"{self.element}|{subset}"
+            terms.append(f"f({arg}) = {v}")
+        return f"not {self.prop}: " + " < ".join(terms)
 
 
 @dataclass(frozen=True)
@@ -678,15 +699,12 @@ def total_curvature(f: SetFunction) -> Fraction:
     2n + 1 evaluations and has no size cap.  Returns 0 when no element has
     positive value.
 
-    Assumes f passed :func:`check_properties`; nothing here checks it.  On
-    an arbitrary function the closed form is one term of the subset-wise
-    maximum, so it can understate that maximum, and the clamp at 0 hides a
-    negative term.  An understated lam raises the curvature lower bound of
-    :func:`pargreedy.bounds.certify`, which can then print ``pass`` for an
-    instance the theorem does not cover: the supermodular pair
-    f(a) = f(b) = 1, f(ab) = 3 gets lam = 0, so a lower bound of 1, and a
-    two-agent edgeless row of it certifies as ``pass``.  The result may
-    exceed 1 on non-monotone functions.
+    Assumes the axioms hold (by construction, or f passed
+    :func:`check_properties`); nothing here checks them.  On an arbitrary
+    function the closed form is one term of the subset-wise maximum, so it
+    can understate that maximum, and the clamp at 0 hides a negative term:
+    the supermodular pair f(a) = f(b) = 1, f(ab) = 3 gets lam = 0.  The
+    result may exceed 1 on non-monotone functions.
     """
     n = len(f.ground)
     full = (1 << n) - 1

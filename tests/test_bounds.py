@@ -1,5 +1,6 @@
 """Closed-form bounds, the telescoping chain check, and the harness."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,13 +17,14 @@ from pargreedy import (
     complement_turan_graph,
     curvature_eta_bounds,
     curvature_graph_bounds,
+    empirical_ratio,
     graph_ratio_bounds,
     min_edges_bound,
     optimal_graph,
     rho,
     SetFunction,
 )
-from pargreedy.bounds import STAGE_NAMES
+from pargreedy.bounds import STAGE_NAMES, CertifyRow
 from pargreedy.suites import (
     edgeless_graph,
     random_cover_entries,
@@ -37,6 +39,16 @@ from pargreedy.serialize import save_witness
 from conftest import all_graphs, brute_theta
 
 F = Fraction
+
+# two-element tables that break one axiom each, and the note their row gets
+AXIOM_BREAKERS = {
+    "supermodular": ({(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 3},
+                     "not submodular: f(a|{}) = 1 < f(a|{b}) = 2"),
+    "unnormalized": ({(): 1, ("a",): 2, ("b",): 2, ("a", "b"): 3},
+                     "not normalized: f({}) = 1"),
+    "shrinking": ({(): 0, ("a",): 2, ("b",): 2, ("a", "b"): 1},
+                  "not monotone: f(b|{a}) = -1"),
+}
 
 
 def complete(n):
@@ -261,21 +273,80 @@ class TestCertify:
         assert report.capacity_errors == 1 and report.failures == 0
         assert [r.verdict for r in report.rows] == ["capacity-error", "pass"]
 
-    def test_non_monotone_row_named_in_input_error(self):
-        # f(a) = f(b) = 2 > f(ab) = 1: total curvature 3/2, outside [0, 1]
-        f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 2, ("b",): 2, ("a", "b"): 1})
-        bad = SuiteEntry("shrinking", "g2", f, AgentSpace([{"a"}, {"b"}]), InformationGraph(2))
+    @pytest.mark.parametrize("values, note", list(AXIOM_BREAKERS.values()),
+                             ids=list(AXIOM_BREAKERS))
+    def test_table_breaking_an_axiom_is_inapplicable(self, monkeypatch, values, note):
+        f = SetFunction.tabular(("a", "b"), values)
+        bad = SuiteEntry("bad", "g2", f, AgentSpace([{"a"}, {"b"}]), InformationGraph(2),
+                         predicted_ratio=F(1))
         good = witness_entry(curvature_witness(edgeless_graph(2), F(1, 2)), "good", "g2")
-        with pytest.raises(InputError, match=r"instance shrinking: .* not monotone"):
-            certify([bad, good])
+        rated = []
 
-    def test_non_monotone_witness_file_exits_2(self, tmp_path, capsys):
-        f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 2, ("b",): 2, ("a", "b"): 1})
+        def recording(objective, agents, graph):
+            rated.append(objective)
+            return empirical_ratio(objective, agents, graph)
+
+        monkeypatch.setattr("pargreedy.bounds.empirical_ratio", recording)
+        report = certify([bad, good])
+        assert [r.verdict for r in report.rows] == ["inapplicable", "pass"]
+        assert report.rows[0] == CertifyRow("bad", "g2", None, None, None, None, None, F(1),
+                                            "inapplicable", note)
+        assert report.inapplicable == 1 and report.failures == 0
+        assert rated == [good.objective]  # no greedy run or optimum for the table
+
+    @pytest.mark.parametrize("values, note", list(AXIOM_BREAKERS.values()),
+                             ids=list(AXIOM_BREAKERS))
+    def test_axiom_breaking_witness_file_exits_1(self, tmp_path, capsys, values, note):
+        f = SetFunction.tabular(("a", "b"), values)
         path = tmp_path / "w.json"
         save_witness(WitnessInstance(f, AgentSpace([{"a"}, {"b"}]), InformationGraph(2),
                                      F(1), "tabular"), path)
-        assert main(["certify", "--witness", str(path)]) == 2
-        assert "not monotone" in capsys.readouterr().err
+        assert main(["certify", "--witness", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(f" verdict=inapplicable note={note}")
+        assert lines[1] == "rows=1 failures=0 capacity_errors=0 inapplicable=1 equalities=0"
+        assert main(["certify", "--witness", str(path), "--json"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["inapplicable"] == 1 and "undefined" not in obj
+        assert obj["rows"][0]["verdict"] == "inapplicable" and obj["rows"][0]["note"] == note
+
+    def test_table_holding_the_axioms_certifies_like_its_kind(self):
+        w = curvature_witness(edgeless_graph(3), F(1, 2))
+        f = w.objective
+        table = SetFunction.tabular(f.ground, {f.mask_subset(m): f.mask_value(m)
+                                               for m in range(1 << len(f.ground))})
+        as_table = SuiteEntry("w", "g", table, w.agents, w.graph, w.predicted_ratio)
+        report = certify([witness_entry(w, "w", "g"), as_table])
+        assert report.rows[0] == report.rows[1] and report.rows[0].verdict == "pass"
+
+    def test_zero_optimum_row_is_undefined(self):
+        zero = SetFunction.cover(("a",), ("y",), {"y": 0}, {"a": ("y",)})
+        entry = SuiteEntry("zero", "g1", zero, AgentSpace([{"a"}]), InformationGraph(1))
+        good = witness_entry(curvature_witness(edgeless_graph(2), F(1, 2)), "good", "g2")
+        report = certify([entry, good])
+        assert [r.verdict for r in report.rows] == ["undefined", "pass"]
+        assert report.rows[0].note == "optimum value is 0, ratio undefined"
+        assert report.undefined == 1 and report.inapplicable == 0
+
+    def test_zero_optimum_file_reports_every_row(self, tmp_path, capsys):
+        zero = SetFunction.cover(("a",), ("y",), {"y": 0}, {"a": ("y",)})
+        path = tmp_path / "zero.json"
+        save_witness(WitnessInstance(zero, AgentSpace([{"a"}]), InformationGraph(1),
+                                     F(1), "cover"), path)
+        argv = ["certify", "--witness", str(path), "--suite", "witnesses",
+                "--alpha-max", "2", "--lambdas", "1/2"]
+        suite = len(standard_witness_entries(2, (F(1, 2),)))
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + suite + 1
+        assert lines[0].endswith(" verdict=undefined note=optimum value is 0, ratio undefined")
+        assert all(" verdict=pass" in line for line in lines[1:-1])
+        assert lines[-1] == (f"rows={1 + suite} failures=0 capacity_errors=0 undefined=1 "
+                             f"equalities={suite}")
+        assert main(argv + ["--json"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["undefined"] == 1 and "inapplicable" not in obj
+        assert [r["verdict"] for r in obj["rows"]] == ["undefined"] + ["pass"] * suite
 
     def test_row_order_follows_input(self):
         entries = standard_witness_entries(2, (F(0), F(1)))

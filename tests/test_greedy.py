@@ -192,6 +192,43 @@ class TestBruteForce:
             f, X = random_cover_instance(rng, rng.randint(1, 5))
             assert brute_force_optimum(f, X) == brute_optimum(f, X)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.deferred(lambda: greedy_instances()))  # defined further down
+    def test_matches_oracle_on_every_kind(self, instance):
+        # covers, arbitrary tables and the tie-heavy witnesses
+        f, X, _, _ = instance
+        assert brute_force_optimum(f, X) == brute_optimum(f, X)
+
+    def test_stops_at_the_first_profile_worth_f_ground(self, monkeypatch):
+        # the first profile, (a1, b1), already covers both targets
+        ground = ("a1", "a2", "a3", "b1", "b2", "b3")
+        f = SetFunction.cover(ground, ("y1", "y2"), {"y1": 1, "y2": 1},
+                              {e: ("y1",) if e < "b" else ("y2",) for e in ground})
+        table = SetFunction.tabular(ground, {f.mask_subset(m): f.mask_value(m)
+                                             for m in range(1 << len(ground))})
+        X = AgentSpace([{"a1", "a2", "a3"}, {"b1", "b2", "b3"}])
+
+        def evaluated(g):
+            seen = []
+            original = g.scaled_value
+            monkeypatch.setattr(g, "scaled_value", lambda mask: seen.append(mask) or original(mask))
+            assert brute_force_optimum(g, X) == (("a1", "b1"), 2)
+            return seen
+
+        # the cover evaluates f(ground), then the first profile, and stops
+        assert evaluated(f) == [(1 << len(ground)) - 1, f.subset_mask(("a1", "b1"))]
+        # a table holds no axioms by construction: all 9 profiles are evaluated
+        assert len(evaluated(table)) == 9
+
+    def test_a_table_is_searched_past_f_ground(self):
+        # (a, c) is worth f(ground) = 1, yet (b, c) is worth 2: f is not
+        # monotone, so f(ground) bounds nothing
+        f = SetFunction.tabular(("a", "b", "c"), {
+            (): 0, ("a",): 0, ("b",): 0, ("c",): 0, ("a", "b"): 0,
+            ("a", "c"): 1, ("b", "c"): 2, ("a", "b", "c"): 1})
+        X = AgentSpace([{"a", "b"}, {"c"}])
+        assert brute_force_optimum(f, X) == (("b", "c"), 2) == brute_optimum(f, X)
+
 
 class TestEmpiricalRatio:
     def test_half_fixture(self, tie_fixture):

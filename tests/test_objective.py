@@ -362,6 +362,47 @@ class TestCheckProperties:
         assert check_properties(bad).submodular == brute_submodular(bad) is False
 
 
+class TestAxiomsByConstruction:
+    """A kind that sets ``axioms_by_construction`` accepts only normalized,
+    monotone, submodular functions; a table never claims it."""
+
+    def test_which_kinds_claim_it(self):
+        assert SetFunction.axioms_by_construction is False
+        assert {kind: cls.axioms_by_construction for kind, cls in OBJECTIVE_KINDS.items()} == {
+            "tabular": False, "cover": True, "curvature-witness": True,
+            "p-additive-witness": True}
+
+    @settings(max_examples=200, deadline=None)
+    @given(objective_instances())
+    def test_claim_holds_on_drawn_instances(self, instance):
+        ground, payload, _, _, _ = instance
+        f = OBJECTIVE_KINDS[payload["kind"]].from_obj(ground, payload)
+        assert f.axioms_by_construction == (payload["kind"] != "tabular")
+        if f.axioms_by_construction:
+            assert check_properties(f).all_hold
+
+    @pytest.mark.parametrize("f", [
+        SetFunction.curvature_witness(("u1", "u2", "u3"), ("v1", "v2"), 0),
+        SetFunction.curvature_witness(("u1", "u2", "u3"), ("v1", "v2"), 1),
+        SetFunction.p_additive_witness(("u1", "u2", "v1", "x"), ("u1", "u2"), ("v1",), 1),
+        SetFunction.cover(("a", "b", "c"), ("y1", "y2"), {"y1": 0, "y2": 0},
+                          {"a": ("y1",), "b": ("y1", "y2"), "c": ()}),
+        SetFunction.cover(("a", "b"), ("y1", "y2"), {"y1": 0, "y2": "1/3"},
+                          {"a": ("y1",), "b": ("y1", "y2")}),
+    ], ids=["lambda-0", "lambda-1", "p-1", "zero-weights", "one-zero-weight"])
+    def test_claim_holds_at_the_edges(self, f):
+        assert f.axioms_by_construction and check_properties(f).all_hold
+
+    def test_a_table_never_claims_it(self):
+        # the same function as a cover, which holds every axiom
+        cover = SetFunction.cover(("a", "b", "c"), ("y1", "y2"), {"y1": 2, "y2": 3},
+                                  {"a": ("y1",), "b": ("y1", "y2"), "c": ("y2",)})
+        table = SetFunction.tabular(cover.ground, {cover.mask_subset(m): cover.mask_value(m)
+                                                   for m in range(1 << 3)})
+        assert check_properties(table).all_hold
+        assert cover.axioms_by_construction and not table.axioms_by_construction
+
+
 class TestTotalCurvature:
     def test_modular_is_zero(self):
         f = SetFunction.cover(
