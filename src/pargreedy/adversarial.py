@@ -19,7 +19,7 @@ from .graphmetrics import (
     pseudo_independence_number,
 )
 from .objective import ONE, ZERO, AgentSpace, SetFunction, as_lambda
-from .structure import InformationGraph, is_int
+from .structure import InformationGraph, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ def p_additive_witness(graph: InformationGraph, p: int) -> WitnessInstance:
     decision t that never contributes.  The shared min(1, |x n U|/p) term
     saturates once p u's are taken, which is what the worst greedy run does.
     """
-    if not is_int(p) or p < 1:
-        raise InputError(f"p: must be a positive integer, got {p!r}")
+    check_positive_int(p, "p")
     sibling = has_p_sibling(graph, p)
     if sibling is not None:
         members = sibling.pseudo_independent_set

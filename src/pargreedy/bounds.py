@@ -33,7 +33,14 @@ from .objective import (
     check_properties,
     total_curvature,
 )
-from .structure import InformationGraph, ceil_div, check_n_q, is_int, optimal_graph, remainder_one
+from .structure import (
+    InformationGraph,
+    ceil_div,
+    check_n_q,
+    check_positive_int,
+    optimal_graph,
+    remainder_one,
+)
 
 
 @dataclass(frozen=True)
@@ -117,10 +124,8 @@ def min_edges_bound(n: int, k: int) -> int:
     size floor(n/k).  Stated for k >= 2; k = 1 degenerates to the complete
     graph and is accepted.
     """
-    if not is_int(n) or n < 1:
-        raise InputError(f"n: must be a positive integer, got {n!r}")
-    if not is_int(k) or k < 1:
-        raise InputError(f"k: must be a positive integer, got {k!r}")
+    check_positive_int(n, "n")
+    check_positive_int(k, "k")
     m = n % k
     hi = ceil_div(n, k)
     lo = n // k
@@ -260,7 +265,7 @@ class CertifyRow:
     refined_upper: Optional[Fraction]
     curvature: Optional[Fraction]
     predicted: Optional[Fraction]
-    verdict: str  # "pass", "FAIL", "capacity-error", "inapplicable" or "undefined"
+    verdict: str  # "pass", "FAIL", "inapplicable", "undefined", "input-error" or "capacity-error"
     note: str = ""
 
 
@@ -284,11 +289,17 @@ class BoundsReport:
     def undefined(self) -> int:
         return sum(1 for r in self.rows if r.verdict == "undefined")
 
+    @property
+    def input_errors(self) -> int:
+        return sum(1 for r in self.rows if r.verdict == "input-error")
+
     def _rare_counts(self) -> list[tuple[str, int]]:
-        """The inapplicable and undefined counts that are nonzero.  Reports
-        leave a zero one out, so a suite without such rows reads as before."""
+        """The inapplicable, undefined and input-error counts that are
+        nonzero.  Reports leave a zero one out, so a suite without such rows
+        reads as before."""
         return [(k, v) for k, v in (("inapplicable", self.inapplicable),
-                                    ("undefined", self.undefined)) if v]
+                                    ("undefined", self.undefined),
+                                    ("input_errors", self.input_errors)) if v]
 
     @property
     def equalities(self) -> int:
@@ -362,7 +373,9 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
     A row whose objective kind does not hold these axioms by construction
     (a table) has them checked exhaustively first; if one fails, the row is
     ``inapplicable`` and its note names the violation.  A row whose optimum
-    is 0 is ``undefined``, and one that exceeds a cap is ``capacity-error``.
+    is 0 is ``undefined``, one whose data are inconsistent (say, fewer
+    agents than graph vertices) is ``input-error``, and one that exceeds a
+    cap is ``capacity-error``; the note of each is the error's message.
     None of these aborts the suite.
     """
     rows = []
@@ -391,8 +404,10 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
                 entry.instance_id, entry.graph_id, emp, lower, gb.upper,
                 gb.refined_upper, lam, entry.predicted_ratio,
                 "pass" if ok else "FAIL", note))
-        except UndefinedRatioError as exc:
+        except UndefinedRatioError as exc:  # an InputError, so caught first
             rows.append(_unrated_row(entry, "undefined", str(exc)))
+        except InputError as exc:
+            rows.append(_unrated_row(entry, "input-error", str(exc)))
         except CapacityError as exc:
             rows.append(_unrated_row(entry, "capacity-error", str(exc)))
     return BoundsReport(tuple(rows))

@@ -5,7 +5,9 @@ Reports are line-oriented key=value text by default; ``--json`` switches any
 verb to a single JSON document on stdout.  Rationals print as p/q in lowest
 terms.  Exit status: 0 success, 1 certification rows that failed, were
 inapplicable or had an undefined ratio, 2 usage or input error, 3 capacity
-error.
+error.  ``certify`` gives each row a verdict and never stops at one: it
+exits 1 if any row is ``FAIL``, ``inapplicable`` or ``undefined``, else 2
+if any is ``input-error``, else 3 if any is ``capacity-error``.
 
 :func:`main` builds its argument parser at its first call and reuses it for
 every later call in the process, so in-process callers pay for it once and
@@ -28,7 +30,7 @@ from . import bounds as bounds_mod
 from . import graphmetrics, serialize, suites
 from .adversarial import curvature_witness, p_additive_witness, sequential_half_witness
 from .errors import CapacityError, InputError
-from .greedy import brute_force_optimum, run_greedy, run_parallel_greedy
+from .greedy import POLICIES, brute_force_optimum, run_greedy, run_parallel_greedy
 from .objective import as_fraction, check_properties
 from .structure import (
     complement_turan_graph,
@@ -107,8 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True, metavar="INSTANCE.json")
     p.add_argument("--graph", metavar="GRAPH.json")
     p.add_argument("--assignment", metavar="P.json")
-    p.add_argument("--policy", choices=("first", "last", "worst", "best", "all"),
-                   default="worst")
+    p.add_argument("--policy", choices=POLICIES, default="worst")
     p.add_argument("--ratio", action="store_true",
                    help="also brute-force the optimum and report the ratio")
     p.add_argument("--json", action="store_true")
@@ -333,6 +334,8 @@ def _cmd_certify(args) -> int:
             print(line)
     if report.failures or report.inapplicable or report.undefined:
         return EXIT_FAIL
+    if report.input_errors:
+        return EXIT_INPUT
     if report.capacity_errors:
         return EXIT_CAPACITY
     return EXIT_OK

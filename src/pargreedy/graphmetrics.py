@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapacityError, InputError
-from .structure import InformationGraph, is_int
+from .errors import CapacityError
+from .structure import InformationGraph, check_positive_int
 
 GRAPH_CAP = 20
 
@@ -264,22 +264,17 @@ def _maximum_sets(graph: InformationGraph, p: int):
     return _all_pseudo_independent_of_size(adj, graph.n, p, size, _suffix_cliques(adj, graph.n))
 
 
-def _check_p(p) -> None:
-    if not is_int(p) or p < 1:
-        raise InputError(f"p: must be a positive integer, got {p!r}")
-
-
 def pseudo_independence_number(graph: InformationGraph, p: int) -> InvariantWitness:
     """alpha_p(G): largest J whose every member has fewer than p
     in-neighbors inside J.  alpha_1 coincides with alpha."""
-    _check_p(p)
+    check_positive_int(p, "p")
     _require_cap(graph, "pseudo-independence number")
     mask = _max_mask(graph, p)
     return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
 def maximum_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
-    _check_p(p)
+    check_positive_int(p, "p")
     _require_cap(graph, "pseudo-independent set enumeration")
     return [_vertices(m) for m in _maximum_sets(graph, p)]
 
@@ -314,7 +309,7 @@ def has_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitness]:
     The sets are enumerated lazily, so the search ends at the first J that
     has such a vertex; None costs a full enumeration.  A witness's set is a
     maximum set, so its size is alpha_p."""
-    _check_p(p)
+    check_positive_int(p, "p")
     _require_cap(graph, "p-sibling property")
     return _first_p_sibling(graph, p)
 
@@ -335,7 +330,7 @@ class DisjointSetsCheck:
 def verify_no_disjoint_max_sets(graph: InformationGraph, p: int) -> DisjointSetsCheck:
     """For graphs without the p-sibling property, assert that maximum
     p-pseudo-independent sets pairwise intersect."""
-    _check_p(p)
+    check_positive_int(p, "p")
     _require_cap(graph, "disjoint maximum set check")
     if _first_p_sibling(graph, p) is not None:
         return DisjointSetsCheck(applicable=False, holds=True)

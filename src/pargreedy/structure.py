@@ -20,6 +20,13 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_positive_int(value, name: str) -> None:
+    """Reject anything but an int >= 1 (:func:`is_int`) with an InputError
+    naming ``name``."""
+    if not is_int(value) or value < 1:
+        raise InputError(f"{name}: must be a positive integer, got {value!r}")
+
+
 def ceil_div(a: int, b: int) -> int:
     """Integer ceiling of a / b for b > 0."""
     return -(-a // b)
@@ -36,8 +43,7 @@ def remainder_one(n: int, q: int) -> bool:
 
 def check_n_q(n: int, q: int, q_name: str = "q") -> None:
     """Reject n < 1 and a q (named ``q_name``) outside 1..n."""
-    if not is_int(n) or n < 1:
-        raise InputError(f"n: must be a positive integer, got {n!r}")
+    check_positive_int(n, "n")
     if not is_int(q) or q < 1 or q > n:
         raise InputError(f"{q_name}: must satisfy 1 <= {q_name} <= n, got {q!r}")
 
@@ -246,8 +252,7 @@ def earliest_schedule(graph: InformationGraph) -> Schedule:
 
 def is_feasible(graph: InformationGraph, q: int) -> bool:
     """Whether the graph admits a parallelization in at most q iterations."""
-    if not is_int(q) or q < 1:
-        raise InputError(f"q: must be a positive integer, got {q!r}")
+    check_positive_int(q, "q")
     return earliest_schedule(graph).depth <= q
 
 

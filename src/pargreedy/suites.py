@@ -16,13 +16,12 @@ from .adversarial import (
     sequential_half_witness,
 )
 from .bounds import SuiteEntry
-from .errors import InputError
 from .objective import AgentSpace, SetFunction
 from .structure import (
     InformationGraph,
     IterationAssignment,
+    check_positive_int,
     induced_graph,
-    is_int,
     optimal_graph,
 )
 
@@ -33,8 +32,7 @@ def edgeless_graph(n: int) -> InformationGraph:
 
 def star_graph(leaves: int) -> InformationGraph:
     """Leaves 1..leaves all observed by a final center vertex."""
-    if not is_int(leaves) or leaves < 1:
-        raise InputError(f"leaves: must be a positive integer, got {leaves!r}")
+    check_positive_int(leaves, "leaves")
     center = leaves + 1
     return InformationGraph(center, [(i, center) for i in range(1, center)])
 
@@ -134,8 +132,7 @@ def standard_witness_entries(alpha_max: int, lambdas: Sequence,
 def random_cover_entries(seed: int, count: int, n_max: int) -> list[SuiteEntry]:
     """Seeded cover instances alternating between the optimal construction
     and random feasible graphs."""
-    if not is_int(n_max) or n_max < 1:
-        raise InputError(f"n_max: must be a positive integer, got {n_max!r}")
+    check_positive_int(n_max, "n_max")
     rng = random.Random(seed)
     entries = []
     for k in range(count):

@@ -11,12 +11,20 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
 
 from pargreedy import AgentSpace, GreedyOutcome, InformationGraph, InputError, SetFunction
-from pargreedy.objective import SCALE_BITS_CAP, _table_value, require
+from pargreedy.objective import (
+    SCALE_BITS_CAP,
+    PropertyReport,
+    PropertyViolation,
+    _table_value,
+    require,
+    total_curvature,
+)
 from pargreedy.suites import random_assignment, random_feasible_graph
 
 
@@ -315,6 +323,73 @@ def objective_instances(draw, max_agents: int = 5):
     agents = AgentSpace([{e for e, o in zip(ground, owner) if o == i} for i in range(n)])
     graph = random_feasible_graph(rng, n, rng.randint(1, n))
     return ground, payload, agents, graph, random_assignment(rng, n, rng.randint(1, n))
+
+
+# -- axiom-check oracle (three passes, every ordered pair) -------------
+
+
+def three_pass_properties(f: SetFunction) -> PropertyReport:
+    """What ``check_properties`` returns, from the scan it replaced: one
+    pass over all subsets for monotonicity, then one for submodularity that
+    tries every ordered pair (e, e') of distinct elements outside each
+    subset, with the normalized, monotone, submodular priority for the
+    counterexample and the curvature only when all three hold."""
+    n = len(f.ground)
+    table = f.scaled_table()
+    d = f.scale
+    normalized = table[0] == 0
+    violation: Optional[PropertyViolation] = None
+    if not normalized:
+        violation = PropertyViolation("normalized", None, (frozenset(),), (Fraction(table[0], d),))
+
+    monotone = True
+    mono_violation = None
+    for m in range(1 << n):
+        base = table[m]
+        for i in range(n):
+            if m >> i & 1:
+                continue
+            if table[m | (1 << i)] < base:
+                monotone = False
+                mono_violation = PropertyViolation(
+                    "monotone", f.ground[i], (f.mask_subset(m),),
+                    (Fraction(table[m | (1 << i)] - base, d),))
+                break
+        if not monotone:
+            break
+    if violation is None:
+        violation = mono_violation
+
+    submodular = True
+    sub_violation = None
+    for m in range(1 << n):
+        if not submodular:
+            break
+        base = table[m]
+        outside = [i for i in range(n) if not m >> i & 1]
+        for i in outside:
+            gain_small = table[m | (1 << i)] - base
+            for j in outside:
+                if j == i:
+                    continue
+                mj = m | (1 << j)
+                gain_large = table[mj | (1 << i)] - table[mj]
+                if gain_small < gain_large:
+                    submodular = False
+                    sub_violation = PropertyViolation(
+                        "submodular", f.ground[i],
+                        (f.mask_subset(m), f.mask_subset(mj)),
+                        (Fraction(gain_small, d), Fraction(gain_large, d)))
+                    break
+            if not submodular:
+                break
+    if violation is None:
+        violation = sub_violation
+
+    curvature = None
+    if normalized and monotone and submodular:
+        curvature = total_curvature(f)
+    return PropertyReport(normalized, monotone, submodular, curvature, violation)
 
 
 # -- table parser oracle (every key split, every value parsed) ---------

@@ -348,6 +348,19 @@ class TestCertify:
         assert obj["undefined"] == 1 and "inapplicable" not in obj
         assert [r["verdict"] for r in obj["rows"]] == ["undefined"] + ["pass"] * suite
 
+    def test_row_input_error_does_not_abort(self):
+        f = SetFunction.cover(("a", "b"), ("y",), {"y": 1}, {"a": ("y",), "b": ("y",)})
+        bad = SuiteEntry("bad", "g3", f, AgentSpace([{"a"}, {"b"}]), InformationGraph(3))
+        good = witness_entry(curvature_witness(edgeless_graph(2), F(1, 2)), "good", "g2")
+        report = certify([bad, good])
+        assert report.rows[0] == CertifyRow("bad", "g3", None, None, None, None, None, None,
+                                            "input-error",
+                                            "agents: 2 agents but graph has 3 vertices")
+        assert report.rows[1].verdict == "pass"
+        assert (report.input_errors, report.failures, report.undefined) == (1, 0, 0)
+        assert report.to_lines()[-1] == (
+            "rows=2 failures=0 capacity_errors=0 input_errors=1 equalities=1")
+
     def test_row_order_follows_input(self):
         entries = standard_witness_entries(2, (F(0), F(1)))
         report = certify(entries)

@@ -5,16 +5,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import pargreedy
 from pargreedy import (
+    AgentSpace,
+    InformationGraph,
+    SetFunction,
     optimal_assignment,
     optimal_graph,
     pseudo_independence_number,
     sequential_half_witness,
 )
+from pargreedy.adversarial import WitnessInstance
 from pargreedy.cli import _build_parser, main
 from pargreedy.serialize import load_graph, save_assignment, save_graph, save_instance, save_witness
 
@@ -232,6 +237,59 @@ class TestCertifyVerb:
         # invocations; these digests have held since the first release
         _, out, _ = run_cli(capsys, *argv.split())
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @staticmethod
+    def _two_agents_on_three_vertices(path):
+        f = SetFunction.cover(("a", "b"), ("y",), {"y": 1}, {"a": ("y",), "b": ("y",)})
+        save_witness(WitnessInstance(f, AgentSpace([{"a"}, {"b"}]), InformationGraph(3),
+                                     Fraction(1), "cover"), path)
+
+    def test_row_input_error_reports_every_row(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        self._two_agents_on_three_vertices(bad)
+        argv = ("certify", "--witness", str(bad), "--suite", "witnesses",
+                "--alpha-max", "1", "--lambdas", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == (f"row instance=file-0-{bad} graph=file-0 empirical=- lower=- "
+                            "upper=- predicted=1 verdict=input-error "
+                            "note=agents: 2 agents but graph has 3 vertices")
+        assert [line.split(" ")[1] for line in lines[1:-1]] == [
+            "instance=curv-a1-l1", "instance=sequential-half"]
+        assert all(line.endswith(" verdict=pass") for line in lines[1:-1])
+        assert lines[-1] == "rows=3 failures=0 capacity_errors=0 input_errors=1 equalities=2"
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 2 and doc["input_errors"] == 1
+        assert [r["verdict"] for r in doc["rows"]] == ["input-error", "pass", "pass"]
+        assert doc["rows"][0]["note"] == "agents: 2 agents but graph has 3 vertices"
+
+    def test_row_verdicts_choose_the_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        self._two_agents_on_three_vertices(bad)
+        big = tmp_path / "big.json"  # 21 vertices: over the graph cap
+        ids = [f"e{i}" for i in range(21)]
+        save_witness(WitnessInstance(
+            SetFunction.cover(ids, ("y",), {"y": 1}, {e: ("y",) for e in ids}),
+            AgentSpace([{e} for e in ids]), InformationGraph(21), Fraction(1), "cover"), big)
+        broken = tmp_path / "broken.json"
+        save_witness(WitnessInstance(
+            SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 3}),
+            AgentSpace([{"a"}, {"b"}]), InformationGraph(2), Fraction(1), "tabular"), broken)
+
+        def certify(*paths):
+            argv = ["certify"]
+            for p in paths:
+                argv += ["--witness", str(p)]
+            code, out, _ = run_cli(capsys, *argv)
+            return code, out.splitlines()[-1]
+
+        assert certify(big) == (3, "rows=1 failures=0 capacity_errors=1 equalities=0")
+        assert certify(big, bad) == (
+            2, "rows=2 failures=0 capacity_errors=1 input_errors=1 equalities=0")
+        assert certify(big, bad, broken) == (
+            1, "rows=3 failures=0 capacity_errors=1 inapplicable=1 input_errors=1 equalities=0")
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--suite", "witnesses",

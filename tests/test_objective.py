@@ -23,7 +23,13 @@ from pargreedy import (
 )
 
 from pargreedy import objective
-from pargreedy.objective import OBJECTIVE_KINDS, SCALE_BITS_CAP, TabularFunction, as_fraction
+from pargreedy.objective import (
+    OBJECTIVE_KINDS,
+    SCALE_BITS_CAP,
+    PropertyViolation,
+    TabularFunction,
+    as_fraction,
+)
 from pargreedy.serialize import load_instance, save_instance
 from pargreedy.suites import random_cover_entries, standard_witness_entries
 
@@ -35,6 +41,7 @@ from conftest import (
     brute_total_curvature,
     objective_instances,
     table_payloads,
+    three_pass_properties,
 )
 
 F = Fraction
@@ -360,6 +367,97 @@ class TestCheckProperties:
             ("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 3})
         assert check_properties(good).submodular == brute_submodular(good) is True
         assert check_properties(bad).submodular == brute_submodular(bad) is False
+
+
+@st.composite
+def axiom_tables(draw):
+    """A dense table over 0-6 elements that may break any axiom: arbitrary
+    values, normalized ones, the normalized monotone closure of drawn
+    values, or a weighted cover (all three axioms hold), each with one
+    entry perhaps nudged up or down.  Values are small ints, or 6-digit
+    fractions whose lcm exceeds ``SCALE_BITS_CAP`` on all but the smallest
+    grounds, so that the table holds Fractions at scale 1."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 6))
+    fine = draw(st.booleans())
+
+    def value() -> Fraction:
+        if fine:
+            return F(rng.randint(0, 10 ** 6), rng.randint(10 ** 5, 10 ** 6 - 1))
+        return F(rng.randint(0, 4))
+
+    shape = draw(st.sampled_from(("any", "normalized", "monotone", "cover")))
+    if shape == "cover":
+        coverage = [rng.getrandbits(4) for _ in range(n)]
+        weights = [value() for _ in range(4)]
+        vals = []
+        for m in range(1 << n):
+            covered = 0
+            for i in range(n):
+                if m >> i & 1:
+                    covered |= coverage[i]
+            vals.append(sum((w for t, w in enumerate(weights) if covered >> t & 1), F(0)))
+    else:
+        vals = [value() for _ in range(1 << n)]
+        if shape != "any":
+            vals[0] = F(0)
+        if shape == "monotone":
+            for m in range(1, 1 << n):
+                vals[m] = max([vals[m]] + [vals[m ^ 1 << i] for i in range(n) if m >> i & 1])
+    if draw(st.booleans()):
+        m = rng.randrange(1 << n)
+        vals[m] = max(F(0), vals[m] + rng.choice((-1, 1)) * (value() if fine else F(1, 2)))
+    ground = tuple(f"e{i}" for i in range(n))
+    return SetFunction.tabular(ground, {tuple(g for i, g in enumerate(ground) if m >> i & 1): v
+                                        for m, v in enumerate(vals)})
+
+
+class TestOnePassAgainstThreePasses:
+    """``check_properties`` against ``three_pass_properties``, the scan it
+    replaced: separate passes, every ordered pair of elements."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(axiom_tables())
+    def test_same_report_on_drawn_tables(self, f):
+        assert check_properties(f) == three_pass_properties(f)
+
+    def test_same_report_over_the_denominator_cap(self):
+        ground = tuple(f"e{i}" for i in range(6))
+        f = TabularFunction.from_obj(ground, {"values": blow_up_values(ground, 3)})
+        assert f.scale == 1 and type(f.scaled_value(1)) is Fraction
+        report = check_properties(f)
+        assert not report.all_hold and report == three_pass_properties(f)
+
+    def test_same_report_on_covers_and_witnesses(self):
+        entries = (standard_witness_entries(3, (F(0), F(1, 2), F(1)), p_max=2)
+                   + random_cover_entries(5, 40, 6))
+        for entry in entries:
+            assert check_properties(entry.objective) == three_pass_properties(entry.objective)
+
+    def test_an_element_is_not_paired_with_itself(self):
+        # the exchange condition with j = i reads f(A+i) >= f(A): at A = {a}
+        # it fails for b, so a scan that pairs b with itself calls this
+        # table non-submodular; no pair of distinct elements breaks it
+        f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 0})
+        report = check_properties(f)
+        assert (report.monotone, report.submodular) == (False, True)
+        assert report == three_pass_properties(f)
+
+    @pytest.mark.parametrize("ab, ac, bc, element, partner", [
+        (2, 3, 3, "a", "c"),  # (a, c) and (b, c) break it: a, not c or b
+        (3, 3, 2, "a", "b"),  # (a, b) and (a, c) break it: b, not c
+    ])
+    def test_first_of_two_pairs_at_one_context(self, ab, ac, bc, element, partner):
+        # at A = {} two pairs break the exchange condition; the report names
+        # the earlier pair, its first element and the context of its second
+        f = SetFunction.tabular(("a", "b", "c"), {
+            (): 0, ("a",): 1, ("b",): 1, ("c",): 1, ("a", "b"): ab,
+            ("a", "c"): ac, ("b", "c"): bc, ("a", "b", "c"): 4})
+        report = check_properties(f)
+        assert report.normalized and report.monotone and not report.submodular
+        assert report.counterexample == PropertyViolation(
+            "submodular", element, (frozenset(), frozenset({partner})), (F(1), F(2)))
+        assert report == three_pass_properties(f)
 
 
 class TestAxiomsByConstruction:

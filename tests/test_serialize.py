@@ -1,5 +1,6 @@
 """File formats: round trips and rejection of malformed documents."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,11 @@ from pargreedy.serialize import (
     instance_to_obj,
     load_assignment,
     load_graph,
+    load_instance,
     load_witness,
     save_assignment,
     save_graph,
+    save_instance,
     save_witness,
     witness_from_obj,
     witness_to_obj,
@@ -152,6 +155,29 @@ class TestInstanceFormat:
             n = len(w.objective.ground)
             for mask in range(1 << n):
                 assert f2.mask_value(mask) == w.objective.mask_value(mask)
+
+    def test_table_id_with_a_comma_rejected(self, tmp_path):
+        message = "^ground: table element id 'a,b' contains ','$"
+        with pytest.raises(InputError, match=message):
+            SetFunction.tabular(("a,b", "c"), {(): 0, ("a,b",): 1, ("c",): 1, ("a,b", "c"): 2})
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "ground": ["a,b", "c"], "agents": [["a,b"], ["c"]],
+            "objective": {"kind": "tabular",
+                          "values": {"": "0", "a,b": "1", "c": "1", "a,b,c": "2"}}}))
+        with pytest.raises(InputError, match=message):
+            load_instance(path)
+
+    def test_cover_and_witness_ids_may_hold_commas(self, tmp_path):
+        # their payloads list ids as JSON arrays, not joined keys
+        f = SetFunction.cover(("a,b", "c"), ("y,z",), {"y,z": 1}, {"a,b": ("y,z",), "c": ()})
+        agents = AgentSpace([{"a,b"}, {"c"}])
+        save_instance(f, agents, tmp_path / "cover.json")
+        g, agents2 = load_instance(tmp_path / "cover.json")
+        assert agents2 == agents and g.value(("a,b",)) == 1 and g.value(("c",)) == 0
+        w = SetFunction.curvature_witness(("u,1",), ("v,1",), F(1, 2))
+        g, _ = instance_from_obj(instance_to_obj(w, AgentSpace([{"u,1", "v,1"}])))
+        assert g.ground == ("u,1", "v,1") and g.lam == F(1, 2)
 
     def test_overlap_names_partition(self):
         obj = {"ground": ["a", "b"],

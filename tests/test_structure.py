@@ -27,7 +27,7 @@ from pargreedy import (
     p_additive_witness,
     pseudo_independence_number,
 )
-from pargreedy.structure import check_n_q
+from pargreedy.structure import check_n_q, check_positive_int
 from pargreedy.suites import random_cover_entries, star_graph
 
 from conftest import is_clique
@@ -117,6 +117,16 @@ class TestLibraryIntegersRejectBooleans:
         with pytest.raises(InputError) as exc:
             call()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [0, -3, True, False, 1.0, "2", None])
+    def test_positive_int_check_rejects(self, value):
+        with pytest.raises(InputError) as exc:
+            check_positive_int(value, "k")
+        assert str(exc.value) == f"k: must be a positive integer, got {value!r}"
+
+    def test_positive_int_check_accepts(self):
+        for value in (1, 2, 10 ** 30):
+            check_positive_int(value, "k")
 
 
 class TestOptimalAssignment:
