@@ -31,7 +31,6 @@ from .objective import (
     SetFunction,
     as_lambda,
     check_properties,
-    total_curvature,
 )
 from .structure import (
     InformationGraph,
@@ -53,7 +52,6 @@ class RatioBounds:
     lower: Fraction
     upper: Fraction
     refined_upper: Optional[Fraction] = None
-    source: str = ""
 
     @property
     def effective_upper(self) -> Fraction:
@@ -73,15 +71,13 @@ def _graph_bounds(alpha: int, theta: int, sibling: bool) -> RatioBounds:
     return RatioBounds(
         lower=Fraction(1, theta + 1),
         upper=Fraction(1, alpha),
-        refined_upper=refined,
-        source="independence/clique-cover" + ("+sibling" if sibling else ""))
+        refined_upper=refined)
 
 
 def _curvature_bounds(alpha: int, theta: int, lam: Fraction) -> RatioBounds:
     return RatioBounds(
         lower=(theta - (theta - 1) * lam) / (theta + lam),
-        upper=(alpha - (alpha - 1) * lam) / Fraction(alpha),
-        source="curvature-graph")
+        upper=(alpha - (alpha - 1) * lam) / Fraction(alpha))
 
 
 def graph_ratio_bounds(graph: InformationGraph) -> RatioBounds:
@@ -112,8 +108,7 @@ def curvature_eta_bounds(n: int, q: int, lam) -> RatioBounds:
     r = ceil_div(n, q)
     return RatioBounds(
         lower=(r - (r - 1) * lam) / (r + lam),
-        upper=(r - (r - 1) * lam) / Fraction(r),
-        source="curvature-parallel")
+        upper=(r - (r - 1) * lam) / Fraction(r))
 
 
 def min_edges_bound(n: int, k: int) -> int:
@@ -252,7 +247,6 @@ class SuiteEntry:
     agents: AgentSpace
     graph: InformationGraph
     predicted_ratio: Optional[Fraction] = None
-    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -363,34 +357,34 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
     """Check every entry's empirical ratio against its guaranteed lower
     bound, and witnesses against their predicted ratios.
 
-    Every row gets the curvature-form lower bound
-    (theta-(theta-1)lam)/(theta+lam), with lam the closed-form total
-    curvature of the row's objective (no size cap); it is never below the
-    plain 1/(theta+1).  alpha, theta and the sibling condition share one
-    maximum-set search per row (the graph's memo).
+    The bounds hold only for a normalized, monotone, submodular objective,
+    so each row starts from one :func:`check_properties` report, which
+    scans only a kind that does not hold the axioms by construction (a
+    table).  If an axiom fails, the row is ``inapplicable`` and its note
+    names the violation.  Otherwise the row gets the curvature-form lower
+    bound (theta-(theta-1)lam)/(theta+lam), with lam the report's
+    closed-form total curvature; it is never below the plain 1/(theta+1).
+    alpha, theta and the sibling condition share one maximum-set search per
+    row (the graph's memo).
 
-    The bounds hold only for a normalized, monotone, submodular objective.
-    A row whose objective kind does not hold these axioms by construction
-    (a table) has them checked exhaustively first; if one fails, the row is
-    ``inapplicable`` and its note names the violation.  A row whose optimum
-    is 0 is ``undefined``, one whose data are inconsistent (say, fewer
-    agents than graph vertices) is ``input-error``, and one that exceeds a
-    cap is ``capacity-error``; the note of each is the error's message.
-    None of these aborts the suite.
+    A row whose optimum is 0 is ``undefined``, one whose data are
+    inconsistent (say, fewer agents than graph vertices) is
+    ``input-error``, and one that exceeds a cap is ``capacity-error``; the
+    note of each is the error's message.  None of these aborts the suite.
     """
     rows = []
     for entry in entries:
         try:
-            if not entry.objective.axioms_by_construction:
-                violation = check_properties(entry.objective).counterexample
-                if violation is not None:
-                    rows.append(_unrated_row(entry, "inapplicable", violation.describe()))
-                    continue
+            report = check_properties(entry.objective)
+            if report.counterexample is not None:
+                rows.append(_unrated_row(entry, "inapplicable",
+                                         report.counterexample.describe()))
+                continue
             graph = entry.graph
             alpha = independence_number(graph).value
             theta = clique_cover_number(graph).value
             gb = _graph_bounds(alpha, theta, has_sibling_condition(graph) is not None)
-            lam = total_curvature(entry.objective)
+            lam = report.curvature
             lower = _curvature_bounds(alpha, theta, lam).lower
             emp = empirical_ratio(entry.objective, entry.agents, graph)
             ok = lower <= emp <= 1

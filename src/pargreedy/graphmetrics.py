@@ -56,24 +56,28 @@ class InvariantWitness:
     value: int
     witness: tuple
 
-    def __int__(self) -> int:
-        return self.value
+
+def _largest(graph: InformationGraph, p: int, what: str,
+             complement: bool = False) -> InvariantWitness:
+    """The size of the first maximum p-pseudo-independent set of the graph,
+    or of its complement, witnessed by that set.  The cap is checked first,
+    so an oversized graph is refused before its complement is built; the
+    error names ``what``."""
+    _require_cap(graph, what)
+    mask = _max_mask(graph.complement() if complement else graph, p)
+    return InvariantWitness(mask.bit_count(), _vertices(mask))
 
 
 def independence_number(graph: InformationGraph) -> InvariantWitness:
     """alpha(G), witnessed by the first maximum independent set in index
     order (``maximum_independent_sets(graph)[0]``)."""
-    _require_cap(graph, "independence number")
-    mask = _max_mask(graph, 1)
-    return InvariantWitness(mask.bit_count(), _vertices(mask))
+    return _largest(graph, 1, "independence number")
 
 
 def clique_number(graph: InformationGraph) -> InvariantWitness:
     """omega(G): the independence number of the complement, witnessed by the
     first maximum clique in index order."""
-    _require_cap(graph, "clique number")
-    mask = _max_mask(graph.complement(), 1)
-    return InvariantWitness(mask.bit_count(), _vertices(mask))
+    return _largest(graph, 1, "clique number", complement=True)
 
 
 def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[int]]:
@@ -268,9 +272,7 @@ def pseudo_independence_number(graph: InformationGraph, p: int) -> InvariantWitn
     """alpha_p(G): largest J whose every member has fewer than p
     in-neighbors inside J.  alpha_1 coincides with alpha."""
     check_positive_int(p, "p")
-    _require_cap(graph, "pseudo-independence number")
-    mask = _max_mask(graph, p)
-    return InvariantWitness(mask.bit_count(), _vertices(mask))
+    return _largest(graph, p, "pseudo-independence number")
 
 
 def maximum_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:

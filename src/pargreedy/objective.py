@@ -156,10 +156,11 @@ class SetFunction:
     scaled values and divide by D, so the same code serves both.
 
     ``axioms_by_construction`` is true on a kind whose constructor accepts
-    only normalized, monotone, submodular functions.  Only for such a kind
-    does :func:`pargreedy.greedy.brute_force_optimum` rely on monotonicity,
-    and :func:`pargreedy.bounds.certify` checks every other function with
-    :func:`check_properties` before it uses a bound.
+    only normalized, monotone, submodular functions.  Two functions read
+    it: :func:`check_properties`, which reports the three axioms of such a
+    kind without a scan and scans every other function, and
+    :func:`pargreedy.greedy.brute_force_optimum`, which relies on
+    monotonicity only for such a kind.
     """
 
     kind: str
@@ -624,7 +625,15 @@ class PropertyReport:
 
 
 def check_properties(f: SetFunction) -> PropertyReport:
-    """Verify the three axioms by exhaustive enumeration over all subsets.
+    """Report the three axioms and, when all hold, the total curvature.
+
+    This is the one place that decides whether a function is scanned.  A
+    kind that sets ``axioms_by_construction`` holds the axioms, so its
+    report comes without a scan and without a size cap, and its curvature
+    is the closed form.  Any other function, a table included, is verified
+    by exhaustive enumeration over all subsets, capped at ``EXHAUSTIVE_CAP``
+    elements.  To scan a cover, scan the table of its values
+    (:meth:`SetFunction.tabular`).
 
     One pass over the subsets A in mask order finds the first element e
     outside A with f(e|A) < 0, which breaks monotonicity, and the first
@@ -638,6 +647,8 @@ def check_properties(f: SetFunction) -> PropertyReport:
     n(n-1) 2^(n-3) exchange comparisons, half as many as over ordered
     pairs.  Curvature is filled only when all three axioms hold.
     """
+    if f.axioms_by_construction:
+        return PropertyReport(True, True, True, total_curvature(f), None)
     table = f.scaled_table()
     d = f.scale
     bits = [1 << i for i in range(len(f.ground))]

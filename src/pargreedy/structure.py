@@ -63,9 +63,6 @@ class IterationAssignment:
         if len(self.P) != self.n:
             raise InputError(f"P: expected {self.n} entries, got {len(self.P)}")
 
-    def iteration(self, agent: int) -> int:
-        return self.P[agent - 1]
-
 
 @dataclass(frozen=True)
 class AssignmentViolation:
@@ -101,7 +98,10 @@ class InformationGraph:
             raise InputError(f"n: must be a nonnegative integer, got {n!r}")
         canon = set()
         for e in edges:
-            pair = tuple(e)
+            try:
+                pair = tuple(e)
+            except TypeError:
+                raise InputError(f"edges: expected a pair, got {e!r}") from None
             if len(pair) != 2:
                 raise InputError(f"edges: expected a pair, got {pair!r}")
             i, j = pair
@@ -196,9 +196,6 @@ class Schedule:
     levels: tuple[int, ...]
     depth: int
 
-    def assignment(self) -> IterationAssignment:
-        return IterationAssignment(len(self.levels), max(self.depth, 1), self.levels)
-
 
 def optimal_assignment(n: int, q: int) -> IterationAssignment:
     """An iteration assignment achieving the best competitive ratio.
@@ -272,10 +269,8 @@ def optimal_graph(n: int, q: int) -> InformationGraph:
         edges = [(i, j) for i in range(1, n) for j in range(i + 1, n)
                  if (j - i) % step == 0]
         edges += [(i, n) for i in range(1, (q - 1) * step + 1)]
-    else:
-        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                 if (j - i) % r == 0]
-    return InformationGraph(n, edges)
+        return InformationGraph(n, edges)
+    return complement_turan_graph(n, r)
 
 
 def turan_graph(n: int, r: int) -> InformationGraph:

@@ -91,7 +91,7 @@ def random_feasible_graph(rng: random.Random, n: int, q: int) -> InformationGrap
 
 def witness_entry(w: WitnessInstance, instance_id: str, graph_id: str) -> SuiteEntry:
     return SuiteEntry(instance_id, graph_id, w.objective, w.agents, w.graph,
-                      predicted_ratio=w.predicted_ratio, source=w.source)
+                      predicted_ratio=w.predicted_ratio)
 
 
 def curvature_witness_entries(alpha_max: int, lambdas: Sequence) -> list[SuiteEntry]:

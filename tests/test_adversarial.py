@@ -8,7 +8,6 @@ import pytest
 from pargreedy import (
     InformationGraph,
     InputError,
-    check_properties,
     complement_turan_graph,
     curvature_witness,
     empirical_ratio,
@@ -17,6 +16,8 @@ from pargreedy import (
     total_curvature,
 )
 from pargreedy.suites import edgeless_graph, star_graph
+
+from conftest import three_pass_properties
 
 F = Fraction
 
@@ -63,7 +64,7 @@ class TestCurvatureWitness:
     @pytest.mark.parametrize("lam", LAMBDA_GRID)
     def test_axioms_hold(self, lam):
         w = curvature_witness(edgeless_graph(3), lam)
-        assert check_properties(w.objective).all_hold
+        assert three_pass_properties(w.objective).all_hold
 
     def test_on_nontrivial_graph(self):
         g = complement_turan_graph(5, 2)  # alpha = 2
@@ -126,7 +127,7 @@ class TestPAdditiveWitness:
     def test_axioms_hold(self):
         for g, p in ((star_graph(3), 2), (edgeless_graph(4), 2), (star_graph(5), 3)):
             w = p_additive_witness(g, p)
-            assert check_properties(w.objective).all_hold
+            assert three_pass_properties(w.objective).all_hold
 
     def test_p_above_alpha_rejected(self):
         with pytest.raises(InputError, match="alpha_p"):
@@ -146,7 +147,7 @@ class TestSequentialHalfWitness:
         assert empirical_ratio(w.objective, w.agents, w.graph) == F(1, 2)
 
     def test_axioms(self):
-        assert check_properties(sequential_half_witness().objective).all_hold
+        assert three_pass_properties(sequential_half_witness().objective).all_hold
 
     def test_curvature_is_one(self):
         assert total_curvature(sequential_half_witness().objective) == 1

@@ -121,6 +121,37 @@ class TestConstructAnalyze:
         code, _, err = run_cli(capsys, "analyze", "assignment", "--in", str(path))
         assert code == 2 and "assignment: expected a JSON object" in err
 
+    @pytest.mark.parametrize("f, curvature", [
+        (SetFunction.cover(tuple(f"e{i}" for i in range(17)), ("y",), {"y": 1},
+                           {f"e{i}": ("y",) for i in range(17)}), "1"),
+        (SetFunction.curvature_witness(tuple(f"u{i}" for i in range(9)),
+                                       tuple(f"v{i}" for i in range(9)), "1/2"), "1/2"),
+    ], ids=["cover-17", "curvature-witness-18"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_analyze_instance_above_the_scan_cap(self, capsys, tmp_path, f, curvature, as_json):
+        # a kind that holds the axioms by construction is reported without
+        # the exhaustive scan, so its size is not capped at 16 elements
+        path = tmp_path / "i.json"
+        save_instance(f, AgentSpace([f.ground[k::2] for k in range(2)]), path)
+        argv = ["analyze", "instance", "--in", str(path)] + (["--json"] if as_json else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        expected = [("kind", f.kind), ("ground", len(f.ground)), ("agents", 2),
+                    ("normalized", "true"), ("monotone", "true"), ("submodular", "true"),
+                    ("curvature", curvature)]
+        if as_json:
+            assert list(json.loads(out).items()) == expected
+        else:
+            assert out == " ".join(f"{k}={v}" for k, v in expected) + "\n"
+
+    @pytest.mark.parametrize("edge, shown", [(5, "5"), (None, "None")])
+    def test_analyze_graph_with_an_edge_that_is_not_a_list(self, capsys, tmp_path, edge, shown):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 3, "edges": [edge]}))
+        code, out, err = run_cli(capsys, "analyze", "graph", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == f"input error: graph.edges: expected a pair, got {shown}\n"
+
     def test_capacity_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         run_cli(capsys, "construct", "graph", "--n", "25", "--family", "turan",

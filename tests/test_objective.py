@@ -26,6 +26,8 @@ from pargreedy import objective
 from pargreedy.objective import (
     OBJECTIVE_KINDS,
     SCALE_BITS_CAP,
+    CoverFunction,
+    PropertyReport,
     PropertyViolation,
     TabularFunction,
     as_fraction,
@@ -354,10 +356,17 @@ class TestCheckProperties:
         assert report.counterexample.prop == "monotone"
 
     def test_cap_error(self):
+        # only a function whose kind does not hold the axioms by
+        # construction is scanned, so only such a function meets the cap
+        class UnflaggedCover(CoverFunction):
+            axioms_by_construction = False
+
         ids = tuple(f"e{i}" for i in range(17))
-        f = SetFunction.cover(ids, ("y",), {"y": 1}, {e: ("y",) for e in ids})
-        with pytest.raises(CapacityError):
-            check_properties(f)
+        args = (ids, ("y",), {"y": 1}, {e: ("y",) for e in ids})
+        with pytest.raises(CapacityError, match=r"2\^17 subsets exceeds cap of 16"):
+            check_properties(UnflaggedCover(*args))
+        assert check_properties(SetFunction.cover(*args)) == \
+            PropertyReport(True, True, True, F(1), None)
 
     def test_matches_full_quantifier_oracle(self):
         good = SetFunction.cover(
@@ -477,7 +486,7 @@ class TestAxiomsByConstruction:
         f = OBJECTIVE_KINDS[payload["kind"]].from_obj(ground, payload)
         assert f.axioms_by_construction == (payload["kind"] != "tabular")
         if f.axioms_by_construction:
-            assert check_properties(f).all_hold
+            assert three_pass_properties(f).all_hold
 
     @pytest.mark.parametrize("f", [
         SetFunction.curvature_witness(("u1", "u2", "u3"), ("v1", "v2"), 0),
@@ -489,7 +498,7 @@ class TestAxiomsByConstruction:
                           {"a": ("y1",), "b": ("y1", "y2")}),
     ], ids=["lambda-0", "lambda-1", "p-1", "zero-weights", "one-zero-weight"])
     def test_claim_holds_at_the_edges(self, f):
-        assert f.axioms_by_construction and check_properties(f).all_hold
+        assert f.axioms_by_construction and three_pass_properties(f).all_hold
 
     def test_a_table_never_claims_it(self):
         # the same function as a cover, which holds every axiom

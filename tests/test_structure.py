@@ -64,6 +64,17 @@ class TestInformationGraphRejectsBooleans:
             InformationGraph(3, [(True, 2)])
 
 
+class TestInformationGraphRejectsMalformedEdges:
+    @pytest.mark.parametrize("edge", [5, None], ids=repr)
+    def test_an_edge_that_is_not_iterable(self, edge):
+        with pytest.raises(InputError, match=rf"^edges: expected a pair, got {edge!r}$"):
+            InformationGraph(3, [edge])
+
+    def test_an_edge_of_three_vertices(self):
+        with pytest.raises(InputError, match=r"^edges: expected a pair, got \(1, 2, 3\)$"):
+            InformationGraph(3, [(1, 2, 3)])
+
+
 class TestInformationGraphIsReadOnly:
     @pytest.mark.parametrize("field, value", [("n", 4), ("edges", frozenset())])
     def test_fields_cannot_be_reassigned(self, field, value):
