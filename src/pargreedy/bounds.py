@@ -106,9 +106,7 @@ def curvature_eta_bounds(n: int, q: int, lam) -> RatioBounds:
     check_n_q(n, q)
     lam = as_lambda(lam)
     r = ceil_div(n, q)
-    return RatioBounds(
-        lower=(r - (r - 1) * lam) / (r + lam),
-        upper=(r - (r - 1) * lam) / Fraction(r))
+    return _curvature_bounds(r, r, lam)
 
 
 def min_edges_bound(n: int, k: int) -> int:

@@ -51,8 +51,7 @@ EXIT_CAPACITY = 3
 
 def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
     if as_json:
-        print(json.dumps({k: (str(v) if isinstance(v, Fraction) else v) for k, v in pairs},
-                         sort_keys=False))
+        print(json.dumps(dict(pairs), default=str))
     else:
         print(" ".join(f"{k}={v}" for k, v in pairs))
 
@@ -278,8 +277,7 @@ def _cmd_run(args) -> int:
             if opt != 0:
                 pairs.append(("ratio", o.value / opt))
     if args.json:
-        print(json.dumps([{k: (str(v) if isinstance(v, Fraction) else v) for k, v in pairs}
-                          for pairs in rows]))
+        print(json.dumps([dict(pairs) for pairs in rows], default=str))
     else:
         for pairs in rows:
             _emit(pairs, False)

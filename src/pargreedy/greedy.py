@@ -222,7 +222,7 @@ def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: Iteratio
     sources = [[j for j in range(n) if P[j] < P[i]] for i in range(n)]
     # dense rank of the iteration values = earliest feasible round
     ranked = normalize_assignment(assignment)
-    schedule = Schedule(ranked.P, ranked.q)
+    schedule = Schedule(ranked.P)
     return _greedy_engine(f, decisions, sources, policy, schedule)
 
 

@@ -52,7 +52,7 @@ def _assignment_shape_from_obj(obj: dict) -> IterationAssignment:
         raise InputError("assignment: expected a JSON object")
     q = require(obj, "q", int, "assignment")
     P = require(obj, "P", list, "assignment")
-    return IterationAssignment(len(P), q, tuple(P))
+    return IterationAssignment(q, tuple(P))
 
 
 def assignment_from_obj(obj: dict) -> IterationAssignment:

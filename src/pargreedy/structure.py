@@ -55,13 +55,12 @@ class IterationAssignment:
     Construction does not enforce the invariants; violations are data,
     reported by :func:`validate_assignment`.
     """
-    n: int
     q: int
     P: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.P) != self.n:
-            raise InputError(f"P: expected {self.n} entries, got {len(self.P)}")
+    @property
+    def n(self) -> int:
+        return len(self.P)
 
 
 @dataclass(frozen=True)
@@ -86,18 +85,21 @@ def validate_assignment(assignment: IterationAssignment) -> Optional[AssignmentV
 
 
 class InformationGraph:
-    """Undirected graph over agents 1..n with canonical (min, max) edges.
+    """Undirected graph over agents 1..n, stored only as its adjacency masks
+    (:meth:`adjacency_masks`), which every other view is read off.
 
-    ``n`` and ``edges`` are read-only, so what is derived from them once and
-    kept on the instance (the adjacency masks, the complement and the
-    maximum-set memo of :meth:`max_set_mask`) cannot go stale.
+    The masks are read-only, so what is derived from them once and kept on
+    the instance (the complement and the maximum-set memo of
+    :meth:`max_set_mask`) cannot go stale.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not is_int(n) or n < 0:
             raise InputError(f"n: must be a nonnegative integer, got {n!r}")
-        canon = set()
+        adj = [0] * n
         for e in edges:
+            if isinstance(e, (str, bytes, dict)):
+                raise InputError(f"edges: expected a pair, got {e!r}")
             try:
                 pair = tuple(e)
             except TypeError:
@@ -109,57 +111,51 @@ class InformationGraph:
                 raise InputError(f"edges: vertex ids must be integers, got {pair!r}")
             if i == j:
                 raise InputError(f"edges: self-loop at vertex {i}")
-            lo, hi = (i, j) if i < j else (j, i)
-            if lo < 1 or hi > n:
+            if min(i, j) < 1 or max(i, j) > n:
                 raise InputError(f"edges: pair {pair!r} outside vertices 1..{n}")
-            canon.add((lo, hi))
-        self._n = n
-        self._edges = frozenset(canon)
-        self._adj: Optional[tuple[int, ...]] = None
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+        self._init(tuple(adj))
+
+    def _init(self, adj: tuple[int, ...]) -> None:
+        self._adj = adj
         self._complement: Optional[InformationGraph] = None
         self._max_masks: dict[int, int] = {}
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._adj)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        return frozenset(self.sorted_edges())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self._adj) // 2
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return 1 <= i <= self.n and 1 <= j <= self.n and bool(self._adj[i - 1] >> (j - 1) & 1)
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmask, 0-indexed (bit k is vertex k+1),
-        built at the first call and kept; a tuple, so that no caller can
-        change what later invariants of this graph see."""
-        if self._adj is None:
-            adj = [0] * self.n
-            for i, j in self.edges:
-                adj[i - 1] |= 1 << (j - 1)
-                adj[j - 1] |= 1 << (i - 1)
-            self._adj = tuple(adj)
+        """Per-vertex neighbor bitmask, 0-indexed (bit k is vertex k+1); a
+        tuple, so that no caller can change what later invariants of this
+        graph see."""
         return self._adj
 
     def in_neighbor_masks(self) -> list[int]:
         """Lower-index neighbors only: the agents whose decision vertex i sees."""
-        adj = self.adjacency_masks()
-        return [adj[i] & ((1 << i) - 1) for i in range(self.n)]
+        return [m & ((1 << i) - 1) for i, m in enumerate(self._adj)]
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(1, i) if (j, i) in self.edges)
+        return tuple(j for j in range(1, i) if self._adj[i - 1] >> (j - 1) & 1)
 
     def complement(self) -> "InformationGraph":
-        """The complement graph, built at the first call and kept."""
+        """The complement graph, built from the masks at the first call and kept."""
         if self._complement is None:
-            edges = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)
-                     if (i, j) not in self.edges]
-            self._complement = InformationGraph(self.n, edges)
+            full = (1 << self.n) - 1
+            c = self._complement = InformationGraph.__new__(InformationGraph)
+            c._init(tuple(full ^ (1 << i) ^ m for i, m in enumerate(self._adj)))
         return self._complement
 
     def max_set_mask(self, p: int, search: Callable[[tuple[int, ...], int, int], int]) -> int:
@@ -177,14 +173,14 @@ class InformationGraph:
         return mask
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(i, j) for i, m in enumerate(self._adj, start=1)
+                for j in range(i + 1, self.n + 1) if m >> (j - 1) & 1]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, InformationGraph)
-                and self.n == other.n and self.edges == other.edges)
+        return isinstance(other, InformationGraph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"InformationGraph(n={self.n}, edges={self.sorted_edges()})"
@@ -192,9 +188,12 @@ class InformationGraph:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Earliest feasible iteration per agent plus the overall depth."""
+    """Earliest feasible iteration per agent; the depth is the last one used."""
     levels: tuple[int, ...]
-    depth: int
+
+    @property
+    def depth(self) -> int:
+        return max(self.levels, default=1)
 
 
 def optimal_assignment(n: int, q: int) -> IterationAssignment:
@@ -206,13 +205,13 @@ def optimal_assignment(n: int, q: int) -> IterationAssignment:
     """
     check_n_q(n, q)
     if n == 1:
-        return IterationAssignment(1, q, (1,))
+        return IterationAssignment(q, (1,))
     r = ceil_div(n, q)
     if remainder_one(n, q):
         P = tuple(ceil_div(i, r - 1) for i in range(1, n)) + (q,)
     else:
         P = tuple(ceil_div(i, r) for i in range(1, n + 1))
-    return IterationAssignment(n, q, P)
+    return IterationAssignment(q, P)
 
 
 def induced_graph(assignment: IterationAssignment) -> InformationGraph:
@@ -244,7 +243,7 @@ def earliest_schedule(graph: InformationGraph) -> Schedule:
                 best = lvl
             m ^= b
         levels[i] = best + 1
-    return Schedule(tuple(levels), max(levels, default=1))
+    return Schedule(tuple(levels))
 
 
 def is_feasible(graph: InformationGraph, q: int) -> bool:
@@ -298,4 +297,4 @@ def normalize_assignment(assignment: IterationAssignment) -> IterationAssignment
     used = sorted(set(assignment.P))
     rank = {v: k + 1 for k, v in enumerate(used)}
     levels = tuple(rank[p] for p in assignment.P)
-    return IterationAssignment(assignment.n, max(levels, default=1), levels)
+    return IterationAssignment(max(levels, default=1), levels)

@@ -76,7 +76,7 @@ def random_cover_instance(rng: random.Random, n_agents: int, *,
 def random_assignment(rng: random.Random, n: int, q: int) -> IterationAssignment:
     """Random order-preserving map into at most q iterations."""
     P = tuple(sorted(rng.randint(1, q) for _ in range(n)))
-    return IterationAssignment(n, q, P)
+    return IterationAssignment(q, P)
 
 
 def random_feasible_graph(rng: random.Random, n: int, q: int) -> InformationGraph:
@@ -121,8 +121,10 @@ def p_additive_witness_entries(alpha_max: int, p_max: int) -> list[SuiteEntry]:
 
 def standard_witness_entries(alpha_max: int, lambdas: Sequence,
                              p_max: Optional[int] = None) -> list[SuiteEntry]:
+    check_positive_int(alpha_max, "alpha_max")
     entries = curvature_witness_entries(alpha_max, lambdas)
     if p_max is not None:
+        check_positive_int(p_max, "p_max")
         entries += p_additive_witness_entries(alpha_max, p_max)
     half = sequential_half_witness()
     entries.append(witness_entry(half, "sequential-half", "complete-2"))
@@ -132,6 +134,7 @@ def standard_witness_entries(alpha_max: int, lambdas: Sequence,
 def random_cover_entries(seed: int, count: int, n_max: int) -> list[SuiteEntry]:
     """Seeded cover instances alternating between the optimal construction
     and random feasible graphs."""
+    check_positive_int(count, "count")
     check_positive_int(n_max, "n_max")
     rng = random.Random(seed)
     entries = []

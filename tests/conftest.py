@@ -95,6 +95,46 @@ def brute_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple
     return [s for s in leaves if len(s) == best]
 
 
+class EdgeSetGraph:
+    """An information graph kept as a frozenset of (min, max) edge tuples,
+    with every other view read off that set: the independent route that the
+    mask-based :class:`InformationGraph` is compared against.  Takes valid
+    input only."""
+
+    def __init__(self, n: int, edges=()):
+        self.n = n
+        self.edges = frozenset((min(i, j), max(i, j)) for i, j in edges)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return (min(i, j), max(i, j)) in self.edges
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        return sorted(self.edges)
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        adj = [0] * self.n
+        for i, j in self.edges:
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+        return tuple(adj)
+
+    def in_neighbor_masks(self) -> list[int]:
+        adj = self.adjacency_masks()
+        return [adj[i] & ((1 << i) - 1) for i in range(self.n)]
+
+    def in_neighbors(self, i: int) -> tuple[int, ...]:
+        return tuple(j for j in range(1, i) if (j, i) in self.edges)
+
+    def complement(self) -> "EdgeSetGraph":
+        return EdgeSetGraph(self.n, [(i, j) for i in range(1, self.n + 1)
+                                     for j in range(i + 1, self.n + 1)
+                                     if (i, j) not in self.edges])
+
+
 def all_graphs(n: int):
     """Every labeled graph on vertices 1..n."""
     pairs = list(combinations(range(1, n + 1), 2))

@@ -82,11 +82,11 @@ def test_criterion_03_non_optimal_assignments():
     # (1,1,1,1,2) reaches 1/4 directly as 1/alpha with alpha = 4.
     t0 = time.monotonic()
     ok = True
-    for P in (IterationAssignment(5, 2, (1, 1, 1, 2, 2)),
-              IterationAssignment(5, 3, (1, 1, 1, 2, 3))):
+    for P in (IterationAssignment(2, (1, 1, 1, 2, 2)),
+              IterationAssignment(3, (1, 1, 1, 2, 3))):
         b = graph_ratio_bounds(induced_graph(P))
         ok = ok and b.effective_upper == F(1, 4) and b.lower == F(1, 4)
-    wide = graph_ratio_bounds(induced_graph(IterationAssignment(5, 2, (1, 1, 1, 1, 2))))
+    wide = graph_ratio_bounds(induced_graph(IterationAssignment(2, (1, 1, 1, 1, 2))))
     ok = ok and wide.upper == F(1, 4)
     report(3, "non-optimal 5-agent assignments are capped at 1/4", ok, t0, 1.0)
 

@@ -152,6 +152,13 @@ class TestConstructAnalyze:
         assert code == 2 and out == ""
         assert err == f"input error: graph.edges: expected a pair, got {shown}\n"
 
+    def test_analyze_graph_with_an_edge_that_is_a_string(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 3, "edges": [[1, 2], "ab"]}))
+        code, out, err = run_cli(capsys, "analyze", "graph", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == "input error: graph.edges: expected a pair, got 'ab'\n"
+
     def test_capacity_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         run_cli(capsys, "construct", "graph", "--n", "25", "--family", "turan",
@@ -248,6 +255,19 @@ class TestCertifyVerb:
                                  "--n-max", "0")
         assert code == 2 and out == ""
         assert err == "input error: n_max: must be a positive integer, got 0\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--suite", "random", "--seed", "1", "--count", "-1"),
+         "count: must be a positive integer, got -1"),
+        (("--suite", "witnesses", "--alpha-max", "-2"),
+         "alpha_max: must be a positive integer, got -2"),
+        (("--suite", "witnesses", "--p-max", "0"),
+         "p_max: must be a positive integer, got 0"),
+    ], ids=["count", "alpha-max", "p-max"])
+    def test_suite_sizes_below_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "certify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"input error: {message}\n"
 
     def test_random_deterministic(self, capsys):
         args = ("certify", "--suite", "random", "--seed", "7", "--count", "20")

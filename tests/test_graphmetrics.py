@@ -112,7 +112,7 @@ class TestCliqueCoverNumber:
     def test_induced_optimal_assignment(self):
         # cliques here pair one early agent with one late agent; with 5
         # agents and cliques of size <= q = 2 the cover needs 3 parts
-        g = induced_graph(IterationAssignment(5, 2, (1, 1, 2, 2, 2)))
+        g = induced_graph(IterationAssignment(2, (1, 1, 2, 2, 2)))
         assert clique_cover_number(g).value == 3
         assert brute_theta(g) == 3
 

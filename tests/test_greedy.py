@@ -290,14 +290,14 @@ class TestParallelDifferential:
 
     def test_tie_fixture_parallel(self, tie_fixture):
         f, X, _ = tie_fixture
-        P = IterationAssignment(2, 2, (1, 2))
+        P = IterationAssignment(2, (1, 2))
         out = run_parallel_greedy(f, X, P, "worst")
         assert out.value == 1 and out.schedule.depth == 2
 
     def test_invalid_assignment_rejected(self, tie_fixture):
         f, X, _ = tie_fixture
         with pytest.raises(InputError, match="order"):
-            run_parallel_greedy(f, X, IterationAssignment(2, 2, (2, 1)), "worst")
+            run_parallel_greedy(f, X, IterationAssignment(2, (2, 1)), "worst")
 
 
 @st.composite
@@ -338,7 +338,7 @@ def assert_matches_oracle(f, X, graph, assignment):
         assert run_greedy(f, X, graph, policy) == \
             brute_greedy(f, X, graph_sources, policy, earliest_schedule(graph))
         assert run_parallel_greedy(f, X, assignment, policy) == \
-            brute_greedy(f, X, round_sources, policy, Schedule(ranked.P, ranked.q))
+            brute_greedy(f, X, round_sources, policy, Schedule(ranked.P))
 
 
 class TestTieTreeOracle:
@@ -357,7 +357,7 @@ class TestTieTreeOracle:
             {"a": ("y1",), "b": ("y2",), "c": ("y1",), "d": ("y2",)})
         X = AgentSpace([{"a", "b"}, {"c", "d"}])
         g = InformationGraph(2, [(1, 2)])
-        assert_matches_oracle(f, X, g, IterationAssignment(2, 2, (1, 2)))
+        assert_matches_oracle(f, X, g, IterationAssignment(2, (1, 2)))
         outs = run_greedy(f, X, g, "all")
         assert [o.profile for o in outs] == [("a", "d"), ("b", "c")]
         assert all(o.value == 2 for o in outs)
@@ -402,7 +402,7 @@ class TestAgainstFractionOracle:
         ]
         X = AgentSpace([{"e0", "e3"}, {"e1", "e4"}, {"e2", "e5"}])
         graph = InformationGraph(3, [(1, 3)])
-        assignment = IterationAssignment(3, 2, (1, 1, 2))
+        assignment = IterationAssignment(2, (1, 1, 2))
         cases = []
         for payload in payloads:
             f = OBJECTIVE_KINDS[payload["kind"]].from_obj(ground, payload)
@@ -432,7 +432,7 @@ FRESH_PROCESS_PROBE = textwrap.dedent("""
     f = SetFunction.cover(ground, ("y",), {"y": 1}, {e: ("y",) for e in ground})
     X = AgentSpace([{e} for e in ground])
     assert brute_force_optimum(f, X) == (ground, 1)
-    one_round = IterationAssignment(1500, 1, (1,) * 1500)
+    one_round = IterationAssignment(1, (1,) * 1500)
     for policy in ("first", "worst"):
         assert run_greedy(f, X, InformationGraph(1500), policy).value == 1
         assert run_parallel_greedy(f, X, one_round, policy).value == 1

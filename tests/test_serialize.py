@@ -74,7 +74,7 @@ class TestGraphFormat:
 
 class TestAssignmentFormat:
     def test_round_trip(self):
-        a = IterationAssignment(5, 2, (1, 1, 2, 2, 2))
+        a = IterationAssignment(2, (1, 1, 2, 2, 2))
         assert assignment_from_obj(assignment_to_obj(a)) == a
 
     def test_order_violation_named(self):
@@ -86,7 +86,7 @@ class TestAssignmentFormat:
             assignment_from_obj({"q": 2, "P": [1, 3]})
 
     def test_file_round_trip(self, tmp_path):
-        a = IterationAssignment(5, 3, (1, 1, 2, 3, 3))
+        a = IterationAssignment(3, (1, 1, 2, 3, 3))
         path = tmp_path / "p.json"
         save_assignment(a, path)
         assert load_assignment(path) == a
@@ -104,7 +104,7 @@ class TestAssignmentFormat:
     def test_save_refuses_what_load_rejects(self, tmp_path, P, message):
         path = tmp_path / "p.json"
         with pytest.raises(InputError, match=message):
-            save_assignment(IterationAssignment(2, 2, P), path)
+            save_assignment(IterationAssignment(2, P), path)
         assert not path.exists()
 
 

@@ -1,5 +1,7 @@
 """Assignments, information graphs, schedules and the optimal constructions."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,14 +29,20 @@ from pargreedy import (
     p_additive_witness,
     pseudo_independence_number,
 )
-from pargreedy.structure import check_n_q, check_positive_int
-from pargreedy.suites import random_cover_entries, star_graph
+from pargreedy import structure
+from pargreedy.structure import check_n_q, check_positive_int, is_int
+from pargreedy.suites import (
+    edgeless_graph,
+    random_cover_entries,
+    standard_witness_entries,
+    star_graph,
+)
 
-from conftest import is_clique
+from conftest import EdgeSetGraph, is_clique
 
 
 def assignment(*P, q=None):
-    return IterationAssignment(len(P), q if q is not None else max(P), tuple(P))
+    return IterationAssignment(q if q is not None else max(P), tuple(P))
 
 
 class TestValidateAssignment:
@@ -50,7 +58,7 @@ class TestValidateAssignment:
         assert v is not None and v.kind == "range" and v.agents == (2,)
 
     def test_boolean_iteration_is_a_range_violation(self):
-        v = validate_assignment(IterationAssignment(2, 2, (True, 2)))
+        v = validate_assignment(IterationAssignment(2, (True, 2)))
         assert v is not None and v.kind == "range" and v.agents == (1,)
 
 
@@ -73,6 +81,100 @@ class TestInformationGraphRejectsMalformedEdges:
     def test_an_edge_of_three_vertices(self):
         with pytest.raises(InputError, match=r"^edges: expected a pair, got \(1, 2, 3\)$"):
             InformationGraph(3, [(1, 2, 3)])
+
+    @pytest.mark.parametrize("edge", ["ab", b"ab", {"x": 1, "y": 2}], ids=repr)
+    def test_an_edge_that_is_a_string_bytes_or_a_dict(self, edge):
+        with pytest.raises(InputError) as exc:
+            InformationGraph(3, [(1, 2), edge])
+        assert str(exc.value) == f"edges: expected a pair, got {edge!r}"
+
+
+@st.composite
+def edge_lists(draw, n_max: int = 12):
+    """A vertex count 0..n_max and a list of its pairs, each in either
+    orientation, in any order and possibly repeated."""
+    n = draw(st.integers(0, n_max))
+    pairs = list(combinations(range(1, n + 1), 2))
+    if not pairs:
+        return n, []
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=2 * len(pairs)))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(j, i) if flip else (i, j) for (i, j), flip in zip(chosen, flips)]
+
+
+def assert_same_as_edge_set(g: InformationGraph, n: int, edges) -> None:
+    """Every view of ``g`` and of its complement equals the edge-set
+    oracle's, has_edge on out-of-range and equal vertices included."""
+    oracle = EdgeSetGraph(n, edges)
+    assert repr(g) == f"InformationGraph(n={n}, edges={oracle.sorted_edges()})"
+    for graph, ref in ((g, oracle), (g.complement(), oracle.complement())):
+        assert graph.n == ref.n
+        assert graph.edges == ref.edges
+        assert graph.edge_count == ref.edge_count
+        assert graph.sorted_edges() == ref.sorted_edges()
+        assert graph.adjacency_masks() == ref.adjacency_masks()
+        assert graph.in_neighbor_masks() == ref.in_neighbor_masks()
+        assert [graph.in_neighbors(i) for i in range(1, n + 1)] == \
+            [ref.in_neighbors(i) for i in range(1, n + 1)]
+        assert all(graph.has_edge(i, j) == ref.has_edge(i, j)
+                   for i in range(-1, n + 3) for j in range(-1, n + 3))
+
+
+class TestMasksAgainstEdgeSetOracle:
+    CONSTRUCTIONS = {
+        "optimal_graph": optimal_graph,
+        "induced_graph": lambda n, q: induced_graph(optimal_assignment(n, q)),
+        "turan_graph": turan_graph,
+        "complement_turan_graph": complement_turan_graph,
+        "star_graph": lambda n, q: star_graph(n),
+        "edgeless_graph": lambda n, q: edgeless_graph(n),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    def test_drawn_graphs(self, drawn):
+        n, edges = drawn
+        assert_same_as_edge_set(InformationGraph(n, edges), n, edges)
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_named_constructions(self, name, monkeypatch):
+        built = []
+        init = InformationGraph.__init__
+
+        def record(self, n, edges=()):
+            edges = list(edges)
+            built.append((n, edges))
+            init(self, n, edges)
+
+        monkeypatch.setattr(InformationGraph, "__init__", record)
+        for n in range(1, 10):
+            for q in range(1, n + 1):
+                g = self.CONSTRUCTIONS[name](n, q)
+                assert_same_as_edge_set(g, *built[-1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists(), st.randoms(use_true_random=False))
+    def test_equal_whatever_the_order_orientation_or_repeats(self, drawn, rng):
+        n, edges = drawn
+        shuffled = [(j, i) for i, j in edges] + edges[: len(edges) // 2]
+        rng.shuffle(shuffled)
+        g, h = InformationGraph(n, edges), InformationGraph(n, shuffled)
+        assert g == h and hash(g) == hash(h)
+        assert g != InformationGraph(n + 1, edges)
+        assert n < 2 or g != g.complement()
+
+    def test_complement_makes_no_is_int_call(self, monkeypatch):
+        g = optimal_graph(9, 4)
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return is_int(value)
+
+        monkeypatch.setattr(structure, "is_int", counting)
+        c = g.complement()
+        assert calls == []
+        assert c.edge_count == 9 * 8 // 2 - g.edge_count
 
 
 class TestInformationGraphIsReadOnly:
@@ -120,6 +222,12 @@ class TestLibraryIntegersRejectBooleans:
         "star_graph": (lambda: star_graph(True), "leaves: must be a positive integer, got True"),
         "random_cover_entries": (lambda: random_cover_entries(1, 1, True),
                                  "n_max: must be a positive integer, got True"),
+        "random_cover_entries.count": (lambda: random_cover_entries(1, -1, 6),
+                                       "count: must be a positive integer, got -1"),
+        "standard_witness_entries.alpha_max": (lambda: standard_witness_entries(-2, ()),
+                                               "alpha_max: must be a positive integer, got -2"),
+        "standard_witness_entries.p_max": (lambda: standard_witness_entries(3, (), 0),
+                                           "p_max: must be a positive integer, got 0"),
     }
 
     @pytest.mark.parametrize("name", CALLS)
@@ -313,7 +421,7 @@ def valid_assignments(draw):
     n = draw(st.integers(1, 8))
     q = draw(st.integers(1, n))
     P = tuple(sorted(draw(st.integers(1, q)) for _ in range(n)))
-    return IterationAssignment(n, q, P)
+    return IterationAssignment(q, P)
 
 
 class TestRoundTrip:
