@@ -10,11 +10,20 @@ upper bound on a particular instance is expected, not a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Optional
 
-from .errors import CapacityError, InputError, UndefinedRatioError
+from .errors import (
+    EXIT_CAPACITY,
+    EXIT_FAIL,
+    EXIT_INPUT,
+    EXIT_OK,
+    CapacityError,
+    InputError,
+    UndefinedRatioError,
+)
 from .graphmetrics import (
     clique_cover_number,
     has_sibling_condition,
@@ -257,91 +266,75 @@ class CertifyRow:
     refined_upper: Optional[Fraction]
     curvature: Optional[Fraction]
     predicted: Optional[Fraction]
-    verdict: str  # "pass", "FAIL", "inapplicable", "undefined", "input-error" or "capacity-error"
+    verdict: str  # "pass" or a verdict of VERDICTS
     note: str = ""
+
+
+# The report key of each CertifyRow field, in field order.  A text line
+# prints "-" for a missing value of a _DASHED key and leaves out any other
+# missing value and an empty note; a JSON row has every key, null if missing.
+ROW_KEYS = ("instance", "graph", "empirical", "lower", "upper", "refined_upper",
+            "curvature", "predicted", "verdict", "note")
+_DASHED = frozenset(("empirical", "lower", "upper"))
+_row_values = attrgetter(*(f.name for f in fields(CertifyRow)))
+
+# Every verdict but "pass", in summary order: (verdict, summary and --json
+# key of its count, whether a zero count is printed, exit status).  A suite
+# exits with the lowest status among its rows, or EXIT_OK if every row passes.
+VERDICTS = (
+    ("FAIL", "failures", True, EXIT_FAIL),
+    ("capacity-error", "capacity_errors", True, EXIT_CAPACITY),
+    ("inapplicable", "inapplicable", False, EXIT_FAIL),
+    ("undefined", "undefined", False, EXIT_FAIL),
+    ("input-error", "input_errors", False, EXIT_INPUT),
+)
 
 
 @dataclass(frozen=True)
 class BoundsReport:
     rows: tuple[CertifyRow, ...]
 
-    @property
-    def failures(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == "FAIL")
-
-    @property
-    def capacity_errors(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == "capacity-error")
-
-    @property
-    def inapplicable(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == "inapplicable")
-
-    @property
-    def undefined(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == "undefined")
-
-    @property
-    def input_errors(self) -> int:
-        return sum(1 for r in self.rows if r.verdict == "input-error")
-
-    def _rare_counts(self) -> list[tuple[str, int]]:
-        """The inapplicable, undefined and input-error counts that are
-        nonzero.  Reports leave a zero one out, so a suite without such rows
-        reads as before."""
-        return [(k, v) for k, v in (("inapplicable", self.inapplicable),
-                                    ("undefined", self.undefined),
-                                    ("input_errors", self.input_errors)) if v]
+    def count(self, verdict: str) -> int:
+        return sum(1 for r in self.rows if r.verdict == verdict)
 
     @property
     def equalities(self) -> int:
         return sum(1 for r in self.rows
                    if r.predicted is not None and r.empirical == r.predicted)
 
-    def to_lines(self) -> list[str]:
-        def fmt(x) -> str:
-            return "-" if x is None else str(x)
+    def summary(self) -> list[tuple[str, int]]:
+        """The counts after the rows, as (key, count) pairs: each verdict
+        of VERDICTS whose count is printed, then the equalities."""
+        counts = ((key, always, self.count(v)) for v, key, always, _ in VERDICTS)
+        return ([(key, c) for key, always, c in counts if always or c]
+                + [("equalities", self.equalities)])
 
+    @property
+    def exit_status(self) -> int:
+        return min((status for v, _, _, status in VERDICTS if self.count(v)),
+                   default=EXIT_OK)
+
+    def to_lines(self) -> list[str]:
         lines = []
         for r in self.rows:
-            parts = [
-                f"row instance={r.instance_id}", f"graph={r.graph_id}",
-                f"empirical={fmt(r.empirical)}", f"lower={fmt(r.lower)}",
-                f"upper={fmt(r.upper)}",
-            ]
-            if r.refined_upper is not None:
-                parts.append(f"refined_upper={r.refined_upper}")
-            if r.curvature is not None:
-                parts.append(f"curvature={r.curvature}")
-            if r.predicted is not None:
-                parts.append(f"predicted={r.predicted}")
-            parts.append(f"verdict={r.verdict}")
-            if r.note:
-                parts.append(f"note={r.note}")
+            parts = ["row"]
+            for key, value in zip(ROW_KEYS, _row_values(r)):
+                if value is None:
+                    if key in _DASHED:
+                        parts.append(f"{key}=-")
+                elif key != "note" or value:
+                    parts.append(f"{key}={value}")
             lines.append(" ".join(parts))
-        lines.append(" ".join(
-            [f"rows={len(self.rows)}", f"failures={self.failures}",
-             f"capacity_errors={self.capacity_errors}"]
-            + [f"{k}={v}" for k, v in self._rare_counts()]
-            + [f"equalities={self.equalities}"]))
+        lines.append(" ".join([f"rows={len(self.rows)}"]
+                              + [f"{k}={v}" for k, v in self.summary()]))
         return lines
 
     def to_json_obj(self) -> dict:
-        def fmt(x):
-            return None if x is None else str(x)
-
         return {
-            "rows": [{
-                "instance": r.instance_id, "graph": r.graph_id,
-                "empirical": fmt(r.empirical), "lower": fmt(r.lower),
-                "upper": fmt(r.upper), "refined_upper": fmt(r.refined_upper),
-                "curvature": fmt(r.curvature), "predicted": fmt(r.predicted),
-                "verdict": r.verdict, "note": r.note,
-            } for r in self.rows],
-            "failures": self.failures,
-            "capacity_errors": self.capacity_errors,
-            **dict(self._rare_counts()),
-            "equalities": self.equalities,
+            "rows": [{key: None if value is None else str(value)
+                      for key, value in zip(ROW_KEYS, _row_values(r))}
+                     for r in self.rows],
+            **dict(self.summary()),
         }
 
 

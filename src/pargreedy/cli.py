@@ -3,11 +3,12 @@
 Verbs: bounds, construct, analyze, schedule, run, adversarial, certify, scan.
 Reports are line-oriented key=value text by default; ``--json`` switches any
 verb to a single JSON document on stdout.  Rationals print as p/q in lowest
-terms.  Exit status: 0 success, 1 certification rows that failed, were
-inapplicable or had an undefined ratio, 2 usage or input error, 3 capacity
-error.  ``certify`` gives each row a verdict and never stops at one: it
-exits 1 if any row is ``FAIL``, ``inapplicable`` or ``undefined``, else 2
-if any is ``input-error``, else 3 if any is ``capacity-error``.
+terms.  Exit status: 0 success, 2 usage or input error, 3 capacity error.
+``certify`` gives each row a verdict and never stops at one; the one table
+:data:`pargreedy.bounds.VERDICTS` gives each verdict but ``pass`` its
+summary key, whether a zero count is printed, and its exit status (1 for a
+row that failed, was inapplicable or had an undefined ratio), and the suite
+exits with the lowest status among its rows.
 
 :func:`main` builds its argument parser at its first call and reuses it for
 every later call in the process, so in-process callers pay for it once and
@@ -29,7 +30,7 @@ from typing import Optional
 from . import bounds as bounds_mod
 from . import graphmetrics, serialize, suites
 from .adversarial import curvature_witness, p_additive_witness, sequential_half_witness
-from .errors import CapacityError, InputError
+from .errors import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, CapacityError, InputError
 from .greedy import POLICIES, brute_force_optimum, run_greedy, run_parallel_greedy
 from .objective import as_fraction, check_properties
 from .structure import (
@@ -42,11 +43,6 @@ from .structure import (
     turan_graph,
     validate_assignment,
 )
-
-EXIT_OK = 0
-EXIT_FAIL = 1
-EXIT_INPUT = 2
-EXIT_CAPACITY = 3
 
 
 def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
@@ -330,13 +326,7 @@ def _cmd_certify(args) -> int:
     else:
         for line in report.to_lines():
             print(line)
-    if report.failures or report.inapplicable or report.undefined:
-        return EXIT_FAIL
-    if report.input_errors:
-        return EXIT_INPUT
-    if report.capacity_errors:
-        return EXIT_CAPACITY
-    return EXIT_OK
+    return report.exit_status
 
 
 def _cmd_scan(args) -> int:

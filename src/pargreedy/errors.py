@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the CLI exit status of
+each outcome."""
+
+EXIT_OK = 0
+EXIT_FAIL = 1
+EXIT_INPUT = 2
+EXIT_CAPACITY = 3
 
 
 class PargreedyError(Exception):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError
-from .structure import InformationGraph, check_positive_int
+from .structure import InformationGraph, check_positive_int, set_bits
 
 GRAPH_CAP = 20
 
@@ -39,16 +39,9 @@ def _require_cap(graph: InformationGraph, what: str) -> None:
         raise CapacityError(f"{what} on {graph.n} vertices exceeds exact-search cap {GRAPH_CAP}")
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def _vertices(mask: int) -> tuple[int, ...]:
     """Bitmask to sorted 1-indexed vertex tuple."""
-    return tuple(i + 1 for i in _bits(mask))
+    return tuple(i + 1 for i in set_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[
 
     greedy = [-1] * n
     for v in order:
-        used = {greedy[u] for u in _bits(adj[v]) if greedy[u] >= 0}
+        used = {greedy[u] for u in set_bits(adj[v]) if greedy[u] >= 0}
         c = 0
         while c in used:
             c += 1
@@ -109,7 +102,7 @@ def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[
         if pos == n:
             return True
         v = order[pos]
-        forbidden = {colors[u] for u in _bits(adj[v]) if colors[u] >= 0}
+        forbidden = {colors[u] for u in set_bits(adj[v]) if colors[u] >= 0}
         limit = min(used + 1, k)
         for c in range(limit):
             if c in forbidden:

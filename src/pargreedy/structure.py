@@ -9,9 +9,12 @@ label-sensitive, so no isomorphism checking anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import InputError
+from .errors import CapacityError, InputError
+
+# The most vertices a graph may have; refused before anything is allocated.
+VERTEX_CAP = 10_000
 
 
 def is_int(value) -> bool:
@@ -25,6 +28,14 @@ def check_positive_int(value, name: str) -> None:
     naming ``name``."""
     if not is_int(value) or value < 1:
         raise InputError(f"{name}: must be a positive integer, got {value!r}")
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative mask, in increasing order."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -96,6 +107,8 @@ class InformationGraph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not is_int(n) or n < 0:
             raise InputError(f"n: must be a nonnegative integer, got {n!r}")
+        if n > VERTEX_CAP:
+            raise CapacityError(f"graph of {n} vertices exceeds vertex cap {VERTEX_CAP}")
         adj = [0] * n
         for e in edges:
             if isinstance(e, (str, bytes, dict)):
@@ -148,7 +161,7 @@ class InformationGraph:
         return [m & ((1 << i) - 1) for i, m in enumerate(self._adj)]
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(1, i) if self._adj[i - 1] >> (j - 1) & 1)
+        return tuple(k + 1 for k in set_bits(self._adj[i - 1] & ((1 << (i - 1)) - 1)))
 
     def complement(self) -> "InformationGraph":
         """The complement graph, built from the masks at the first call and kept."""
@@ -173,8 +186,8 @@ class InformationGraph:
         return mask
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, m in enumerate(self._adj, start=1)
-                for j in range(i + 1, self.n + 1) if m >> (j - 1) & 1]
+        return [(i, i + 1 + k) for i, m in enumerate(self._adj, start=1)
+                for k in set_bits(m >> i)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, InformationGraph) and self._adj == other._adj

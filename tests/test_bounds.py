@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from pargreedy import (
     rho,
     SetFunction,
 )
-from pargreedy.bounds import STAGE_NAMES, CertifyRow
+from pargreedy.bounds import STAGE_NAMES, VERDICTS, CertifyRow
 from pargreedy.suites import (
     edgeless_graph,
     random_cover_entries,
@@ -241,17 +243,17 @@ class TestCertify:
     def test_witness_suite_all_pass(self):
         entries = standard_witness_entries(4, (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), p_max=3)
         report = certify(entries)
-        assert report.failures == 0
+        assert report.count("FAIL") == 0
         assert report.equalities == len(report.rows)
 
     def test_random_suite_no_violations(self):
         report = certify(random_cover_entries(99, 200, 6))
-        assert report.failures == 0
+        assert report.count("FAIL") == 0
         assert len(report.rows) == 200
 
     def test_empty_suite(self):
         report = certify(())
-        assert report.rows == () and report.failures == 0
+        assert report.rows == () and report.count("FAIL") == 0
 
     def test_bad_witness_flagged(self):
         w = curvature_witness(edgeless_graph(3), F(1, 2))
@@ -259,7 +261,7 @@ class TestCertify:
         broken = SuiteEntry("broken", "g", w.objective, w.agents, w.graph,
                             predicted_ratio=F(1, 7))
         report = certify([entry, broken])
-        assert report.failures == 1
+        assert report.count("FAIL") == 1
         verdicts = {r.instance_id: r.verdict for r in report.rows}
         assert verdicts == {"good": "pass", "broken": "FAIL"}
         assert "predicted" in [r.note for r in report.rows if r.verdict == "FAIL"][0]
@@ -270,7 +272,7 @@ class TestCertify:
         big = SuiteEntry("big", "g25", f, X, InformationGraph(25))
         small = witness_entry(curvature_witness(edgeless_graph(2), F(1, 2)), "small", "g2")
         report = certify([big, small])
-        assert report.capacity_errors == 1 and report.failures == 0
+        assert report.count("capacity-error") == 1 and report.count("FAIL") == 0
         assert [r.verdict for r in report.rows] == ["capacity-error", "pass"]
 
     @pytest.mark.parametrize("values, note", list(AXIOM_BREAKERS.values()),
@@ -291,7 +293,7 @@ class TestCertify:
         assert [r.verdict for r in report.rows] == ["inapplicable", "pass"]
         assert report.rows[0] == CertifyRow("bad", "g2", None, None, None, None, None, F(1),
                                             "inapplicable", note)
-        assert report.inapplicable == 1 and report.failures == 0
+        assert report.count("inapplicable") == 1 and report.count("FAIL") == 0
         assert rated == [good.objective]  # no greedy run or optimum for the table
 
     @pytest.mark.parametrize("values, note", list(AXIOM_BREAKERS.values()),
@@ -326,7 +328,7 @@ class TestCertify:
         report = certify([entry, good])
         assert [r.verdict for r in report.rows] == ["undefined", "pass"]
         assert report.rows[0].note == "optimum value is 0, ratio undefined"
-        assert report.undefined == 1 and report.inapplicable == 0
+        assert report.count("undefined") == 1 and report.count("inapplicable") == 0
 
     def test_zero_optimum_file_reports_every_row(self, tmp_path, capsys):
         zero = SetFunction.cover(("a",), ("y",), {"y": 0}, {"a": ("y",)})
@@ -357,7 +359,8 @@ class TestCertify:
                                             "input-error",
                                             "agents: 2 agents but graph has 3 vertices")
         assert report.rows[1].verdict == "pass"
-        assert (report.input_errors, report.failures, report.undefined) == (1, 0, 0)
+        assert (report.count("input-error"), report.count("FAIL"),
+                report.count("undefined")) == (1, 0, 0)
         assert report.to_lines()[-1] == (
             "rows=2 failures=0 capacity_errors=0 input_errors=1 equalities=1")
 
@@ -372,6 +375,18 @@ class TestCertify:
         assert lines[-1].startswith("rows=") and "failures=0" in lines[-1]
         obj = report.to_json_obj()
         assert obj["failures"] == 0 and len(obj["rows"]) == len(report.rows)
+
+    def test_readme_verdict_table_matches_the_verdict_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = []
+        for line in readme.splitlines():
+            # the cells between unescaped pipes, without spaces and backticks
+            cells = [c.strip().strip("`") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if len(cells) == 5 and cells[0] in ("pass", *(v[0] for v in VERDICTS)):
+                table.append((cells[0], cells[2], cells[3], cells[4]))
+        assert table == [("pass", "", "", "0")] + [
+            (v, key, "yes" if always else "no", str(status))
+            for v, key, always, status in VERDICTS]
 
     def test_curvature_lower_bound_used_on_small_grounds(self):
         w = curvature_witness(edgeless_graph(3), F(1, 2))

@@ -20,6 +20,7 @@ from pargreedy import (
     sequential_half_witness,
 )
 from pargreedy.adversarial import WitnessInstance
+from pargreedy.bounds import BoundsReport, CertifyRow
 from pargreedy.cli import _build_parser, main
 from pargreedy.serialize import load_graph, save_assignment, save_graph, save_instance, save_witness
 
@@ -165,6 +166,13 @@ class TestConstructAnalyze:
                 "--r", "5", "--out", str(path))
         code, _, err = run_cli(capsys, "analyze", "graph", "--in", str(path))
         assert code == 3 and "capacity" in err
+
+    def test_analyze_graph_over_the_vertex_cap(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 10000000, "edges": []}')
+        code, out, err = run_cli(capsys, "analyze", "graph", "--in", str(path))
+        assert code == 3 and out == ""
+        assert err == "capacity error: graph of 10000000 vertices exceeds vertex cap 10000\n"
 
 
 class TestScheduleVerb:
@@ -348,6 +356,137 @@ class TestCertifyVerb:
         assert code == 0
         doc = json.loads(out)
         assert doc["failures"] == 0 and len(doc["rows"]) == 3
+
+    def test_mixed_verdict_report_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # one row of every verdict, from witness files named relative to the
+        # working directory so that the instance ids are fixed
+        monkeypatch.chdir(tmp_path)
+        w = sequential_half_witness()
+        save_witness(w, "pass.json")
+        save_witness(WitnessInstance(w.objective, w.agents, w.graph, Fraction(1, 7),
+                                     w.source), "fail.json")
+        save_witness(WitnessInstance(
+            SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 3}),
+            AgentSpace([{"a"}, {"b"}]), InformationGraph(2), Fraction(1), "tabular"),
+            "broken.json")
+        save_witness(WitnessInstance(
+            SetFunction.cover(("a",), ("y",), {"y": 0}, {"a": ("y",)}),
+            AgentSpace([{"a"}]), InformationGraph(1), Fraction(1), "cover"), "zero.json")
+        self._two_agents_on_three_vertices("bad.json")
+        ids = [f"e{i}" for i in range(21)]
+        save_witness(WitnessInstance(
+            SetFunction.cover(ids, ("y",), {"y": 1}, {e: ("y",) for e in ids}),
+            AgentSpace([{e} for e in ids]), InformationGraph(21), Fraction(1), "cover"),
+            "big.json")
+        argv = ["certify"]
+        for name in ("pass", "fail", "broken", "zero", "bad", "big"):
+            argv += ["--witness", f"{name}.json"]
+
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out == (
+            "row instance=file-0-pass.json graph=file-0 empirical=1/2 lower=1/2 upper=1 "
+            "refined_upper=1/2 curvature=1 predicted=1/2 verdict=pass\n"
+            "row instance=file-1-fail.json graph=file-1 empirical=1/2 lower=1/2 upper=1 "
+            "refined_upper=1/2 curvature=1 predicted=1/7 verdict=FAIL "
+            "note=witness missed its predicted ratio\n"
+            "row instance=file-2-broken.json graph=file-2 empirical=- lower=- upper=- "
+            "predicted=1 verdict=inapplicable note=not submodular: f(a|{}) = 1 < f(a|{b}) = 2\n"
+            "row instance=file-3-zero.json graph=file-3 empirical=- lower=- upper=- "
+            "predicted=1 verdict=undefined note=optimum value is 0, ratio undefined\n"
+            "row instance=file-4-bad.json graph=file-4 empirical=- lower=- upper=- "
+            "predicted=1 verdict=input-error note=agents: 2 agents but graph has 3 vertices\n"
+            "row instance=file-5-big.json graph=file-5 empirical=- lower=- upper=- "
+            "predicted=1 verdict=capacity-error "
+            "note=independence number on 21 vertices exceeds exact-search cap 20\n"
+            "rows=6 failures=1 capacity_errors=1 inapplicable=1 undefined=1 input_errors=1 "
+            "equalities=1\n")
+
+        def unrated(k, name, verdict, note):
+            return {"instance": f"file-{k}-{name}.json", "graph": f"file-{k}",
+                    "empirical": None, "lower": None, "upper": None, "refined_upper": None,
+                    "curvature": None, "predicted": "1", "verdict": verdict, "note": note}
+
+        rated = {"empirical": "1/2", "lower": "1/2", "upper": "1", "refined_upper": "1/2",
+                 "curvature": "1"}
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (1, "")
+        assert out == json.dumps({
+            "rows": [
+                {"instance": "file-0-pass.json", "graph": "file-0", **rated,
+                 "predicted": "1/2", "verdict": "pass", "note": ""},
+                {"instance": "file-1-fail.json", "graph": "file-1", **rated,
+                 "predicted": "1/7", "verdict": "FAIL",
+                 "note": "witness missed its predicted ratio"},
+                unrated(2, "broken", "inapplicable",
+                        "not submodular: f(a|{}) = 1 < f(a|{b}) = 2"),
+                unrated(3, "zero", "undefined", "optimum value is 0, ratio undefined"),
+                unrated(4, "bad", "input-error", "agents: 2 agents but graph has 3 vertices"),
+                unrated(5, "big", "capacity-error",
+                        "independence number on 21 vertices exceeds exact-search cap 20"),
+            ],
+            "failures": 1, "capacity_errors": 1, "inapplicable": 1, "undefined": 1,
+            "input_errors": 1, "equalities": 1,
+        }) + "\n"
+
+
+# the verdicts other than pass, and the summary key of each count
+NON_PASS_KEYS = {"FAIL": "failures", "capacity-error": "capacity_errors",
+                 "inapplicable": "inapplicable", "undefined": "undefined",
+                 "input-error": "input_errors"}
+
+
+def ladder_exit_status(counts):
+    """certify's exit rule as an if-ladder, written out apart from the
+    verdict table as its oracle."""
+    if counts["FAIL"] or counts["inapplicable"] or counts["undefined"]:
+        return 1
+    if counts["input-error"]:
+        return 2
+    if counts["capacity-error"]:
+        return 3
+    return 0
+
+
+def ladder_summary(counts, rows):
+    """certify's summary written out apart from the verdict table:
+    failures and capacity_errors always, the three rarer counts only when
+    nonzero."""
+    return ([("rows", rows), ("failures", counts["FAIL"]),
+             ("capacity_errors", counts["capacity-error"])]
+            + [(key, counts[v]) for v, key in (("inapplicable", "inapplicable"),
+                                              ("undefined", "undefined"),
+                                              ("input-error", "input_errors")) if counts[v]]
+            + [("equalities", 0)])
+
+
+@pytest.mark.parametrize("with_pass", [False, True], ids=["no-pass", "with-pass"])
+@pytest.mark.parametrize("present", [
+    tuple(v for k, v in enumerate(NON_PASS_KEYS) if bits >> k & 1) for bits in range(32)
+], ids=lambda present: "+".join(present) or "none")
+def test_every_combination_of_verdicts(capsys, monkeypatch, present, with_pass):
+    # the k-th present verdict gets k + 1 rows, so each count is distinct
+    verdicts = [v for k, v in enumerate(present) for _ in range(k + 1)]
+    verdicts += ["pass", "pass"] if with_pass else []
+    report = BoundsReport(tuple(
+        CertifyRow(f"r{k}", "g", None, None, None, None, None, None, v, "")
+        for k, v in enumerate(verdicts)))
+    counts = {v: verdicts.count(v) for v in NON_PASS_KEYS}
+    monkeypatch.setattr("pargreedy.bounds.certify", lambda entries: report)
+    argv = ("certify", "--suite", "random", "--seed", "1", "--count", "1")
+
+    code, out, _ = run_cli(capsys, *argv)
+    expected = ladder_summary(counts, len(verdicts))
+    assert code == report.exit_status == ladder_exit_status(counts)
+    lines = out.splitlines()
+    assert len(lines) == len(verdicts) + 1
+    assert lines[-1] == " ".join(f"{k}={v}" for k, v in expected)
+
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert code == ladder_exit_status(counts)
+    assert len(doc.pop("rows")) == len(verdicts)
+    assert list(doc.items()) == expected[1:]
 
 
 class TestScanVerb:

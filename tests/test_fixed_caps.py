@@ -4,7 +4,7 @@ cap or a generator parameter as an option."""
 import inspect
 
 import pargreedy
-from pargreedy import SetFunction, graphmetrics, greedy, objective, suites
+from pargreedy import SetFunction, graphmetrics, greedy, objective, structure, suites
 from pargreedy.objective import TabularFunction
 
 
@@ -41,3 +41,8 @@ def test_random_cover_entries_has_no_max_ground():
 def test_caps_are_module_constants():
     assert (graphmetrics.GRAPH_CAP, greedy.NODE_CAP, greedy.PROFILE_CAP,
             objective.EXHAUSTIVE_CAP) == (20, 1_000_000, 10_000_000, 16)
+
+
+def test_vertex_cap_is_a_module_constant_that_admits_1500_agents():
+    # the 1500-agent greedy runs of tests/test_greedy.py need graphs that large
+    assert structure.VERTEX_CAP == 10_000

@@ -1,5 +1,7 @@
 """Assignments, information graphs, schedules and the optimal constructions."""
 
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pargreedy import (
+    CapacityError,
     InformationGraph,
     InputError,
     IterationAssignment,
@@ -30,7 +33,7 @@ from pargreedy import (
     pseudo_independence_number,
 )
 from pargreedy import structure
-from pargreedy.structure import check_n_q, check_positive_int, is_int
+from pargreedy.structure import VERTEX_CAP, check_n_q, check_positive_int, is_int
 from pargreedy.suites import (
     edgeless_graph,
     random_cover_entries,
@@ -163,6 +166,14 @@ class TestMasksAgainstEdgeSetOracle:
         assert g != InformationGraph(n + 1, edges)
         assert n < 2 or g != g.complement()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_graphs_over_many_machine_words(self, seed):
+        rng = random.Random(seed)
+        n = 200
+        edges = [(i, i + 1) for i in range(1, n, 3)]
+        edges += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(n)]
+        assert_same_as_edge_set(InformationGraph(n, edges), n, edges)
+
     def test_complement_makes_no_is_int_call(self, monkeypatch):
         g = optimal_graph(9, 4)
         calls = []
@@ -175,6 +186,24 @@ class TestMasksAgainstEdgeSetOracle:
         c = g.complement()
         assert calls == []
         assert c.edge_count == 9 * 8 // 2 - g.edge_count
+
+
+class TestVertexCap:
+    def test_a_huge_vertex_count_is_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError) as exc:
+                InformationGraph(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"graph of 10000000 vertices exceeds vertex cap {VERTEX_CAP}"
+        assert peak < 100_000
+
+    def test_the_cap_itself_is_accepted(self):
+        assert InformationGraph(VERTEX_CAP).n == VERTEX_CAP
+        with pytest.raises(CapacityError):
+            InformationGraph(VERTEX_CAP + 1, [(1, 2)])
 
 
 class TestInformationGraphIsReadOnly:
