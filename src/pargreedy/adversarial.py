@@ -8,9 +8,9 @@ attained ratio against the prediction by full enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .errors import InputError
 from .graphmetrics import (
@@ -19,11 +19,10 @@ from .graphmetrics import (
     pseudo_independence_number,
 )
 from .objective import ONE, ZERO, AgentSpace, SetFunction, as_lambda
-from .structure import InformationGraph, check_positive_int
+from .structure import InformationGraph, Record, check_positive_int
 
 
-@dataclass(frozen=True)
-class WitnessInstance:
+class WitnessInstance(Record):
     """A concrete (objective, agents, graph) triple with its predicted
     worst-greedy-to-optimal ratio and the bound it certifies."""
     objective: SetFunction
@@ -31,7 +30,7 @@ class WitnessInstance:
     graph: InformationGraph
     predicted_ratio: Fraction
     source: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})
 
 
 def curvature_witness(graph: InformationGraph, lam) -> WitnessInstance:

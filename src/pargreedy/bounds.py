@@ -10,7 +10,6 @@ upper bound on a particular instance is expected, not a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -43,6 +42,7 @@ from .objective import (
 )
 from .structure import (
     InformationGraph,
+    Record,
     ceil_div,
     check_n_q,
     check_positive_int,
@@ -51,8 +51,7 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class RatioBounds:
+class RatioBounds(Record):
     """Guaranteed lower and attainable upper bounds on a competitive ratio.
 
     ``refined_upper`` is present when the sibling condition tightens the
@@ -77,16 +76,12 @@ def rho(n: int, q: int) -> Fraction:
 
 def _graph_bounds(alpha: int, theta: int, sibling: bool) -> RatioBounds:
     refined = Fraction(1, alpha + 1) if sibling else None
-    return RatioBounds(
-        lower=Fraction(1, theta + 1),
-        upper=Fraction(1, alpha),
-        refined_upper=refined)
+    return RatioBounds(Fraction(1, theta + 1), Fraction(1, alpha), refined)
 
 
 def _curvature_bounds(alpha: int, theta: int, lam: Fraction) -> RatioBounds:
-    return RatioBounds(
-        lower=(theta - (theta - 1) * lam) / (theta + lam),
-        upper=(alpha - (alpha - 1) * lam) / Fraction(alpha))
+    return RatioBounds((theta - (theta - 1) * lam) / (theta + lam),
+                       (alpha - (alpha - 1) * lam) / Fraction(alpha))
 
 
 def graph_ratio_bounds(graph: InformationGraph) -> RatioBounds:
@@ -134,8 +129,7 @@ def min_edges_bound(n: int, k: int) -> int:
     return m * hi * (hi - 1) // 2 + (k - m) * lo * (lo - 1) // 2
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(Record):
     """The telescoping decomposition certifying optimum <= r * greedy on the
     remainder-one optimal graph, with every intermediate stage evaluated.
 
@@ -244,8 +238,7 @@ def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int) -> Cha
     return ChainCheck(stages, holds, r, opt_value, sol.value)
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(Record):
     """One certification row: an instance, the graph it runs on, and an
     optional predicted ratio when the instance is a constructed witness."""
     instance_id: str
@@ -256,8 +249,7 @@ class SuiteEntry:
     predicted_ratio: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class CertifyRow:
+class CertifyRow(Record):
     instance_id: str
     graph_id: str
     empirical: Optional[Fraction]
@@ -276,7 +268,7 @@ class CertifyRow:
 ROW_KEYS = ("instance", "graph", "empirical", "lower", "upper", "refined_upper",
             "curvature", "predicted", "verdict", "note")
 _DASHED = frozenset(("empirical", "lower", "upper"))
-_row_values = attrgetter(*(f.name for f in fields(CertifyRow)))
+_row_values = attrgetter(*CertifyRow._fields)
 
 # Every verdict but "pass", in summary order: (verdict, summary and --json
 # key of its count, whether a zero count is printed, exit status).  A suite
@@ -290,8 +282,7 @@ VERDICTS = (
 )
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(Record):
     rows: tuple[CertifyRow, ...]
 
     def count(self, verdict: str) -> int:
@@ -381,7 +372,8 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
             ok = lower <= emp <= 1
             note = ""
             if not ok:
-                note = "empirical ratio below guaranteed lower bound"
+                note = ("empirical ratio below guaranteed lower bound" if emp < lower
+                        else "empirical ratio above 1")
             if entry.predicted_ratio is not None and emp != entry.predicted_ratio:
                 ok = False
                 note = "witness missed its predicted ratio"

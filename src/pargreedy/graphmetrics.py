@@ -25,11 +25,10 @@ lower-index neighbors of i, matching the direction of information flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError
-from .structure import InformationGraph, check_positive_int, set_bits
+from .structure import InformationGraph, Record, check_positive_int, set_bits
 
 GRAPH_CAP = 20
 
@@ -44,8 +43,7 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in set_bits(mask))
 
 
-@dataclass(frozen=True)
-class InvariantWitness:
+class InvariantWitness(Record):
     value: int
     witness: tuple
 
@@ -142,8 +140,7 @@ def maximum_independent_sets(graph: InformationGraph) -> list[tuple[int, ...]]:
     return [_vertices(m) for m in _maximum_sets(graph, 1)]
 
 
-@dataclass(frozen=True)
-class SiblingWitness:
+class SiblingWitness(Record):
     """Vertex w observing a member of a maximum independent set."""
     vertex: int
     independent_set: tuple[int, ...]
@@ -274,8 +271,7 @@ def maximum_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tup
     return [_vertices(m) for m in _maximum_sets(graph, p)]
 
 
-@dataclass(frozen=True)
-class PSiblingWitness:
+class PSiblingWitness(Record):
     """Vertex w outside a maximum p-pseudo-independent set J observing at
     least p distinct members of J."""
     vertex: int
@@ -309,8 +305,7 @@ def has_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitness]:
     return _first_p_sibling(graph, p)
 
 
-@dataclass(frozen=True)
-class DisjointSetsCheck:
+class DisjointSetsCheck(Record):
     """Outcome of the no-disjoint-maximum-sets check.
 
     Not applicable when the graph has the p-sibling property (the claim's

@@ -39,7 +39,6 @@ profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Union
@@ -49,6 +48,7 @@ from .objective import AgentSpace, SetFunction, check_partition
 from .structure import (
     InformationGraph,
     IterationAssignment,
+    Record,
     Schedule,
     earliest_schedule,
     normalize_assignment,
@@ -61,8 +61,7 @@ NODE_CAP = 1_000_000
 PROFILE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class GreedyOutcome:
+class GreedyOutcome(Record):
     """One greedy run: chosen decision per agent (None for a null decision),
     the exact final value, each agent's realized marginal contribution (with
     respect to all earlier decisions, so they telescope to the value), the

@@ -24,13 +24,12 @@ keeps repeated evaluation cheap inside greedy tie-tree enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import CapacityError, InputError
-from .structure import check_positive_int
+from .structure import Record, check_positive_int
 
 # Exhaustive enumeration cap for dense tables and property scans.
 EXHAUSTIVE_CAP = 16
@@ -587,8 +586,7 @@ def check_partition(f: SetFunction, agents: AgentSpace) -> None:
         raise InputError(f"agents: partition violated: ground element {sorted(ground - union)[0]!r} not owned by any agent")
 
 
-@dataclass(frozen=True)
-class PropertyViolation:
+class PropertyViolation(Record):
     """Witness of a failed axiom.
 
     * normalized: context/values hold f(empty),
@@ -611,8 +609,7 @@ class PropertyViolation:
         return f"not {self.prop}: " + " < ".join(terms)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     normalized: bool
     monotone: bool
     submodular: bool

@@ -8,7 +8,6 @@ label-sensitive, so no isomorphism checking anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, InputError
@@ -28,6 +27,90 @@ def check_positive_int(value, name: str) -> None:
     naming ``name``."""
     if not is_int(value) or value < 1:
         raise InputError(f"{name}: must be a positive integer, got {value!r}")
+
+
+class Record:
+    """Base of the library's immutable value records.
+
+    A subclass's fields are its own annotations, in order; a value given in
+    the class body is that field's default.  The constructor takes each
+    field by position or by keyword.  Instances refuse attribute assignment
+    and deletion; two are equal when they are of the same class with equal
+    field values, hash as the tuple of those values and print as
+    ``Name(a=..., b=...)``, as a frozen dataclass does, but without the
+    start-up cost of generating each class's methods.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__annotations__)
+        defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        cls._fields = cls.__match_args__ = fields
+        cls._defaults = defaults
+        # For each positional count the fast path takes, the (field, default)
+        # pairs of the fields it leaves out.
+        tails = {k: tuple((f, defaults[f]) for f in fields[k:])
+                 for k in range(len(fields) + 1)
+                 if all(f in defaults for f in fields[k:])}
+
+        # A closure per class, so that a positional call reads no class
+        # attribute: construction costs about what a dataclass's does.
+        def __init__(self, *args, **kwargs) -> None:
+            tail = tails.get(len(args))
+            if kwargs or tail is None:
+                self._bind(args, kwargs)
+                return
+            d = self.__dict__
+            for f, v in zip(fields, args):
+                d[f] = v
+            if tail:
+                d.update(tail)
+
+        cls.__init__ = __init__
+
+    def _bind(self, args: tuple, kwargs: dict) -> None:
+        """Set the fields from keywords, or refuse the arguments with the
+        TypeError a plain function of these parameters would raise."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        d = self.__dict__
+        for f in fields:
+            d[f] = values[f] if f in values else self._defaults[f]
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        args = ", ".join(f"{f}={d[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -59,8 +142,7 @@ def check_n_q(n: int, q: int, q_name: str = "q") -> None:
         raise InputError(f"{q_name}: must satisfy 1 <= {q_name} <= n, got {q!r}")
 
 
-@dataclass(frozen=True)
-class IterationAssignment:
+class IterationAssignment(Record):
     """Map of agents 1..n to iterations 1..q, stored as a tuple P.
 
     Construction does not enforce the invariants; violations are data,
@@ -74,8 +156,7 @@ class IterationAssignment:
         return len(self.P)
 
 
-@dataclass(frozen=True)
-class AssignmentViolation:
+class AssignmentViolation(Record):
     kind: str           # "order" or "range"
     agents: tuple[int, ...]
     detail: str
@@ -199,8 +280,7 @@ class InformationGraph:
         return f"InformationGraph(n={self.n}, edges={self.sorted_edges()})"
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Earliest feasible iteration per agent; the depth is the last one used."""
     levels: tuple[int, ...]
 

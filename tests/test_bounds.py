@@ -364,6 +364,35 @@ class TestCertify:
         assert report.to_lines()[-1] == (
             "rows=2 failures=0 capacity_errors=0 input_errors=1 equalities=1")
 
+    @pytest.mark.parametrize("ratio, verdict, note", [
+        (lambda lower: lower, "pass", ""),
+        (lambda lower: lower - F(1, 10**6), "FAIL",
+         "empirical ratio below guaranteed lower bound"),
+        (lambda lower: F(101, 100), "FAIL", "empirical ratio above 1"),
+    ], ids=["at-lower", "just-below-lower", "above-1"])
+    def test_lower_bound_and_one_are_checked(self, monkeypatch, ratio, verdict, note):
+        # No honest row leaves [lower, 1], so the ratio is forced to show
+        # that the check is live and names the side that was crossed.
+        w = curvature_witness(edgeless_graph(3), F(1, 2))
+        lower = curvature_graph_bounds(w.graph, F(1, 2)).lower
+        assert lower == F(4, 7)
+        emp = ratio(lower)
+        monkeypatch.setattr("pargreedy.bounds.empirical_ratio", lambda f, agents, graph: emp)
+        report = certify([SuiteEntry("w", "e3", w.objective, w.agents, w.graph)])
+        failures = int(verdict == "FAIL")
+        assert report.rows == (CertifyRow("w", "e3", emp, lower, F(1, 3), None, F(1, 2), None,
+                                          verdict, note),)
+        assert report.to_lines() == [
+            f"row instance=w graph=e3 empirical={emp} lower=4/7 upper=1/3 curvature=1/2 "
+            f"verdict={verdict}" + (f" note={note}" if note else ""),
+            f"rows=1 failures={failures} capacity_errors=0 equalities=0"]
+        assert report.to_json_obj() == {
+            "rows": [{"instance": "w", "graph": "e3", "empirical": str(emp), "lower": "4/7",
+                      "upper": "1/3", "refined_upper": None, "curvature": "1/2",
+                      "predicted": None, "verdict": verdict, "note": note}],
+            "failures": failures, "capacity_errors": 0, "equalities": 0}
+        assert report.exit_status == failures
+
     def test_row_order_follows_input(self):
         entries = standard_witness_entries(2, (F(0), F(1)))
         report = certify(entries)

@@ -685,3 +685,17 @@ class TestParserReuse:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out == "0 0\n"
+
+
+def test_import_adds_no_dataclasses_inspect_or_csv():
+    # these cost a CLI process most of its start-up; csv is imported by the
+    # scan verb when it runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pargreedy.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; bare = set(sys.modules); import pargreedy.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    added = set(out.split())
+    assert "pargreedy.cli" in added
+    assert not added & {"dataclasses", "inspect", "csv"}
