@@ -9,7 +9,6 @@ attained ratio against the prediction by full enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import InputError
@@ -24,13 +23,15 @@ from .structure import InformationGraph, Record, check_positive_int
 
 class WitnessInstance(Record):
     """A concrete (objective, agents, graph) triple with its predicted
-    worst-greedy-to-optimal ratio and the bound it certifies."""
+    worst-greedy-to-optimal ratio and the bound it certifies.  ``params``
+    holds the construction's parameters; None (no parameters) is written
+    as an empty object."""
     objective: SetFunction
     agents: AgentSpace
     graph: InformationGraph
     predicted_ratio: Fraction
     source: str
-    params: Mapping = MappingProxyType({})
+    params: Optional[Mapping] = None
 
 
 def curvature_witness(graph: InformationGraph, lam) -> WitnessInstance:

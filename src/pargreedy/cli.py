@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -356,18 +355,13 @@ def _cmd_scan(args) -> int:
         print(json.dumps([{"r": r, "lambda": str(lam), "lower": str(lo), "upper": str(up)}
                           for r, lam, lo, up in rows]))
         return EXIT_OK
-    import csv  # only this verb writes CSV, so no other verb pays for the import
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r", "lambda", "lower", "upper"])
-    for r, lam, lo, up in rows:
-        writer.writerow([r, str(lam), str(lo), str(up)])
+    # every field is an int or a p/q rational, so none needs CSV quoting
+    text = "r,lambda,lower,upper\n" + "".join(f"{r},{lam},{lo},{up}\n" for r, lam, lo, up in rows)
     if args.out == "csv":
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
         print(f"rows={len(rows)} out={args.out}")
     return EXIT_OK
 

@@ -74,27 +74,17 @@ def clique_number(graph: InformationGraph) -> InvariantWitness:
 def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[int]]:
     """Exact chromatic number with one optimal coloring, by backtracking.
 
-    Vertices are tried in degree-descending order; each vertex may only open
-    one fresh color (symmetry breaking).  The lower bound ``lb`` is the
-    clique number of the graph being colored, the upper bound a greedy
-    coloring.  The backtracking recurses once per vertex, so its depth is
-    at most n.
+    Vertices are tried in degree-descending order and colors in increasing
+    order, and each vertex may only open one fresh color (symmetry
+    breaking), so a search's first descent is the first-fit coloring in
+    that order.  k rises from ``lb``, the clique number of the graph being
+    colored, until a k-coloring is found; a failed search leaves every
+    color at -1.  The backtracking recurses once per vertex, so its depth
+    is at most n.  ``assign`` refers to itself through its closure, so its
+    name is cleared on the way out: the call leaves no reference cycle.
     """
-    if n == 0:
-        return 0, []
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-
-    greedy = [-1] * n
-    for v in order:
-        used = {greedy[u] for u in set_bits(adj[v]) if greedy[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        greedy[v] = c
-    ub = max(greedy) + 1
-
     colors = [-1] * n
-    best = list(greedy)
 
     def assign(pos: int, used: int, k: int) -> bool:
         if pos == n:
@@ -111,12 +101,13 @@ def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[
             colors[v] = -1
         return False
 
-    for k in range(lb, ub):
-        colors = [-1] * n
-        if assign(0, 0, k):
-            best = list(colors)
-            return k, best
-    return ub, best
+    try:
+        k = lb
+        while not assign(0, 0, k):
+            k += 1
+    finally:
+        del assign
+    return k, colors
 
 
 def clique_cover_number(graph: InformationGraph) -> InvariantWitness:
@@ -124,12 +115,10 @@ def clique_cover_number(graph: InformationGraph) -> InvariantWitness:
     partition of the vertices into cliques.  The coloring's lower bound, the
     clique number of the complement, is alpha(G)."""
     _require_cap(graph, "clique cover number")
+    n = graph.n
     alpha = _max_mask(graph, 1).bit_count()
-    k, coloring = _chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(coloring):
-        classes.setdefault(c, []).append(v + 1)
-    partition = tuple(tuple(sorted(vs)) for _, vs in sorted(classes.items()))
+    k, coloring = _chromatic_number(graph.complement().adjacency_masks(), n, alpha)
+    partition = tuple(tuple(v + 1 for v in range(n) if coloring[v] == c) for c in range(k))
     return InvariantWitness(k, partition)
 
 

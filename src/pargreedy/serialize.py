@@ -101,7 +101,7 @@ def instance_from_obj(obj: dict) -> tuple[SetFunction, AgentSpace]:
 
 def witness_to_obj(w: WitnessInstance) -> dict:
     params = {}
-    for k, v in w.params.items():
+    for k, v in (w.params or {}).items():
         if isinstance(v, Fraction):
             params[k] = str(v)
         elif isinstance(v, tuple):

@@ -72,6 +72,59 @@ def brute_theta(graph: InformationGraph) -> int:
     return n
 
 
+def two_pass_chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[int]]:
+    """The coloring search ``clique_cover_number`` used before its one
+    search: a first-fit coloring in degree-descending order as the upper
+    bound ub, then the backtracking decision search for k = lb .. ub - 1,
+    falling back to the first-fit coloring when every k fails."""
+    if n == 0:
+        return 0, []
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+
+    greedy = [-1] * n
+    for v in order:
+        used = {greedy[u] for u in range(n) if adj[v] >> u & 1 and greedy[u] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        greedy[v] = c
+    ub = max(greedy) + 1
+
+    colors = [-1] * n
+
+    def assign(pos: int, used: int, k: int) -> bool:
+        if pos == n:
+            return True
+        v = order[pos]
+        forbidden = {colors[u] for u in range(n) if adj[v] >> u & 1 and colors[u] >= 0}
+        for c in range(min(used + 1, k)):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            if assign(pos + 1, max(used, c + 1), k):
+                return True
+            colors[v] = -1
+        return False
+
+    for k in range(lb, ub):
+        colors = [-1] * n
+        if assign(0, 0, k):
+            return k, list(colors)
+    return ub, greedy
+
+
+def two_pass_clique_cover(graph: InformationGraph, alpha: int) -> tuple[int, tuple]:
+    """(theta, partition) as ``clique_cover_number`` gave them before its
+    one search: :func:`two_pass_chromatic_number` of the complement from
+    ``alpha``, and the color classes gathered in a dict, each sorted, in
+    color order."""
+    k, coloring = two_pass_chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(coloring):
+        classes.setdefault(c, []).append(v + 1)
+    return k, tuple(tuple(sorted(vs)) for _, vs in sorted(classes.items()))
+
+
 def brute_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
     """Every maximum p-pseudo-independent set (each member has fewer than p
     lower-index neighbors in the set), in index order.

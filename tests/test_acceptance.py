@@ -30,6 +30,7 @@ from pargreedy import (
     optimal_assignment,
     optimal_graph,
     p_additive_witness,
+    pseudo_independence_number,
     rho,
     run_greedy,
     run_parallel_greedy,
@@ -43,6 +44,7 @@ from pargreedy.suites import (
     random_cover_instance,
     random_feasible_graph,
     star_graph,
+    witness_entry,
 )
 
 from conftest import three_pass_properties
@@ -211,6 +213,28 @@ def test_criterion_07_p_additive_witnesses():
             ok = ok and w.predicted_ratio == F(p, a)
             ok = ok and empirical_ratio(w.objective, w.agents, w.graph) == F(p, a)
     report(7, "redundancy witnesses: p/(a+1) with sibling, p/a without", ok, t0, 60.0)
+
+
+def test_witness_constructions_certify_on_random_feasible_graphs():
+    # Curvature witnesses at lambda in {0, 1/2, 1} and p-additive ones at
+    # p in {1, 2} (p <= alpha_p) on 200 seeded feasible graphs of 1-7
+    # vertices: every row attains its predicted ratio and keeps its lower
+    # bound, and at this seed 417 of the 972 rows meet that bound with
+    # equality, so a lower bound from a theta one too small FAILs 85 rows.
+    rng = random.Random(7)
+    entries = []
+    for k in range(200):
+        n = rng.randint(1, 7)
+        g = random_feasible_graph(rng, n, rng.randint(1, n))
+        for lam in (F(0), F(1, 2), F(1)):
+            entries.append(witness_entry(curvature_witness(g, lam), f"curv-{k}-l{lam}", str(k)))
+        for p in (1, 2):
+            if p <= pseudo_independence_number(g, p).value:
+                entries.append(witness_entry(p_additive_witness(g, p), f"padd-{k}-p{p}", str(k)))
+    rows = certify(entries).rows
+    assert len(rows) == 972
+    assert [r.instance_id for r in rows if r.verdict != "pass"] == []
+    assert sum(r.empirical == r.lower for r in rows) >= 417
 
 
 def test_criterion_08_edge_count_formula():

@@ -239,6 +239,34 @@ class TestChainBoundCheck:
         assert chk.holds and chk.r == 1 and chk.optimum == chk.greedy_value
 
 
+class _SupermodularPair(SetFunction):
+    """f(S) = |S| + [b and c both in S] over {a, b, c}: normalized and
+    monotone, but supermodular, though it claims all three axioms."""
+
+    kind = "supermodular-pair"
+    axioms_by_construction = True
+
+    def __init__(self):
+        super().__init__(("a", "b", "c"))
+
+    def _evaluate(self, mask):
+        return mask.bit_count() + (mask & 0b110 == 0b110)
+
+
+class _DecreasingPair(SetFunction):
+    """f(a) = 1, f(b) = 2 and f(ab) = 1: adding a to b loses value, though
+    it claims all three axioms."""
+
+    kind = "decreasing-pair"
+    axioms_by_construction = True
+
+    def __init__(self):
+        super().__init__(("a", "b"))
+
+    def _evaluate(self, mask):
+        return (0, 1, 2, 1)[mask]
+
+
 class TestCertify:
     def test_witness_suite_all_pass(self):
         entries = standard_witness_entries(4, (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)), p_max=3)
@@ -392,6 +420,31 @@ class TestCertify:
                       "predicted": None, "verdict": verdict, "note": note}],
             "failures": failures, "capacity_errors": 0, "equalities": 0}
         assert report.exit_status == failures
+
+    @pytest.mark.parametrize("f, agents, graph, expected", [
+        (_SupermodularPair(), AgentSpace([{"a", "b"}, {"c"}]), edgeless_graph(2),
+         (F(2, 3), F(1), F(1, 2), F(0), "empirical ratio below guaranteed lower bound")),
+        (_DecreasingPair(), AgentSpace([{"a", "b"}]), edgeless_graph(1),
+         (F(2), F(1, 3), F(1), F(2), "empirical ratio above 1")),
+    ], ids=["supermodular", "not-monotone"])
+    def test_a_real_row_outside_lower_and_one_fails(self, f, agents, graph, expected):
+        # Each objective claims the axioms, so no check stops it and the
+        # row runs the real greedy and optimum.  The supermodular one has
+        # closed-form curvature 0, so its lower bound is 1, and worst greedy
+        # gets 2/3 of the optimum, strictly between lower/2 and lower.  The
+        # decreasing one makes the optimum stop at its first profile, worth
+        # f(ground), while greedy takes the other one, worth twice as much.
+        emp, lower, upper, lam, note = expected
+        report = certify([SuiteEntry("x", "g", f, agents, graph)])
+        assert report.rows == (CertifyRow("x", "g", emp, lower, upper, None, lam, None,
+                                          "FAIL", note),)
+        assert lower / 2 < emp < lower or emp > 1
+        assert report.to_lines() == [
+            f"row instance=x graph=g empirical={emp} lower={lower} upper={upper} "
+            f"curvature={lam} verdict=FAIL note={note}",
+            "rows=1 failures=1 capacity_errors=0 equalities=0"]
+        assert report.to_json_obj()["rows"][0]["note"] == note
+        assert report.exit_status == 1
 
     def test_row_order_follows_input(self):
         entries = standard_witness_entries(2, (F(0), F(1)))

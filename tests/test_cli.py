@@ -1,6 +1,9 @@
 """CLI dispatch: documented invocations, exit codes, determinism, formats."""
 
+import csv
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -20,7 +23,7 @@ from pargreedy import (
     sequential_half_witness,
 )
 from pargreedy.adversarial import WitnessInstance
-from pargreedy.bounds import BoundsReport, CertifyRow
+from pargreedy.bounds import BoundsReport, CertifyRow, curvature_eta_bounds
 from pargreedy.cli import _build_parser, main
 from pargreedy.serialize import load_graph, save_assignment, save_graph, save_instance, save_witness
 
@@ -145,6 +148,22 @@ class TestConstructAnalyze:
         else:
             assert out == " ".join(f"{k}={v}" for k, v in expected) + "\n"
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_analyze_instance_that_breaks_an_axiom(self, capsys, tmp_path, as_json):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({
+            "ground": ["a", "b"], "agents": [["a"], ["b"]],
+            "objective": {"kind": "tabular", "values": {"": 0, "a": 2, "b": 1, "a,b": 1}}}))
+        argv = ["analyze", "instance", "--in", str(path)] + (["--json"] if as_json else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        expected = [("kind", "tabular"), ("ground", 2), ("agents", 2), ("normalized", "true"),
+                    ("monotone", "false"), ("submodular", "true"), ("violated", "monotone")]
+        if as_json:
+            assert list(json.loads(out).items()) == expected
+        else:
+            assert out == " ".join(f"{k}={v}" for k, v in expected) + "\n"
+
     @pytest.mark.parametrize("edge, shown", [(5, "5"), (None, "None")])
     def test_analyze_graph_with_an_edge_that_is_not_a_list(self, capsys, tmp_path, edge, shown):
         path = tmp_path / "g.json"
@@ -216,6 +235,16 @@ class TestRunVerb:
         code, out, _ = run_cli(capsys, "run", "--instance", str(inst),
                                "--assignment", str(p))
         assert code == 0 and "value=1" in out
+
+    def test_json_lists_the_text_rows(self, capsys, instance_path):
+        inst, graph = instance_path
+        argv = ("run", "--instance", str(inst), "--graph", str(graph), "--policy", "all",
+                "--ratio")
+        _, text, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert [{k: str(v) for k, v in row.items()} for row in json.loads(out)] == \
+            [dict(pair.split("=") for pair in line.split()) for line in text.splitlines()]
 
     def test_needs_exactly_one_structure(self, capsys, instance_path):
         inst, graph = instance_path
@@ -512,6 +541,30 @@ class TestScanVerb:
         assert code == 0 and "rows=5" in out
         assert path.read_text().splitlines()[0] == "r,lambda,lower,upper"
 
+    @pytest.mark.parametrize("r, steps", [("1", "1"), ("2", "2"), ("3,5", "7"),
+                                          ("20, 2,,4", "12"), ("1,9", "100")])
+    def test_rows_match_a_csv_writer_and_the_json_form(self, capsys, tmp_path, r, steps):
+        rows = []
+        for ri in (int(x) for x in r.split(",") if x.strip()):
+            for k in range(int(steps) + 1):
+                lam = Fraction(k, int(steps))
+                b = curvature_eta_bounds(ri, 1, lam)
+                rows.append((ri, lam, b.lower, b.upper))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["r", "lambda", "lower", "upper"])
+        writer.writerows(rows)
+        argv = ("scan", "--curve", "curvature-bounds", "--r", r, "--lambda-steps", steps)
+        assert run_cli(capsys, *argv) == (0, buf.getvalue(), "")
+        path = tmp_path / "curves.csv"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (
+            0, f"rows={len(rows)} out={path}\n", "")
+        assert path.read_bytes() == buf.getvalue().encode()
+        code, out, _ = run_cli(capsys, *argv, "--out", "json")
+        assert code == 0
+        assert json.loads(out) == [{"r": ri, "lambda": str(lam), "lower": str(lo),
+                                    "upper": str(up)} for ri, lam, lo, up in rows]
+
     def test_deterministic_bytes(self, capsys):
         args = ("scan", "--curve", "curvature-bounds", "--r", "3,5", "--lambda-steps", "50")
         _, out1, _ = run_cli(capsys, *args)
@@ -520,6 +573,31 @@ class TestScanVerb:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (("construct", "assignment", "--n", "3"), "construct assignment: requires --n and --q"),
+        (("construct", "graph", "--q", "2"),
+         "construct graph --family optimal: requires --n and --q"),
+        (("construct", "graph", "--family", "turan", "--n", "4"),
+         "construct graph --family turan: requires --n and --r"),
+        (("adversarial", "--family", "curvature", "--lambda", "1/2"),
+         "adversarial --family curvature: requires --graph and --lambda"),
+        (("adversarial", "--family", "p-additive", "--p", "1"),
+         "adversarial --family p-additive: requires --graph and --p"),
+        (("certify",), "certify: nothing to certify (use --suite or --witness)"),
+        (("certify", "--suite", "witnesses", "--lambdas", ","),
+         "--lambdas: expected a comma-separated list of rationals"),
+        (("scan", "--curve", "curvature-bounds", "--r", "2,x"), "--r: expected integers, got 'x'"),
+        (("scan", "--curve", "curvature-bounds", "--r", ","), "--r: expected positive integers"),
+        (("scan", "--curve", "curvature-bounds", "--r", "3,0"), "--r: expected positive integers"),
+        (("scan", "--curve", "curvature-bounds", "--r", "2", "--lambda-steps", "0"),
+         "--lambda-steps: must be at least 1"),
+    ], ids=["construct-assignment", "construct-optimal", "construct-turan",
+            "adversarial-curvature", "adversarial-p-additive", "certify-nothing",
+            "certify-lambdas", "scan-r-not-int", "scan-r-empty", "scan-r-zero",
+            "scan-lambda-steps"])
+    def test_missing_or_bad_flag_is_named(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"input error: {message}\n")
+
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -644,6 +722,27 @@ class TestParserReuse:
             reused = {tuple(argv): self.outcome(capsys, argv) for argv in order}
             assert [reused[tuple(argv)] for argv in every_verb] == fresh
 
+    def test_every_verb_leaves_no_reference_cycle(self, capsys, every_verb):
+        # a first round builds the parser and fills every lazy import, so
+        # that the guarded round sees only what a call leaves behind
+        for argv in every_verb:
+            self.outcome(capsys, argv)
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in every_verb:
+                self.outcome(capsys, argv)
+            gc.collect()
+            cyclic = sorted({type(o).__name__ for o in gc.garbage})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert cyclic == []
+
     def test_witness_list_does_not_leak(self, capsys, tmp_path):
         witness = tmp_path / "w.json"
         save_witness(sequential_half_witness(), witness)
@@ -688,8 +787,8 @@ class TestParserReuse:
 
 
 def test_import_adds_no_dataclasses_inspect_or_csv():
-    # these cost a CLI process most of its start-up; csv is imported by the
-    # scan verb when it runs
+    # dataclasses and inspect would cost a CLI process most of its start-up;
+    # scan writes its CSV lines itself, so no verb needs csv
     src = os.path.dirname(os.path.dirname(os.path.abspath(pargreedy.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; bare = set(sys.modules); import pargreedy.cli; "

@@ -33,6 +33,7 @@ from pargreedy import (
 from pargreedy.cli import main
 from pargreedy.graphmetrics import _max_pseudo_independent_mask
 from pargreedy.serialize import save_graph
+from pargreedy.suites import random_feasible_graph
 
 from conftest import (
     brute_alpha,
@@ -41,6 +42,7 @@ from conftest import (
     brute_theta,
     is_clique,
     is_independent,
+    two_pass_clique_cover,
 )
 
 
@@ -125,6 +127,43 @@ class TestCliqueCoverNumber:
             assert sorted(seen) == list(range(1, g.n + 1))
             assert all(is_clique(g, part) for part in w.witness)
             assert len(w.witness) == w.value
+
+
+@st.composite
+def capped_graphs(draw):
+    """A graph on 0 to GRAPH_CAP vertices: edgeless, complete, or one of the
+    four families of the analyze-graph benchmark (random feasible; optimal
+    or complement-Turan with up to three vertex pairs toggled; uniform
+    density)."""
+    n = draw(st.integers(0, graphmetrics.GRAPH_CAP))
+    family = draw(st.sampled_from(("edgeless", "complete", "feasible", "optimal",
+                                   "complement-turan", "uniform")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if n == 0 or family == "edgeless":
+        return InformationGraph(n)
+    if family == "complete":
+        return complete(n)
+    if family == "feasible":
+        return random_feasible_graph(rng, n, rng.randint(1, n))
+    if family == "uniform":
+        return random_graph(rng, n, rng.choice((0.15, 0.35, 0.55, 0.75, 0.85)))
+    build = optimal_graph if family == "optimal" else complement_turan_graph
+    edges = set(build(n, rng.randint(1, n)).sorted_edges())
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges ^= set(rng.sample(pairs, min(len(pairs), rng.randint(0, 3))))
+    return InformationGraph(n, edges)
+
+
+class TestCliqueCoverAgainstTwoPassSearch:
+    """theta comes from one search that rises from alpha; the greedy-bounded
+    two-pass search it replaced (``conftest.two_pass_clique_cover``) is the
+    oracle for the number and the witness partition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_graphs())
+    def test_same_theta_and_partition(self, g):
+        w = clique_cover_number(g)
+        assert (w.value, w.witness) == two_pass_clique_cover(g, independence_number(g).value)
 
 
 class TestOracleAgreement:

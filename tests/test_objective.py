@@ -78,6 +78,32 @@ class TestEvaluate:
             SetFunction.cover(("a",), ("y",), {"y": 0.5}, {"a": ("y",)})
 
 
+def _cover(**changes):
+    """A two-element, two-target cover with ``changes`` to its arguments."""
+    args = {"ground": ("a", "b"), "targets": ("y", "z"), "weights": {"y": 1, "z": 2},
+            "coverage": {"a": ("y",), "b": ("z",)}}
+    return SetFunction.cover(**{**args, **changes})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"ground": ("a", "")}, "ground: element ids must be nonempty strings, got ''"),
+    ({"ground": ("a", "a")}, "ground: duplicate element id 'a'"),
+    ({"targets": ("y", "z", "y")}, "targets: duplicate target id 'y'"),
+    ({"weights": {"y": 1, "z": 2, "w": 1}}, "weights: unknown target id 'w'"),
+    ({"weights": {"y": 1, "z": "-2/3"}}, "weights['z']: negative weight -2/3"),
+    ({"weights": {"y": 1}}, "weights: missing weight for target 'z'"),
+    ({"coverage": {"a": ("y",), "b": ("z",), "c": ()}}, "coverage: unknown element id 'c'"),
+    ({"coverage": {"a": ("y",), "b": ("x",)}}, "coverage['b']: unknown target id 'x'"),
+    ({"coverage": {"a": ("y",)}}, "coverage: no entry for element 'b'"),
+], ids=["empty-id", "duplicate-id", "duplicate-target", "unknown-weight-target",
+        "negative-weight", "missing-weight", "unknown-element", "unknown-target",
+        "uncovered-element"])
+def test_cover_arguments_are_checked_by_field(changes, message):
+    with pytest.raises(InputError) as exc:
+        _cover(**changes)
+    assert str(exc.value) == message
+
+
 def _one_of_each_kind():
     return [
         SetFunction.tabular(("a",), {(): 0, ("a",): 1}),

@@ -1,6 +1,8 @@
 """File formats: round trips and rejection of malformed documents."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from pargreedy import (
     p_additive_witness,
     sequential_half_witness,
 )
+from pargreedy.adversarial import WitnessInstance
 from pargreedy.serialize import (
     assignment_from_obj,
     assignment_to_obj,
@@ -223,12 +226,36 @@ class TestInstanceFormat:
         with pytest.raises(InputError, match="coverage"):
             instance_from_obj(obj)
 
+    @pytest.mark.parametrize("ground, objective, message", [
+        (["u1", "v1"], {"kind": "curvature-witness", "u": ["v1"], "v": ["u1"], "lambda": "1/2"},
+         "objective.u/v: must list the ground elements in order (u block then v block)"),
+        (["a", "b"], {"kind": "p-additive-witness", "u": ["a"], "v": ["a"], "p": 1},
+         "u/v: the two blocks must be disjoint"),
+        (["a", "b"], {"kind": "p-additive-witness", "u": ["a"], "v": ["z"], "p": 1},
+         "objective.u/v: element 'z' not in ground"),
+    ], ids=["curvature-order", "p-additive-overlap", "p-additive-outside"])
+    def test_witness_blocks_checked(self, ground, objective, message):
+        obj = {"ground": ground, "agents": [[e] for e in ground], "objective": objective}
+        with pytest.raises(InputError) as exc:
+            instance_from_obj(obj)
+        assert str(exc.value) == message
+
     def test_ground_not_fully_assigned(self):
         obj = {"ground": ["a", "b"], "agents": [["a"]],
                "objective": {"kind": "tabular",
                              "values": {"": 0, "a": 1, "b": 1, "a,b": 2}}}
         with pytest.raises(InputError, match="partition"):
             instance_from_obj(obj)
+
+
+@pytest.mark.parametrize("parse, where", [
+    (graph_from_obj, "graph"), (instance_from_obj, "instance"), (witness_from_obj, "witness"),
+])
+@pytest.mark.parametrize("doc", [[], "x", 1, None], ids=repr)
+def test_a_document_that_is_not_an_object(parse, where, doc):
+    with pytest.raises(InputError) as exc:
+        parse(doc)
+    assert str(exc.value) == f"{where}: expected a JSON object"
 
 
 class TestWitnessFormat:
@@ -252,6 +279,24 @@ class TestWitnessFormat:
         assert not path.exists()
         save_witness(p_additive_witness(star_graph(2), 1), path)
         assert load_witness(path).params["p"] == 1
+
+    def test_witness_without_params_copies_pickles_and_saves(self, tmp_path):
+        half = sequential_half_witness()
+        w = WitnessInstance(half.objective, half.agents, half.graph,
+                            half.predicted_ratio, half.source)
+        assert copy.deepcopy(w).params is None
+        assert pickle.loads(pickle.dumps(w)).predicted_ratio == F(1, 2)
+        path = tmp_path / "w.json"
+        save_witness(w, path)
+        assert json.loads(path.read_text())["params"] == {}
+        assert load_witness(path).params == {}
+
+    def test_params_must_be_an_object(self):
+        obj = witness_to_obj(sequential_half_witness())
+        obj["params"] = ["curvature", 1]
+        with pytest.raises(InputError) as exc:
+            witness_from_obj(obj)
+        assert str(exc.value) == "params: expected a JSON object"
 
     def test_predicted_ratio_required(self):
         w = sequential_half_witness()

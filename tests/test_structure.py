@@ -85,6 +85,10 @@ class TestInformationGraphRejectsMalformedEdges:
         with pytest.raises(InputError, match=r"^edges: expected a pair, got \(1, 2, 3\)$"):
             InformationGraph(3, [(1, 2, 3)])
 
+    def test_a_self_loop(self):
+        with pytest.raises(InputError, match=r"^edges: self-loop at vertex 2$"):
+            InformationGraph(3, [(1, 2), (2, 2)])
+
     @pytest.mark.parametrize("edge", ["ab", b"ab", {"x": 1, "y": 2}], ids=repr)
     def test_an_edge_that_is_a_string_bytes_or_a_dict(self, edge):
         with pytest.raises(InputError) as exc:
