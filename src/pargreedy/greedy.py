@@ -11,24 +11,26 @@ denominator); the tie policies are:
   in ground order (single pass),
 * ``worst`` / ``best``  -- minimize / maximize the final value over every
   tie resolution (full tie-tree enumeration),
-* ``all``               -- return every resolution, deduplicated by final
-  decision set.
+* ``all``               -- return every resolution, one per leaf.
 
-All five policies walk the same tie tree, depth-first in ground order over
-an explicit stack (no recursion, so the number of agents is not bounded by
-the interpreter's recursion limit); ``first`` / ``last`` keep one tie per
-level, so their tree is a single path.  Every node, leaves and null-decision
-agents included, counts against ``NODE_CAP``, which guards against blowup.
+All five policies build the same tie tree, one level (agent) at a time with
+no recursion, so the number of agents is not bounded by the interpreter's
+recursion limit; ``first`` / ``last`` keep one tie per level, so their tree
+is a single path.  Only the current level is held: the decision union of
+every path to it, in depth-first order, so the leaves come out in ground
+order.  Every node, leaves and null-decision agents included, counts against
+``NODE_CAP``, which guards against blowup; a level's count is checked before
+the level is built, so at most ``NODE_CAP`` unions are ever held.
 
 Agent i's gains depend only on the union of its visible sources' decisions,
-so its tie set is computed once per distinct visible union and reused on
-every branch that reaches it with the same view.  No running total is
-carried: agent decision sets are disjoint, so the union of the decisions
-taken identifies a leaf, and a leaf costs one evaluation of that union.
-Marginals telescope to f(union) - f(empty), so the value and per-agent
-marginals are built only for the leaves that are kept.  The walk and
-:func:`brute_force_optimum` add and compare scaled integers; a
-``Fraction`` is built only for the values they return.
+so its tie set is computed once per distinct visible union in the level and
+reused on every path that reaches it with the same view.  No running total
+is carried: agent decision sets are disjoint, so the union of the decisions
+taken identifies a leaf, no two leaves share one, and a leaf costs one
+evaluation of that union.  Marginals telescope to f(union) - f(empty), so
+the value and per-agent marginals are built only for the leaves that are
+kept.  The tree and :func:`brute_force_optimum` add and compare scaled
+integers; a ``Fraction`` is built only for the values they return.
 
 :func:`brute_force_optimum` enumerates the action profiles in
 lexicographic ground order.  On an objective whose kind holds its axioms by
@@ -94,93 +96,69 @@ def _ordered_decisions(f: SetFunction, agents: AgentSpace) -> list[list[tuple[st
 def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
                    visible_sources: list[list[int]], policy: str, schedule: Schedule
                    ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
-    """Shared depth-first walk over tie resolutions.  ``visible_sources[i]``
-    lists the agents (0-based) whose decisions agent i observes."""
-    n = len(decisions)
+    """Shared level-by-level build of the tie tree.  ``visible_sources[i]``
+    lists the agents (0-based) whose decisions agent i observes.
+
+    ``frontier`` holds the decision union of every path to the current
+    depth, in depth-first order: each level replaces every union by its
+    extensions with agent i's ties, in ground order.  Only one level is
+    held, and its node count is checked against ``NODE_CAP`` before it is
+    built, so no more than ``NODE_CAP`` unions are ever held."""
     value = f.scaled_value
-    # The decision sets are disjoint, so what agent i sees of the decisions
-    # taken so far is their union cut down to its sources' decision sets
-    # (distinct single bits, so their sum is their union).
-    seen = [sum(m for j in sources for _, m in decisions[j]) for sources in visible_sources]
-    single_pass = policy in ("first", "last")
     node_cap = NODE_CAP  # read once per call, not once per node
-    tie_sets: list[dict[int, list]] = [{} for _ in range(n)]
-
-    nodes = 0
-    leaves = 0
-    taken: list[tuple[Optional[str], int]] = []  # (id, mask) per level so far
-    untried: list = []                           # per level: its remaining ties
-    union = 0
-    # worst/best/first/last incumbent path, "all" paths keyed by final union
-    incumbent: Optional[tuple] = None
-    incumbent_value = None
-    collected: dict[int, tuple] = {}
-    while True:
-        nodes += 1
-        if nodes > node_cap:
-            raise CapacityError(f"tie-tree enumeration exceeded {node_cap} nodes")
-        i = len(taken)
-        if i < n:
-            vis = union & seen[i]
-            ties = tie_sets[i].get(vis)
-            if ties is None:
-                opts = decisions[i]
-                if opts:
-                    values = [value(vis | m) for _, m in opts]
-                    top = max(values)
-                    ties = [opt for opt, v in zip(opts, values) if v == top]
-                    if single_pass:
-                        ties = [ties[0] if policy == "first" else ties[-1]]
-                else:
-                    ties = [(None, 0)]
-                tie_sets[i][vis] = ties
-            rest = iter(ties)
-            step = next(rest)
-            untried.append(rest)
-            taken.append(step)
-            union |= step[1]
+    too_many = f"tie-tree enumeration exceeded {node_cap} nodes"
+    nodes = 1  # the root
+    frontier = [0]
+    for opts, sources in zip(decisions, visible_sources):
+        if not opts:  # a null decision: one child per node
+            nodes += len(frontier)
             continue
-
-        leaves += 1
-        if policy == "all":
-            if union not in collected:
-                collected[union] = tuple(taken)
-        else:
-            v = value(union)
-            if incumbent is None or (v > incumbent_value if policy == "best"
-                                     else v < incumbent_value):
-                incumbent, incumbent_value = tuple(taken), v
-        while untried:
-            union ^= taken.pop()[1]
-            step = next(untried[-1], None)
-            if step is not None:
-                taken.append(step)
-                union |= step[1]
-                break
-            untried.pop()
-        else:
-            break
+        # The decision sets are disjoint, so what agent i sees of a path is
+        # its union cut down to its sources' decision sets (distinct single
+        # bits, so their sum is their union).
+        seen = sum(m for j in sources for _, m in decisions[j])
+        ties = {}
+        for vis in set(map(seen.__and__, frontier)):
+            values = [value(vis | m) for _, m in opts]
+            top = max(values)
+            tied = [m for (_, m), v in zip(opts, values) if v == top]
+            ties[vis] = tied[:1] if policy == "first" else tied[-1:] if policy == "last" else tied
+        # size the level before building it: a cheap bound, then the exact count
+        if nodes + len(frontier) * len(opts) > node_cap and nodes + sum(
+                map(len, map(ties.__getitem__, map(seen.__and__, frontier)))) > node_cap:
+            raise CapacityError(too_many)
+        frontier = [u | m for u in frontier for m in ties[seen & u]]
+        nodes += len(frontier)
+    if nodes > node_cap:  # null-decision levels count after the last check
+        raise CapacityError(too_many)
 
     empty = value(0)
     scale = f.scale
 
-    def outcome(path: tuple) -> GreedyOutcome:
+    def outcome(union: int) -> GreedyOutcome:
+        # each agent's decision is the one of its options in the union;
         # marginals telescope: the value is f(union) - f(empty)
-        prefix, before, marginals = 0, empty, []
-        for _, m in path:
+        profile, prefix, before, marginals = [], 0, empty, []
+        for opts in decisions:
+            for e, m in opts:
+                if union & m:
+                    break
+            else:
+                e, m = None, 0
+            profile.append(e)
             prefix |= m
             after = value(prefix)
             marginals.append(Fraction(after - before, scale))
             before = after
-        return GreedyOutcome(tuple(e for e, _ in path), Fraction(before - empty, scale),
-                             tuple(marginals), leaves, schedule)
+        return GreedyOutcome(tuple(profile), Fraction(before - empty, scale),
+                             tuple(marginals), len(frontier), schedule)
 
-    if policy != "all":
-        return outcome(incumbent)
-    outcomes = [outcome(path) for path in collected.values()]
-    order = {e: k for k, e in enumerate(f.ground)}
-    outcomes.sort(key=lambda o: tuple(-1 if d is None else order[d] for d in o.profile))
-    return tuple(outcomes)
+    if policy == "all":
+        # Two paths differ in some agent's decision, so no two leaves share
+        # a union, and depth-first order is already ground order.
+        return tuple(map(outcome, frontier))
+    values = list(map(value, frontier))
+    return outcome(frontier[values.index((max if policy == "best" else min)(values))])
 
 
 def run_greedy(f: SetFunction, agents: AgentSpace, graph: InformationGraph,

@@ -481,12 +481,13 @@ class CurvatureWitnessFunction(_TwoBlockWitness):
         lam = as_lambda(lam)
         super().__init__(tuple(u_ids) + tuple(v_ids), lam.denominator)
         self.lam = lam
+        self._a = lam.numerator  # lam * scale, read once, not per evaluation
         self._set_blocks(u_ids, v_ids)
 
     def _evaluate(self, mask: int) -> int:
         cu = (mask & self._u_mask).bit_count()
         cv = (mask & self._v_mask).bit_count()
-        a, d = self.lam.numerator, self.scale
+        a, d = self._a, self.scale
         return (a if cu else 0) + cu * (d - a) + cv * d
 
     def to_obj(self) -> dict:
@@ -521,7 +522,8 @@ class PAdditiveWitnessFunction(_TwoBlockWitness):
     def _evaluate(self, mask: int) -> int:
         cu = (mask & self._u_mask).bit_count()
         cv = (mask & self._v_mask).bit_count()
-        return min(self.p, cu) + cv
+        p = self.p
+        return (cu if cu < p else p) + cv  # min(p, cu) without the call
 
     def to_obj(self) -> dict:
         return {**super().to_obj(), "p": self.p}

@@ -16,7 +16,14 @@ from typing import Optional
 import pytest
 from hypothesis import strategies as st
 
-from pargreedy import AgentSpace, GreedyOutcome, InformationGraph, InputError, SetFunction
+from pargreedy import (
+    AgentSpace,
+    CapacityError,
+    GreedyOutcome,
+    InformationGraph,
+    InputError,
+    SetFunction,
+)
 from pargreedy.objective import (
     SCALE_BITS_CAP,
     PropertyReport,
@@ -308,6 +315,97 @@ def brute_greedy(f: SetFunction, agents: AgentSpace, sources, policy: str, sched
     order = {e: k for k, e in enumerate(f.ground)}
     return tuple(sorted((outcome(leaf) for leaf in firsts.values()),
                         key=lambda o: [-1 if d is None else order[d] for d in o.profile]))
+
+
+# -- node-count oracle (depth-first walk over an explicit stack) -------
+
+
+def stack_greedy_engine(f: SetFunction, decisions, visible_sources, policy: str,
+                        schedule, node_cap: int):
+    """(outcome, nodes): what ``greedy._greedy_engine`` returned before its
+    level-by-level build, from the depth-first walk over an explicit stack
+    it replaced, with the node cap passed in and the nodes visited returned.
+    Each node it visits, the root, null-decision agents and leaves
+    included, counts against ``node_cap``; the oracle for the cap."""
+    n = len(decisions)
+    value = f.scaled_value
+    seen = [sum(m for j in sources for _, m in decisions[j]) for sources in visible_sources]
+    single_pass = policy in ("first", "last")
+    tie_sets: list[dict[int, list]] = [{} for _ in range(n)]
+
+    nodes = 0
+    leaves = 0
+    taken: list = []    # (id, mask) per level so far
+    untried: list = []  # per level: its remaining ties
+    union = 0
+    incumbent = None
+    incumbent_value = None
+    collected: dict[int, tuple] = {}
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            raise CapacityError(f"tie-tree enumeration exceeded {node_cap} nodes")
+        i = len(taken)
+        if i < n:
+            vis = union & seen[i]
+            ties = tie_sets[i].get(vis)
+            if ties is None:
+                opts = decisions[i]
+                if opts:
+                    values = [value(vis | m) for _, m in opts]
+                    top = max(values)
+                    ties = [opt for opt, v in zip(opts, values) if v == top]
+                    if single_pass:
+                        ties = [ties[0] if policy == "first" else ties[-1]]
+                else:
+                    ties = [(None, 0)]
+                tie_sets[i][vis] = ties
+            rest = iter(ties)
+            step = next(rest)
+            untried.append(rest)
+            taken.append(step)
+            union |= step[1]
+            continue
+
+        leaves += 1
+        if policy == "all":
+            if union not in collected:
+                collected[union] = tuple(taken)
+        else:
+            v = value(union)
+            if incumbent is None or (v > incumbent_value if policy == "best"
+                                     else v < incumbent_value):
+                incumbent, incumbent_value = tuple(taken), v
+        while untried:
+            union ^= taken.pop()[1]
+            step = next(untried[-1], None)
+            if step is not None:
+                taken.append(step)
+                union |= step[1]
+                break
+            untried.pop()
+        else:
+            break
+
+    empty = value(0)
+    scale = f.scale
+
+    def outcome(path: tuple) -> GreedyOutcome:
+        prefix, before, marginals = 0, empty, []
+        for _, m in path:
+            prefix |= m
+            after = value(prefix)
+            marginals.append(Fraction(after - before, scale))
+            before = after
+        return GreedyOutcome(tuple(e for e, _ in path), Fraction(before - empty, scale),
+                             tuple(marginals), leaves, schedule)
+
+    if policy != "all":
+        return outcome(incumbent), nodes
+    outcomes = [outcome(path) for path in collected.values()]
+    order = {e: k for k, e in enumerate(f.ground)}
+    outcomes.sort(key=lambda o: tuple(-1 if d is None else order[d] for d in o.profile))
+    return tuple(outcomes), nodes
 
 
 # -- objective oracle (Fraction formulas, scale 1) ---------------------

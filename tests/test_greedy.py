@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,13 +34,14 @@ from pargreedy import (
     run_greedy,
     run_parallel_greedy,
 )
-from pargreedy.greedy import POLICIES
+from pargreedy.greedy import NODE_CAP, POLICIES, _ordered_decisions
 from pargreedy.objective import OBJECTIVE_KINDS, total_curvature
 from pargreedy.suites import (
     edgeless_graph,
     random_assignment,
     random_cover_instance,
     random_feasible_graph,
+    star_graph,
 )
 
 from conftest import (
@@ -48,6 +50,7 @@ from conftest import (
     brute_greedy,
     brute_optimum,
     objective_instances,
+    stack_greedy_engine,
 )
 
 F = Fraction
@@ -328,17 +331,64 @@ def greedy_instances(draw):
     return f, X, graph, random_assignment(rng, n, rng.randint(1, n))
 
 
-def assert_matches_oracle(f, X, graph, assignment):
+def _greedy_inputs(f, X, graph, assignment):
+    """(run, structure, decisions, sources, schedule) for run_greedy on the
+    graph and run_parallel_greedy on the assignment."""
     n = graph.n
-    graph_sources = [[j for j in range(i) if graph.has_edge(j + 1, i + 1)] for i in range(n)]
     P = assignment.P
-    round_sources = [[j for j in range(n) if P[j] < P[i]] for i in range(n)]
-    ranked = normalize_assignment(assignment)
-    for policy in POLICIES:
-        assert run_greedy(f, X, graph, policy) == \
-            brute_greedy(f, X, graph_sources, policy, earliest_schedule(graph))
-        assert run_parallel_greedy(f, X, assignment, policy) == \
-            brute_greedy(f, X, round_sources, policy, Schedule(ranked.P))
+    decisions = _ordered_decisions(f, X)
+    return [
+        (run_greedy, graph, decisions,
+         [[j for j in range(i) if graph.has_edge(j + 1, i + 1)] for i in range(n)],
+         earliest_schedule(graph)),
+        (run_parallel_greedy, assignment, decisions,
+         [[j for j in range(n) if P[j] < P[i]] for i in range(n)],
+         Schedule(normalize_assignment(assignment).P)),
+    ]
+
+
+def assert_matches_oracle(f, X, graph, assignment):
+    for run, structure, _, sources, schedule in _greedy_inputs(f, X, graph, assignment):
+        for policy in POLICIES:
+            assert run(f, X, structure, policy) == brute_greedy(f, X, sources, policy, schedule)
+
+
+def wide_witness_cases():
+    """(id, f, agents, graph, assignment, a): seeded tie-heavy trees
+    shaped like the benchmark's ``run`` ops.  A curvature witness has 8-10
+    members, pairwise unseen, after 0-3 null agents; a p-additive witness
+    (p = 2, 3) has members that each see at most p - 1 earlier members and a
+    sibling last that sees at least p of them.  In the assignment the null
+    agents come first, and a member sees at most p - 1 members too (none in
+    the curvature witness), so every member ties in both runs."""
+    rng = random.Random(18)
+    cases = []
+    for a, nulls in ((8, 0), (9, 2), (10, 3)):
+        n = nulls + a
+        edges = [(i, j) for i in range(1, nulls + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < 0.5]
+        u, v = [f"u{k}" for k in range(a)], [f"v{k}" for k in range(a)]
+        f = SetFunction.curvature_witness(u, v, F(rng.randint(1, 4), 4))
+        X = AgentSpace([set()] * nulls + [{uk, vk} for uk, vk in zip(u, v)])
+        P = tuple(sorted(rng.randint(1, 2) for _ in range(nulls))) + (3,) * a
+        cases.append((f"curvature-{a}-after-{nulls}", f, X, InformationGraph(n, edges),
+                      IterationAssignment(3, P), a))
+    for a, p, nulls in ((8, 2, 1), (8, 3, 2)):
+        n = nulls + a + 1
+        members = list(range(nulls + 1, nulls + a + 1))
+        edges = {(i, j) for i in range(1, nulls + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < 0.5}
+        for k, m in enumerate(members):
+            edges.update((j, m) for j in rng.sample(members[:k], min(k, rng.randint(0, p - 1))))
+        edges.update((m, n) for m in rng.sample(members, p + 1))
+        u, v = [f"u{k}" for k in range(a + 1)], [f"v{k}" for k in range(a)]
+        f = SetFunction.p_additive_witness(u + v + ["t"], u, v, p)
+        X = AgentSpace([set()] * nulls + [{uk, vk} for uk, vk in zip(u, v)] + [{u[a], "t"}])
+        P = (tuple(sorted(rng.randint(1, 2) for _ in range(nulls)))
+             + (3,) * (p - 1) + (4,) * (a - p + 1) + (5,))
+        cases.append((f"p-additive-{a}-p{p}-after-{nulls}", f, X, InformationGraph(n, edges),
+                      IterationAssignment(5, P), a))
+    return cases
 
 
 class TestTieTreeOracle:
@@ -361,6 +411,93 @@ class TestTieTreeOracle:
         outs = run_greedy(f, X, g, "all")
         assert [o.profile for o in outs] == [("a", "d"), ("b", "c")]
         assert all(o.value == 2 for o in outs)
+
+    @pytest.mark.parametrize("case", wide_witness_cases(), ids=lambda case: case[0])
+    def test_wide_witness_trees(self, case):
+        _, f, X, graph, assignment, a = case
+        # every member ties; the sibling may tie too
+        assert run_greedy(f, X, graph, "worst").resolutions_explored >= 2 ** a
+        assert_matches_oracle(f, X, graph, assignment)
+
+
+def _outcome_or_error(run, *args):
+    try:
+        return run(*args)
+    except CapacityError as exc:
+        return str(exc)
+
+
+def _counted_worst(f, X, graph):
+    """(scaled_value calls, _evaluate misses) of one worst-policy run."""
+    counts = [0, 0]
+    scaled, evaluate = f.scaled_value, f._evaluate
+
+    def call(mask):
+        counts[0] += 1
+        return scaled(mask)
+
+    def miss(mask):
+        counts[1] += 1
+        return evaluate(mask)
+
+    f.scaled_value, f._evaluate = call, miss
+    run_greedy(f, X, graph, "worst")
+    return tuple(counts)
+
+
+class TestLevelBuild:
+    """The level-by-level build against the depth-first stack walk it
+    replaced (``conftest.stack_greedy_engine``): the same node count, the
+    same cap, the same evaluations, and no level over the cap held."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(greedy_instances())
+    def test_node_cap_matches_the_stack_walk(self, instance):
+        f, X, graph, assignment = instance
+        for run, structure, decisions, sources, schedule in _greedy_inputs(*instance):
+            for policy in POLICIES:
+                expected, total = stack_greedy_engine(f, decisions, sources, policy, schedule,
+                                                      float("inf"))
+                assert run(f, X, structure, policy) == expected
+                for cap in (total - 1, total, total + 1):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr("pargreedy.greedy.NODE_CAP", cap)
+                        got = _outcome_or_error(run, f, X, structure, policy)
+                    oracle = _outcome_or_error(stack_greedy_engine, f, decisions, sources,
+                                               policy, schedule, cap)
+                    assert got == (oracle if isinstance(oracle, str) else oracle[0])
+                    assert isinstance(got, str) == (cap < total)
+
+    def test_an_over_cap_level_is_never_built(self):
+        # ten agents each tied between two elements of one target: 2^10
+        # unions; then one agent tied among 2,000 elements that cover
+        # nothing, a level of 2,048,000 nodes, over the default cap
+        pairs = [(f"a{k}", f"b{k}") for k in range(10)]
+        zeros = [f"z{k}" for k in range(2000)]
+        coverage = {e: (f"y{k}",) for k, pair in enumerate(pairs) for e in pair}
+        coverage.update((z, ()) for z in zeros)
+        f = SetFunction.cover(list(coverage), [f"y{k}" for k in range(10)],
+                              {f"y{k}": 1 for k in range(10)}, coverage)
+        X = AgentSpace([set(pair) for pair in pairs] + [set(zeros)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"exceeded {NODE_CAP} nodes"):
+                run_greedy(f, X, InformationGraph(11), "worst")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
+    def test_evaluations_are_pinned(self):
+        # scaled_value calls and _evaluate misses of the stack walk; the
+        # level-by-level build must not evaluate more
+        rng = random.Random(34)
+        f, X = random_cover_instance(rng, 10, max_ground=16)
+        assert _counted_worst(f, X, random_feasible_graph(rng, 10, 4)) == (119, 117)
+        w = curvature_witness(edgeless_graph(8), F(1, 3))
+        assert _counted_worst(w.objective, w.agents, w.graph) == (281, 279)
+        w = p_additive_witness(star_graph(6), 2)
+        assert _counted_worst(w.objective, w.agents, w.graph) == (269, 146)
 
 
 def _drivers(f, X, graph, assignment):
