@@ -50,12 +50,13 @@ def _emit(pairs: list[tuple[str, object]], as_json: bool) -> None:
         print(" ".join(f"{k}={v}" for k, v in pairs))
 
 
+def _comma_list(text: str) -> list[str]:
+    """The nonempty parts of a comma-separated flag value, stripped."""
+    return [part for part in map(str.strip, text.split(",")) if part]
+
+
 def _parse_lambdas(text: str) -> list[Fraction]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            out.append(as_fraction(part, "--lambdas"))
+    out = [as_fraction(part, "--lambdas") for part in _comma_list(text)]
     if not out:
         raise InputError("--lambdas: expected a comma-separated list of rationals")
     return out
@@ -205,8 +206,8 @@ def _cmd_analyze(args) -> int:
                   ("omega", omega.value), ("feasible_q", depth),
                   ("edges", graph.edge_count)]
         if args.p is not None:
-            sib = graphmetrics.has_p_sibling(graph, args.p)
             ap = graphmetrics.pseudo_independence_number(graph, args.p).value
+            sib = graphmetrics.has_p_sibling(graph, args.p)
             pairs += [("alpha_p", ap), ("p_sibling", "true" if sib else "false")]
     elif args.kind == "assignment":
         assignment = serialize.load_unchecked_assignment(args.path)
@@ -329,10 +330,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_scan(args) -> int:
     r_values = []
-    for part in args.r.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in _comma_list(args.r):
         try:
             r_values.append(int(part))
         except ValueError:

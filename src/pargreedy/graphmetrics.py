@@ -71,6 +71,25 @@ def clique_number(graph: InformationGraph) -> InvariantWitness:
     return _largest(graph, 1, "clique number", complement=True)
 
 
+def _assign(adj: tuple[int, ...], order: list[int], colors: list[int],
+            pos: int, used: int, k: int) -> bool:
+    """Color ``order[pos:]`` with at most k colors, ``used`` of them already
+    open, each vertex opening at most one fresh color; on failure the colors
+    of those vertices are left at -1."""
+    if pos == len(order):
+        return True
+    v = order[pos]
+    forbidden = {colors[u] for u in set_bits(adj[v]) if colors[u] >= 0}
+    for c in range(min(used + 1, k)):
+        if c in forbidden:
+            continue
+        colors[v] = c
+        if _assign(adj, order, colors, pos + 1, max(used, c + 1), k):
+            return True
+        colors[v] = -1
+    return False
+
+
 def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[int]]:
     """Exact chromatic number with one optimal coloring, by backtracking.
 
@@ -80,33 +99,13 @@ def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[
     that order.  k rises from ``lb``, the clique number of the graph being
     colored, until a k-coloring is found; a failed search leaves every
     color at -1.  The backtracking recurses once per vertex, so its depth
-    is at most n.  ``assign`` refers to itself through its closure, so its
-    name is cleared on the way out: the call leaves no reference cycle.
+    is at most n.
     """
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     colors = [-1] * n
-
-    def assign(pos: int, used: int, k: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        forbidden = {colors[u] for u in set_bits(adj[v]) if colors[u] >= 0}
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            if assign(pos + 1, max(used, c + 1), k):
-                return True
-            colors[v] = -1
-        return False
-
-    try:
-        k = lb
-        while not assign(0, 0, k):
-            k += 1
-    finally:
-        del assign
+    k = lb
+    while not _assign(adj, order, colors, 0, 0, k):
+        k += 1
     return k, colors
 
 

@@ -128,6 +128,15 @@ def require(obj: dict, field: str, types, where: str = ""):
     return value
 
 
+def _refuse_string(ids, field: str, key=None) -> None:
+    """An InputError naming ``field`` (``field[key]`` with a key) if ``ids``,
+    which should be a collection of ids, is one string, whose characters it
+    would give."""
+    if isinstance(ids, str):
+        where = field if key is None else f"{field}[{key!r}]"
+        raise InputError(f"{where}: expected a collection of ids, got the string {ids!r}")
+
+
 def id_list(value, field: str) -> list[str]:
     """``value`` if it is a JSON list of id strings, else an InputError."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -166,6 +175,7 @@ class SetFunction:
     axioms_by_construction = False
 
     def __init__(self, ground: Sequence[str], scale: int = 1):
+        _refuse_string(ground, "ground")
         ground = tuple(ground)
         seen = set()
         for g in ground:
@@ -384,6 +394,7 @@ class CoverFunction(SetFunction):
     def __init__(self, ground: Sequence[str], targets: Sequence[str],
                  weights: Mapping[str, object], coverage: Mapping[str, Iterable[str]]):
         super().__init__(ground)
+        _refuse_string(targets, "targets")
         targets = tuple(targets)
         tindex: dict[str, int] = {}
         for t in targets:
@@ -407,6 +418,7 @@ class CoverFunction(SetFunction):
             if e not in self._index:
                 raise InputError(f"coverage: unknown element id {e!r}")
             covered.add(e)
+            _refuse_string(ts, "coverage", e)
             m = 0
             for t in ts:
                 if t not in tindex:
@@ -555,6 +567,7 @@ class AgentSpace:
         sets = []
         seen: dict[str, int] = {}
         for i, d in enumerate(decisions):
+            _refuse_string(d, "agents", i + 1)
             s = frozenset(d)
             for e in s:
                 if e in seen:

@@ -33,61 +33,33 @@ class Record:
     """Base of the library's immutable value records.
 
     A subclass's fields are its own annotations, in order; a value given in
-    the class body is that field's default.  The constructor takes each
-    field by position or by keyword.  Instances refuse attribute assignment
-    and deletion; two are equal when they are of the same class with equal
-    field values, hash as the tuple of those values and print as
-    ``Name(a=..., b=...)``, as a frozen dataclass does, but without the
-    start-up cost of generating each class's methods.
+    the class body is that field's default, and no field without one may
+    follow a field with one.  Each subclass gets one generated ``__init__``
+    whose parameters are its fields, so the interpreter binds the arguments,
+    by position or by keyword, and words the TypeError for bad ones, as for
+    a frozen dataclass.  Instances refuse attribute assignment and deletion;
+    two are equal when they are of the same class with equal field values,
+    hash as the tuple of those values and print as ``Name(a=..., b=...)``,
+    as a frozen dataclass does, but without the start-up cost of generating
+    each class's other methods.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         fields = tuple(cls.__annotations__)
-        defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
         cls._fields = cls.__match_args__ = fields
-        cls._defaults = defaults
-        # For each positional count the fast path takes, the (field, default)
-        # pairs of the fields it leaves out.
-        tails = {k: tuple((f, defaults[f]) for f in fields[k:])
-                 for k in range(len(fields) + 1)
-                 if all(f in defaults for f in fields[k:])}
-
-        # A closure per class, so that a positional call reads no class
-        # attribute: construction costs about what a dataclass's does.
-        def __init__(self, *args, **kwargs) -> None:
-            tail = tails.get(len(args))
-            if kwargs or tail is None:
-                self._bind(args, kwargs)
-                return
-            d = self.__dict__
-            for f, v in zip(fields, args):
-                d[f] = v
-            if tail:
-                d.update(tail)
-
-        cls.__init__ = __init__
-
-    def _bind(self, args: tuple, kwargs: dict) -> None:
-        """Set the fields from keywords, or refuse the arguments with the
-        TypeError a plain function of these parameters would raise."""
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [f for f in fields if f not in values and f not in self._defaults]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
-        d = self.__dict__
-        for f in fields:
-            d[f] = values[f] if f in values else self._defaults[f]
+        # Built from source, as dataclasses and namedtuple build theirs; the
+        # defaults are names in the namespace the def runs in.  The body
+        # rebinds self to the instance dict, so it uses no local name that a
+        # field could shadow (a field named self is a duplicate argument).
+        own = cls.__dict__
+        namespace = {f"_d{i}": own[f] for i, f in enumerate(fields) if f in own}
+        params = "".join(f", {f}=_d{i}" if f in own else f", {f}" for i, f in enumerate(fields))
+        body = "".join(f"\n    self[{f!r}] = {f}" for f in fields)
+        exec(f"def __init__(self{params}):\n    self = self.__dict__{body}", namespace)
+        cls.__init__ = namespace.pop("__init__")
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         d = self.__dict__

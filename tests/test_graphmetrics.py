@@ -450,6 +450,24 @@ class TestSearchMemo:
         assert sorted(searches) == [1, 1, 2]
         assert len({id(c) for c in complements}) == 1
 
+    def test_analyze_graph_charges_the_p_search_to_alpha_p(self, counts, tmp_path, capsys,
+                                                           monkeypatch):
+        path = tmp_path / "g.json"
+        save_graph(optimal_graph(12, 4), path)
+        searches, _ = counts
+        during_sibling = []
+        sibling = graphmetrics.has_p_sibling
+
+        def recording_sibling(graph, p):
+            before = len(searches)
+            found = sibling(graph, p)
+            during_sibling.append(searches[before:])
+            return found
+
+        monkeypatch.setattr(graphmetrics, "has_p_sibling", recording_sibling)
+        assert main(["analyze", "graph", "--in", str(path), "--p", "2"]) == 0
+        assert during_sibling == [[]]
+
     def test_certify_row_searches_once(self, counts, capsys):
         assert main(["certify", "--suite", "random", "--count", "1", "--seed", "7"]) == 0
         searches, _ = counts

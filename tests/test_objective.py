@@ -95,9 +95,13 @@ def _cover(**changes):
     ({"coverage": {"a": ("y",), "b": ("z",), "c": ()}}, "coverage: unknown element id 'c'"),
     ({"coverage": {"a": ("y",), "b": ("x",)}}, "coverage['b']: unknown target id 'x'"),
     ({"coverage": {"a": ("y",)}}, "coverage: no entry for element 'b'"),
+    ({"ground": "ab"}, "ground: expected a collection of ids, got the string 'ab'"),
+    ({"targets": "yz"}, "targets: expected a collection of ids, got the string 'yz'"),
+    ({"coverage": {"a": "y", "b": ("z",)}},
+     "coverage['a']: expected a collection of ids, got the string 'y'"),
 ], ids=["empty-id", "duplicate-id", "duplicate-target", "unknown-weight-target",
         "negative-weight", "missing-weight", "unknown-element", "unknown-target",
-        "uncovered-element"])
+        "uncovered-element", "ground-string", "targets-string", "coverage-string"])
 def test_cover_arguments_are_checked_by_field(changes, message):
     with pytest.raises(InputError) as exc:
         _cover(**changes)
@@ -582,6 +586,11 @@ class TestAgentSpace:
     def test_disjointness_enforced(self):
         with pytest.raises(InputError, match="disjoint"):
             AgentSpace([{"a", "b"}, {"b"}])
+
+    def test_a_decision_set_that_is_a_string(self):
+        with pytest.raises(InputError) as exc:
+            AgentSpace([{"ab"}, "c"])
+        assert str(exc.value) == "agents[2]: expected a collection of ids, got the string 'c'"
 
     def test_null_decisions_allowed(self):
         X = AgentSpace([{"a"}, set(), {"b"}])

@@ -127,10 +127,11 @@ class TestRecordAgainstDataclass:
             (args, {"not_a_field": 1}),                  # unknown keyword
         ]
         for a, kw in calls:
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError) as want:
                 T(*a, **kw)
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError) as got:
                 cls(*a, **kw)
+            assert str(got.value) == str(want.value)
 
     def test_copy_and_pickle(self, cls):
         T = twin(cls)
