@@ -94,6 +94,17 @@ def _element_bits(ground: Sequence[str]) -> dict[str, int]:
     return {g: 1 << i for i, g in enumerate(ground)}
 
 
+def _subset_keys(ground: Sequence[str]) -> list[str]:
+    """Each subset's table key, indexed by mask: its ids in ground order,
+    joined by commas."""
+    keys = [""]
+    for g in ground:
+        tail = "," + g
+        keys += [k + tail for k in keys]
+        keys[len(keys) // 2] = g  # {g} alone: no comma
+    return keys
+
+
 def _ids_mask(bits: dict[str, int], ids: Iterable[str]) -> int:
     """The mask of a table key's ids, or an InputError naming the first
     unknown one."""
@@ -130,11 +141,12 @@ def require(obj: dict, field: str, types, where: str = ""):
 
 def _refuse_string(ids, field: str, key=None) -> None:
     """An InputError naming ``field`` (``field[key]`` with a key) if ``ids``,
-    which should be a collection of ids, is one string, whose characters it
-    would give."""
-    if isinstance(ids, str):
+    which should be a collection of ids, is one string or bytes object,
+    whose characters or byte values it would give."""
+    if isinstance(ids, (str, bytes, bytearray)):
         where = field if key is None else f"{field}[{key!r}]"
-        raise InputError(f"{where}: expected a collection of ids, got the string {ids!r}")
+        what = "the string" if isinstance(ids, str) else type(ids).__name__
+        raise InputError(f"{where}: expected a collection of ids, got {what} {ids!r}")
 
 
 def id_list(value, field: str) -> list[str]:
@@ -300,13 +312,11 @@ class TabularFunction(SetFunction):
     ``SCALE_BITS_CAP`` bits: then the table holds the values as Fractions
     and the scale is 1.
 
-    :meth:`from_obj` reads a table in one pass of a few dictionary
-    operations per entry.  A key's mask is its prefix's mask (the key up to
-    its last comma, read earlier in every file :meth:`to_obj` or a sorted
-    dump writes) with the last id's bit added, and each distinct value
-    string is parsed once.  Any other spelling of a key, and every faulty
-    one, is split and checked in full on the spot, so the same messages
-    come in the same order.
+    :meth:`from_obj` reads a file with exactly the 2^n canonical keys (as
+    :meth:`to_obj` writes them) and plain nonnegative values in one bulk
+    pass that parses each distinct value once.  Any other file is read entry
+    by entry, every key split and checked in full, so an error names the
+    first fault in file order.
     """
 
     kind = "tabular"
@@ -315,8 +325,9 @@ class TabularFunction(SetFunction):
     def __init__(self, ground: Sequence[str], entries: Iterable[tuple[int, tuple[int, int]]]):
         """``entries`` yields (subset mask, (numerator, denominator)) once
         for every subset, the value in lowest terms with a positive
-        denominator.  It is read after the ground set is checked.  A table
-        file joins a key's ids with commas, so no id may contain one."""
+        denominator, or is a table file's ``values`` object.  It is read
+        after the ground set is checked.  A table file joins a key's ids
+        with commas, so no id may contain one."""
         super().__init__(ground)
         for g in self.ground:
             if "," in g:
@@ -324,25 +335,34 @@ class TabularFunction(SetFunction):
         n = len(self.ground)
         if n > EXHAUSTIVE_CAP:
             raise CapacityError(f"tabular ground set of {n} elements exceeds cap {EXHAUSTIVE_CAP}")
-        table = self._cache
-        for mask, value in entries:
-            if mask in table:
-                raise InputError(f"values: subset {sorted(self._members(mask))!r} defined twice")
-            if value[0] < 0:
-                raise InputError(f"values[{sorted(self._members(mask))!r}]: "
-                                 f"negative value {Fraction(*value)}")
-            table[mask] = value
-        if len(table) < 1 << n:
-            missing = next(m for m in range(1 << n) if m not in table)
-            raise InputError(f"values: no value for subset {self._members(missing)!r}")
+        bulk = isinstance(entries, dict) and _canonical_values(self.ground, entries)
+        if bulk:
+            by_mask, parsed = bulk
+        else:
+            if isinstance(entries, dict):
+                entries = _file_entries(self.ground, entries)
+            by_mask, parsed = range(1 << n), {}
+            for mask, value in entries:
+                if mask in parsed:
+                    raise InputError(
+                        f"values: subset {sorted(self._members(mask))!r} defined twice")
+                if value[0] < 0:
+                    raise InputError(f"values[{sorted(self._members(mask))!r}]: "
+                                     f"negative value {Fraction(*value)}")
+                parsed[mask] = value
+            if len(parsed) < 1 << n:
+                missing = next(m for m in range(1 << n) if m not in parsed)
+                raise InputError(f"values: no value for subset {self._members(missing)!r}")
+        # mask m's value is parsed[by_mask[m]]
         scale = 1
-        for den in {den for _, den in table.values()}:
+        for den in {den for _, den in parsed.values()}:
             scale = lcm(scale, den)
             if scale.bit_length() > SCALE_BITS_CAP:
                 scale = 0
                 break
-        for mask, (num, den) in table.items():
-            table[mask] = num * (scale // den) if scale else Fraction(num, den)
+        scaled = {k: num * (scale // den) if scale else Fraction(num, den)
+                  for k, (num, den) in parsed.items()}
+        self._cache = dict(enumerate(map(scaled.__getitem__, by_mask)))
         self.scale = scale or 1
 
     def _evaluate(self, mask: int) -> int:
@@ -351,37 +371,40 @@ class TabularFunction(SetFunction):
     def to_obj(self) -> dict:
         """Values keyed by the subset's ids in ground order, comma-separated."""
         return {"kind": self.kind,
-                "values": {",".join(self._members(mask)): str(self.mask_value(mask))
-                           for mask in range(1 << len(self.ground))}}
+                "values": {key: str(self.mask_value(mask))
+                           for mask, key in enumerate(_subset_keys(self.ground))}}
 
     @classmethod
     def from_obj(cls, ground: Sequence[str], payload: dict) -> "TabularFunction":
-        values = require(payload, "values", dict, "objective")
+        return cls(ground, require(payload, "values", dict, "objective"))
 
-        def entries():
-            bits = _element_bits(ground)
-            masks = {"": 0}  # the mask of every key read so far
-            parsed = {}      # (numerator, denominator) of every value string read so far
-            for key, raw in values.items():
-                prefix, _, last = key.rpartition(",")
-                mask, bit = masks.get(prefix), bits.get(last)
-                ids = None
-                if mask is None or bit is None or mask & bit:
-                    # another spelling, or a faulty key: split and check it in full
-                    ids = [e for e in key.split(",") if e]
-                    if len(set(ids)) != len(ids):
-                        raise InputError(
-                            f"objective.values[{key!r}]: repeated element in subset key")
-                # strings only: True and 1.0 hash equal to 1, and are not 1 here
-                value = parsed.get(raw) if type(raw) is str else None
-                if value is None:
-                    value = _table_value(raw, lambda: f"objective.values[{key!r}]")
-                    if type(raw) is str:
-                        parsed[raw] = value
-                # a bad value is named before an unknown id
-                mask = masks[key] = mask | bit if ids is None else _ids_mask(bits, ids)
-                yield mask, value
-        return cls(ground, entries())
+
+def _canonical_values(ground: Sequence[str], values: dict) -> Optional[tuple[list, dict]]:
+    """The raw value of each mask and the (numerator, denominator) of each
+    distinct one, if ``values`` has exactly the canonical keys and plain
+    nonnegative values; else None."""
+    raws = list(map(values.get, _subset_keys(ground)))
+    # None for a missing key; True and 1.0 hash equal to 1, and are not 1 here
+    if len(values) != len(raws) or not {str, int}.issuperset(map(type, raws)):
+        return None
+    try:  # the per-entry reader names a fault
+        parsed = {raw: _table_value(raw, str) for raw in dict.fromkeys(raws)}
+    except InputError:
+        return None
+    return (raws, parsed) if all(num >= 0 for num, _ in parsed.values()) else None
+
+
+def _file_entries(ground: Sequence[str], values: dict) -> Iterable[tuple[int, tuple[int, int]]]:
+    """A table file's ``values`` read entry by entry, in file order, each
+    key split and checked in full."""
+    bits = _element_bits(ground)
+    for key, raw in values.items():
+        ids = [e for e in key.split(",") if e]
+        if len(set(ids)) != len(ids):
+            raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
+        value = _table_value(raw, lambda: f"objective.values[{key!r}]")
+        # a bad value is named before an unknown id
+        yield _ids_mask(bits, ids), value
 
 
 class CoverFunction(SetFunction):

@@ -99,9 +99,15 @@ def _cover(**changes):
     ({"targets": "yz"}, "targets: expected a collection of ids, got the string 'yz'"),
     ({"coverage": {"a": "y", "b": ("z",)}},
      "coverage['a']: expected a collection of ids, got the string 'y'"),
+    ({"ground": b"ab"}, "ground: expected a collection of ids, got bytes b'ab'"),
+    ({"targets": bytearray(b"yz")},
+     "targets: expected a collection of ids, got bytearray bytearray(b'yz')"),
+    ({"coverage": {"a": b"y", "b": ("z",)}},
+     "coverage['a']: expected a collection of ids, got bytes b'y'"),
 ], ids=["empty-id", "duplicate-id", "duplicate-target", "unknown-weight-target",
         "negative-weight", "missing-weight", "unknown-element", "unknown-target",
-        "uncovered-element", "ground-string", "targets-string", "coverage-string"])
+        "uncovered-element", "ground-string", "targets-string", "coverage-string",
+        "ground-bytes", "targets-bytearray", "coverage-bytes"])
 def test_cover_arguments_are_checked_by_field(changes, message):
     with pytest.raises(InputError) as exc:
         _cover(**changes)
@@ -296,6 +302,14 @@ class TestOnePassTableParse:
         {"": 0, "a": 1, "b": 1.0, "a,b": 2},           # 1.0 after 1
         {"": 0, "a": "2/4", "b": "-2/4", "a,b": 1},    # a negative value
         {"": 0, "a": [1], "b": 1, "a,b": 2},           # a list
+        # canonical keys that the bulk pass hands to the per-entry reader
+        {"": 0, "a": 1, "b": 1, "a,b": -1},            # the last value negative
+        {"": 0, "a": 1, "b": 1, "a,b": "1/0"},         # the last value 1/0
+        {"": 0, "a": 1, "b": 1, "a,b": True},          # a boolean after 1
+        {"": 0, "a": 1, "b": 1, "a,b": 2, "c": 1},     # one key beyond the 2^n
+        {"": 0, "a": "1/2", "b": 1, "b,a": "3/2"},     # a key with its ids reversed
+        {"": "1/999983", "a": "2/999979",              # an lcm over SCALE_BITS_CAP
+         "b": "3/999961", "a,b": "4/999959"},
     ], ids=repr)
     def test_named_faults_and_spellings(self, values):
         expected = self._read(EntryByEntryTable, ("a", "b"), values)
@@ -332,6 +346,45 @@ class TestOnePassTableParse:
         again = tmp_path / "again.json"
         save_instance(loaded, loaded_agents, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_canonical_files_skip_the_per_entry_reader(self, monkeypatch, tmp_path):
+        rng = random.Random(7)
+        ground = tuple(f"e{i:02d}" for i in range(13))
+        table = SetFunction.tabular(ground, {
+            frozenset(e for i, e in enumerate(ground) if m >> i & 1):
+                F(rng.randint(0, 9), rng.randint(1, 4))
+            for m in range(1 << 13)})
+        path = tmp_path / "table.json"
+        save_instance(table, AgentSpace([ground[k::3] for k in range(3)]), path)
+
+        def refuse(ground, values):
+            raise AssertionError("read entry by entry")
+
+        monkeypatch.setattr(objective, "_file_entries", refuse)
+        sorted_dump, _ = load_instance(path)
+        in_to_obj_order = TabularFunction.from_obj(ground, table.to_obj())
+        for f in (sorted_dump, in_to_obj_order):
+            assert f.scale == table.scale and f.scaled_table() == table.scaled_table()
+        with pytest.raises(AssertionError, match="entry by entry"):
+            TabularFunction.from_obj(("a", "b"), {"values": {"": 0, "a": 1, "b": 1, "b,a": 2}})
+
+    @pytest.mark.parametrize("n", [0, 1, objective.EXHAUSTIVE_CAP])
+    def test_round_trip_at_the_edges_of_the_key_helper(self, n, tmp_path):
+        ground = tuple("abcdefghijklmnop"[:n])
+        f = SetFunction.tabular(ground, {
+            frozenset(e for i, e in enumerate(ground) if m >> i & 1): F(m.bit_count(), 1 + m % 3)
+            for m in range(1 << n)})
+        agents = AgentSpace([(e,) for e in ground])
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_instance(f, agents, first)
+        written = json.loads(first.read_text(encoding="utf-8"))["objective"]["values"]
+        assert sorted(written) == sorted(",".join(e for i, e in enumerate(ground) if m >> i & 1)
+                                         for m in range(1 << n))
+        loaded, loaded_agents = load_instance(first)
+        save_instance(loaded, loaded_agents, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert [loaded.mask_value(m) for m in range(1 << n)] == \
+            [f.mask_value(m) for m in range(1 << n)]
 
 
 class TestCheckProperties:
@@ -591,6 +644,11 @@ class TestAgentSpace:
         with pytest.raises(InputError) as exc:
             AgentSpace([{"ab"}, "c"])
         assert str(exc.value) == "agents[2]: expected a collection of ids, got the string 'c'"
+
+    def test_a_decision_set_that_is_bytes(self):
+        with pytest.raises(InputError) as exc:
+            AgentSpace([{"ab"}, b"ab"])
+        assert str(exc.value) == "agents[2]: expected a collection of ids, got bytes b'ab'"
 
     def test_null_decisions_allowed(self):
         X = AgentSpace([{"a"}, set(), {"b"}])
