@@ -25,8 +25,10 @@ keeps repeated evaluation cheap inside greedy tie-tree enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CapacityError, InputError
 from .structure import Record, check_positive_int
@@ -94,15 +96,20 @@ def _element_bits(ground: Sequence[str]) -> dict[str, int]:
     return {g: 1 << i for i, g in enumerate(ground)}
 
 
-def _subset_keys(ground: Sequence[str]) -> list[str]:
-    """Each subset's table key, indexed by mask: its ids in ground order,
-    joined by commas."""
+def _subset_keys(ground: Sequence[str]) -> Iterator[str]:
+    """Each subset's table key, in mask order: its ids in ground order,
+    joined by commas.  The keys of the subsets without the last element are
+    built by doubling and held; those with it are made as they are read, so
+    only half the keys are held at once."""
     keys = [""]
-    for g in ground:
+    for g in ground[:-1]:
         tail = "," + g
         keys += [k + tail for k in keys]
         keys[len(keys) // 2] = g  # {g} alone: no comma
-    return keys
+    if not ground:
+        return iter(keys)
+    last = ground[-1]
+    return chain(keys, (last,), map(add, islice(keys, 1, None), repeat("," + last)))
 
 
 def _ids_mask(bits: dict[str, int], ids: Iterable[str]) -> int:
@@ -176,11 +183,13 @@ class SetFunction:
     scaled values and divide by D, so the same code serves both.
 
     ``axioms_by_construction`` is true on a kind whose constructor accepts
-    only normalized, monotone, submodular functions.  Two functions read
+    only normalized, monotone, submodular functions.  Three functions read
     it: :func:`check_properties`, which reports the three axioms of such a
-    kind without a scan and scans every other function, and
-    :func:`pargreedy.greedy.brute_force_optimum`, which relies on
-    monotonicity only for such a kind.
+    kind without a scan and scans every other function;
+    :func:`pargreedy.greedy.brute_force_optimum`, which for such a kind
+    stops at f(ground) by monotonicity and, above its profile-count gate,
+    prunes by monotonicity and submodularity; and the greedy engine, whose
+    ``worst`` search prunes by monotonicity above the same gate.
     """
 
     kind: str

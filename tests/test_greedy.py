@@ -34,8 +34,19 @@ from pargreedy import (
     run_greedy,
     run_parallel_greedy,
 )
-from pargreedy.greedy import NODE_CAP, POLICIES, _ordered_decisions
-from pargreedy.objective import OBJECTIVE_KINDS, total_curvature
+from pargreedy import greedy
+from pargreedy.greedy import (
+    NODE_CAP,
+    POLICIES,
+    PRUNE_PROFILES,
+    _flat_optimum,
+    _level_build,
+    _ordered_decisions,
+    _profile_count,
+    _pruned_optimum,
+    _pruned_worst,
+)
+from pargreedy.objective import OBJECTIVE_KINDS, check_properties, total_curvature
 from pargreedy.suites import (
     edgeless_graph,
     random_assignment,
@@ -331,6 +342,54 @@ def greedy_instances(draw):
     return f, X, graph, random_assignment(rng, n, rng.randint(1, n))
 
 
+@st.composite
+def pruned_instances(draw):
+    """(f, agents, graph, assignment) of a kind that holds its axioms by
+    construction, with more than ``PRUNE_PROFILES`` profiles: a cover of
+    eight agents with two or three decisions each and small weights, so
+    that gains tie, or a curvature or p-additive witness with 8-9 tied
+    members, a p-additive one with or without a sibling last.  Null agents
+    sit anywhere; the graph's density and the assignment are drawn."""
+    kind = draw(st.sampled_from(("cover", "curvature", "p-additive")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "cover":
+        counts = [2] * 8
+        for i in rng.sample(range(8), rng.randint(0, 2)):
+            counts[i] = 3
+        targets = [f"y{t}" for t in range(rng.randint(2, 5))]
+        owned = [[f"e{i}_{k}" for k in range(c)] for i, c in enumerate(counts)]
+        ground = [e for own in owned for e in own]
+        f = SetFunction.cover(ground, targets, {t: rng.randint(1, 3) for t in targets},
+                              {e: [t for t in targets if rng.random() < 0.4] for e in ground})
+        decisions = [set(own) for own in owned]
+    else:
+        a = rng.randint(8, 9)
+        u, v = [f"u{k}" for k in range(a + 1)], [f"v{k}" for k in range(a)]
+        decisions = [{uk, vk} for uk, vk in zip(u, v)]
+        if kind == "curvature":
+            lam = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(1))))
+            f = SetFunction.curvature_witness(u[:a], v, lam)
+        elif rng.random() < 0.5:
+            f = SetFunction.p_additive_witness(u + v + ["t"], u, v, rng.randint(1, 3))
+            decisions.append({u[a], "t"})
+        else:
+            f = SetFunction.p_additive_witness(u[:a] + v, u[:a], v, rng.randint(1, 3))
+    for _ in range(rng.randint(0, 2)):
+        decisions.insert(rng.randint(0, len(decisions)), set())
+    n = len(decisions)
+    density = rng.choice((0.0, 0.25, 0.6))
+    graph = InformationGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                                 if rng.random() < density])
+    return f, AgentSpace(decisions), graph, random_assignment(rng, n, rng.randint(1, n))
+
+
+def _graph_inputs(f, X, graph):
+    """(decisions, sources, schedule) of run_greedy on the graph."""
+    return (_ordered_decisions(f, X),
+            [[j for j in range(i) if graph.has_edge(j + 1, i + 1)] for i in range(graph.n)],
+            earliest_schedule(graph))
+
+
 def _greedy_inputs(f, X, graph, assignment):
     """(run, structure, decisions, sources, schedule) for run_greedy on the
     graph and run_parallel_greedy on the assignment."""
@@ -338,9 +397,7 @@ def _greedy_inputs(f, X, graph, assignment):
     P = assignment.P
     decisions = _ordered_decisions(f, X)
     return [
-        (run_greedy, graph, decisions,
-         [[j for j in range(i) if graph.has_edge(j + 1, i + 1)] for i in range(n)],
-         earliest_schedule(graph)),
+        (run_greedy, graph, *_graph_inputs(f, X, graph)),
         (run_parallel_greedy, assignment, decisions,
          [[j for j in range(n) if P[j] < P[i]] for i in range(n)],
          Schedule(normalize_assignment(assignment).P)),
@@ -427,8 +484,9 @@ def _outcome_or_error(run, *args):
         return str(exc)
 
 
-def _counted_worst(f, X, graph):
-    """(scaled_value calls, _evaluate misses) of one worst-policy run."""
+def _counted_worst(engine, f, X, graph):
+    """(scaled_value calls, _evaluate misses) of one worst-policy run on
+    the graph, through ``run_greedy`` or straight through the level build."""
     counts = [0, 0]
     scaled, evaluate = f.scaled_value, f._evaluate
 
@@ -440,8 +498,12 @@ def _counted_worst(f, X, graph):
         counts[1] += 1
         return evaluate(mask)
 
+    decisions, sources, schedule = _graph_inputs(f, X, graph)
     f.scaled_value, f._evaluate = call, miss
-    run_greedy(f, X, graph, "worst")
+    if engine is _level_build:
+        engine(f, decisions, sources, "worst", schedule)
+    else:
+        engine(f, X, graph, "worst")
     return tuple(counts)
 
 
@@ -488,16 +550,92 @@ class TestLevelBuild:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
 
+    @staticmethod
+    def _counted(engine):
+        rng = random.Random(34)
+        f, X = random_cover_instance(rng, 10, max_ground=16)
+        counted = [_counted_worst(engine, f, X, random_feasible_graph(rng, 10, 4))]
+        w = curvature_witness(edgeless_graph(8), F(1, 3))
+        counted.append(_counted_worst(engine, w.objective, w.agents, w.graph))
+        w = p_additive_witness(star_graph(6), 2)
+        counted.append(_counted_worst(engine, w.objective, w.agents, w.graph))
+        return counted
+
     def test_evaluations_are_pinned(self):
         # scaled_value calls and _evaluate misses of the stack walk; the
         # level-by-level build must not evaluate more
-        rng = random.Random(34)
-        f, X = random_cover_instance(rng, 10, max_ground=16)
-        assert _counted_worst(f, X, random_feasible_graph(rng, 10, 4)) == (119, 117)
-        w = curvature_witness(edgeless_graph(8), F(1, 3))
-        assert _counted_worst(w.objective, w.agents, w.graph) == (281, 279)
-        w = p_additive_witness(star_graph(6), 2)
-        assert _counted_worst(w.objective, w.agents, w.graph) == (269, 146)
+        assert self._counted(_level_build) == [(119, 117), (281, 279), (269, 146)]
+
+    def test_run_greedy_evaluates_no_more_than_the_level_build(self):
+        # the cover (64 profiles) and the p-additive witness (128) stay on
+        # the level build; the curvature witness (256) takes the pruned search
+        assert self._counted(run_greedy) == [(119, 117), (244, 241), (269, 146)]
+
+
+class TestPrunedSearches:
+    """The pruned ``worst`` search and the pruned optimum, which an
+    objective that holds its axioms by construction takes above
+    ``PRUNE_PROFILES`` profiles, against the level build and the flat loop
+    that every other input keeps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pruned_instances())
+    def test_worst_matches_the_level_build_at_every_node_cap(self, instance):
+        f, X, _, _ = instance
+        assert f.axioms_by_construction
+        assert _profile_count(_ordered_decisions(f, X)) > PRUNE_PROFILES
+        for run, structure, decisions, sources, schedule in _greedy_inputs(*instance):
+            expected = _level_build(f, decisions, sources, "worst", schedule)
+            assert _pruned_worst(f, decisions, sources, schedule) == expected
+            assert run(f, X, structure, "worst") == expected
+            _, total = stack_greedy_engine(f, decisions, sources, "worst", schedule,
+                                           float("inf"))
+            for cap in (total - 1, total, total + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr("pargreedy.greedy.NODE_CAP", cap)
+                    got = _outcome_or_error(run, f, X, structure, "worst")
+                    level = _outcome_or_error(_level_build, f, decisions, sources, "worst",
+                                              schedule)
+                assert got == level
+                assert isinstance(got, str) == (cap < total)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pruned_instances())
+    def test_optimum_matches_the_oracle(self, instance):
+        f, X, _, _ = instance
+        decisions = _ordered_decisions(f, X)
+        ceiling = f.scaled_value((1 << len(f.ground)) - 1)
+        assert (_pruned_optimum(f.scaled_value, decisions, ceiling)
+                == _flat_optimum(f.scaled_value, decisions, ceiling))
+        assert brute_force_optimum(f, X) == brute_optimum(f, X)
+
+    def test_a_table_never_takes_a_pruned_path(self, monkeypatch):
+        # one monotone submodular function as a cover and as a table, with
+        # 3^4 * 2 = 162 profiles: only the cover prunes
+        owned = [[f"e{i}_{k}" for k in range(3 if i < 4 else 2)] for i in range(5)]
+        ground = [e for own in owned for e in own]
+        f = SetFunction.cover(ground, ("y1", "y2", "y3"), {"y1": 1, "y2": 2, "y3": 2},
+                              {e: ("y1", "y2", "y3")[k % 3:][:2] for k, e in enumerate(ground)})
+        table = SetFunction.tabular(ground, {f.mask_subset(m): f.mask_value(m)
+                                             for m in range(1 << len(ground))})
+        assert check_properties(table).all_hold
+        X = AgentSpace([set(own) for own in owned])
+        graph, assignment = InformationGraph(5, [(1, 5)]), IterationAssignment(2, (1,) * 4 + (2,))
+        assert _profile_count(_ordered_decisions(table, X)) > PRUNE_PROFILES
+        searches = (lambda g: run_greedy(g, X, graph, "worst"),
+                    lambda g: run_parallel_greedy(g, X, assignment, "worst"),
+                    lambda g: brute_force_optimum(g, X))
+        expected = [search(table) for search in searches]
+
+        def refuse(*args):
+            raise AssertionError("pruned path taken")
+
+        monkeypatch.setattr(greedy, "_pruned_worst", refuse)
+        monkeypatch.setattr(greedy, "_pruned_optimum", refuse)
+        for search, outcome in zip(searches, expected):
+            assert search(table) == outcome
+            with pytest.raises(AssertionError, match="pruned path taken"):
+                search(f)
 
 
 def _drivers(f, X, graph, assignment):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -32,7 +33,7 @@ from pargreedy.objective import (
     TabularFunction,
     as_fraction,
 )
-from pargreedy.serialize import load_instance, save_instance
+from pargreedy.serialize import instance_from_obj, load_instance, save_instance
 from pargreedy.suites import random_cover_entries, standard_witness_entries
 
 from conftest import (
@@ -367,6 +368,26 @@ class TestOnePassTableParse:
             assert f.scale == table.scale and f.scaled_table() == table.scaled_table()
         with pytest.raises(AssertionError, match="entry by entry"):
             TabularFunction.from_obj(("a", "b"), {"values": {"": 0, "a": 1, "b": 1, "b,a": 2}})
+
+    def test_a_bulk_read_holds_half_its_keys(self):
+        # a 13-element table with ids as long as the benchmark's, in
+        # save_instance's sorted dump, parsed and read while traced: holding
+        # all 2^13 keys at once peaks at 3.1 MB, holding half of them 2.5 MB
+        ground = [f"agent{i // 2 + 1:02d}_choice{i % 2 + 1}" for i in range(13)]
+        rng = random.Random(13)
+        text = json.dumps({"ground": ground, "agents": [ground[k::4] for k in range(4)],
+                           "objective": {"kind": "tabular", "values": {
+                               ",".join(e for i, e in enumerate(ground) if m >> i & 1):
+                                   f"{rng.randint(0, 99)}/{rng.randint(1, 4)}"
+                               for m in range(1 << 13)}}}, sort_keys=True)
+        tracemalloc.start()
+        try:
+            f, _ = instance_from_obj(json.loads(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.scale == 12 and len(f.scaled_table()) == 1 << 13
+        assert peak < 2.8 * 2 ** 20
 
     @pytest.mark.parametrize("n", [0, 1, objective.EXHAUSTIVE_CAP])
     def test_round_trip_at_the_edges_of_the_key_helper(self, n, tmp_path):
