@@ -178,12 +178,7 @@ def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int) -> Cha
     opt_profile, opt_value = brute_force_optimum(f, agents)
 
     def mask_of(profile, agent_ids) -> int:
-        m = 0
-        for a in agent_ids:
-            d = profile[a - 1]
-            if d is not None:
-                m |= f.subset_mask((d,))
-        return m
+        return f.subset_mask(profile[a - 1] for a in agent_ids if profile[a - 1] is not None)
 
     prefix = range(1, (q - 1) * (r - 1) + 1)
     sol_prefix = mask_of(sol.profile, prefix)

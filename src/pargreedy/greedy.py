@@ -105,11 +105,8 @@ def _check_policy(policy: str) -> None:
 def _ordered_decisions(f: SetFunction, agents: AgentSpace) -> list[list[tuple[str, int]]]:
     """Per agent: (id, mask) pairs sorted by ground order."""
     check_partition(f, agents)
-    out = []
-    for dset in agents.decisions:
-        opts = sorted(dset, key=f.ground_index)
-        out.append([(e, f.subset_mask((e,))) for e in opts])
-    return out
+    return [[(f.ground[i], 1 << i) for i in sorted(map(f.ground_index, dset))]
+            for dset in agents.decisions]
 
 
 def _profile_count(decisions: list[list[tuple[str, int]]]) -> int:

@@ -91,11 +91,6 @@ def _table_value(raw, field: Callable[[], str]) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _element_bits(ground: Sequence[str]) -> dict[str, int]:
-    """Each element id's bit in a subset mask over ``ground``."""
-    return {g: 1 << i for i, g in enumerate(ground)}
-
-
 def _subset_keys(ground: Sequence[str]) -> Iterator[str]:
     """Each subset's table key, in mask order: its ids in ground order,
     joined by commas.  The keys of the subsets without the last element are
@@ -110,18 +105,6 @@ def _subset_keys(ground: Sequence[str]) -> Iterator[str]:
         return iter(keys)
     last = ground[-1]
     return chain(keys, (last,), map(add, islice(keys, 1, None), repeat("," + last)))
-
-
-def _ids_mask(bits: dict[str, int], ids: Iterable[str]) -> int:
-    """The mask of a table key's ids, or an InputError naming the first
-    unknown one."""
-    mask = 0
-    for e in ids:
-        b = bits.get(e)
-        if b is None:
-            raise InputError(f"values: unknown element id {e!r}")
-        mask |= b
-    return mask
 
 
 def as_lambda(lam) -> Fraction:
@@ -218,7 +201,6 @@ class SetFunction:
         rationals and must define every one of the 2^|ground| subsets.  A
         key that repeats an element is rejected, as in an instance file."""
         def entries():
-            bits = _element_bits(ground)
             for key, raw in values.items():
                 ids = (key,) if isinstance(key, str) else tuple(key)
 
@@ -226,8 +208,7 @@ class SetFunction:
                     return f"values[{sorted(ids)!r}]"
                 if len(set(ids)) != len(ids):
                     raise InputError(f"{label()}: repeated element in subset key")
-                value = _table_value(raw, label)
-                yield _ids_mask(bits, ids), value
+                yield ids, _table_value(raw, label)
         return TabularFunction(ground, entries())
 
     @staticmethod
@@ -259,7 +240,9 @@ class SetFunction:
         return i
 
     def subset_mask(self, ids: Iterable[str]) -> int:
-        """Bitmask of a subset given by element ids."""
+        """Bitmask of a subset given by element ids.  A bare string, bytes
+        or bytearray is refused, not read as the ids of its characters."""
+        _refuse_string(ids, "ids")
         m = 0
         for e in ids:
             i = self._index.get(e)
@@ -288,11 +271,12 @@ class SetFunction:
         return Fraction(self.scaled_value(mask), self.scale)
 
     def value(self, subset: Iterable[str]) -> Fraction:
-        """f(A) for a subset given by element ids."""
+        """f(A) for a subset given by element ids (not a bare string)."""
         return self.mask_value(self.subset_mask(subset))
 
     def marginal(self, added: Iterable[str], context: Iterable[str]) -> Fraction:
-        """f(A | B) = f(A u B) - f(B)."""
+        """f(A | B) = f(A u B) - f(B), A and B each given by element ids
+        (not a bare string)."""
         a = self.subset_mask(added)
         b = self.subset_mask(context)
         return self.mask_value(a | b) - self.mask_value(b)
@@ -331,9 +315,9 @@ class TabularFunction(SetFunction):
     kind = "tabular"
     axioms_by_construction = False  # any nonnegative table is accepted
 
-    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[int, tuple[int, int]]]):
-        """``entries`` yields (subset mask, (numerator, denominator)) once
-        for every subset, the value in lowest terms with a positive
+    def __init__(self, ground: Sequence[str], entries: Iterable[tuple[Iterable[str], tuple[int, int]]]):
+        """``entries`` yields (a subset's ids, (numerator, denominator))
+        once for every subset, the value in lowest terms with a positive
         denominator, or is a table file's ``values`` object.  It is read
         after the ground set is checked.  A table file joins a key's ids
         with commas, so no id may contain one."""
@@ -349,9 +333,13 @@ class TabularFunction(SetFunction):
             by_mask, parsed = bulk
         else:
             if isinstance(entries, dict):
-                entries = _file_entries(self.ground, entries)
+                entries = _file_entries(entries)
             by_mask, parsed = range(1 << n), {}
-            for mask, value in entries:
+            for ids, value in entries:
+                try:
+                    mask = self.subset_mask(ids)
+                except InputError as exc:
+                    raise InputError(f"values: {exc}") from None
                 if mask in parsed:
                     raise InputError(
                         f"values: subset {sorted(self._members(mask))!r} defined twice")
@@ -403,17 +391,15 @@ def _canonical_values(ground: Sequence[str], values: dict) -> Optional[tuple[lis
     return (raws, parsed) if all(num >= 0 for num, _ in parsed.values()) else None
 
 
-def _file_entries(ground: Sequence[str], values: dict) -> Iterable[tuple[int, tuple[int, int]]]:
+def _file_entries(values: dict) -> Iterable[tuple[list[str], tuple[int, int]]]:
     """A table file's ``values`` read entry by entry, in file order, each
     key split and checked in full."""
-    bits = _element_bits(ground)
     for key, raw in values.items():
         ids = [e for e in key.split(",") if e]
         if len(set(ids)) != len(ids):
             raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
-        value = _table_value(raw, lambda: f"objective.values[{key!r}]")
         # a bad value is named before an unknown id
-        yield _ids_mask(bits, ids), value
+        yield ids, _table_value(raw, lambda: f"objective.values[{key!r}]")
 
 
 class CoverFunction(SetFunction):
@@ -560,6 +546,10 @@ class PAdditiveWitnessFunction(_TwoBlockWitness):
         super().__init__(ground, p)
         self.p = p
         self._set_blocks(u_ids, v_ids)
+        for block, ids, mask in (("u", u_ids, self._u_mask), ("v", v_ids, self._v_mask)):
+            if len(ids) > mask.bit_count():  # an id given twice
+                e = next(e for e in ids if ids.count(e) > 1)
+                raise InputError(f"{block}: repeated element id {e!r}")
         if self._u_mask & self._v_mask:
             raise InputError("u/v: the two blocks must be disjoint")
 

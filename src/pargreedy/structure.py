@@ -164,7 +164,7 @@ class InformationGraph:
             raise CapacityError(f"graph of {n} vertices exceeds vertex cap {VERTEX_CAP}")
         adj = [0] * n
         for e in edges:
-            if isinstance(e, (str, bytes, dict)):
+            if isinstance(e, (str, bytes, bytearray, dict)):
                 raise InputError(f"edges: expected a pair, got {e!r}")
             try:
                 pair = tuple(e)

@@ -232,6 +232,22 @@ class TestChainBoundCheck:
         with pytest.raises(InputError, match="mod"):
             chain_bound_check(f, X, 6, 4)
 
+    def test_rejects_wrong_agent_count(self):
+        rng = random.Random(36)
+        f, X = random_cover_instance(rng, 4)
+        with pytest.raises(InputError, match=r"^agents: expected 5 agents, got 4$"):
+            chain_bound_check(f, X, 5, 2)
+
+    def test_null_decisions(self):
+        # agent 2 has no decision: the telescoping sum skips it and its
+        # relaxed terms are zero
+        f = SetFunction.cover(("a", "b", "c"), ("x", "y"), {"x": 2, "y": 1},
+                              {"a": ("x",), "b": ("y",), "c": ("x", "y")})
+        X = AgentSpace([{"a", "b"}, set(), {"c"}])
+        chk = chain_bound_check(f, X, 3, 2)
+        assert chk.holds and chk.r == 2
+        assert chk.stages == (3, 3, 3, 5, 5, 5, 5, 6)
+
     def test_single_agent(self):
         rng = random.Random(35)
         f, X = random_cover_instance(rng, 1)

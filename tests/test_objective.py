@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import lcm
@@ -74,6 +75,11 @@ class TestEvaluate:
         f = SetFunction.cover(("a",), ("y",), {"y": "2/3"}, {"a": ("y",)})
         assert f.value(("a",)) == F(2, 3)
 
+    def test_ground_index_of_an_unknown_element(self, cover_fixture):
+        assert cover_fixture.ground_index("b") == 1
+        with pytest.raises(InputError, match=r"^unknown element id 'zzz'$"):
+            cover_fixture.ground_index("zzz")
+
     def test_float_weight_rejected(self):
         with pytest.raises(InputError, match="weights"):
             SetFunction.cover(("a",), ("y",), {"y": 0.5}, {"a": ("y",)})
@@ -112,6 +118,52 @@ def _cover(**changes):
 def test_cover_arguments_are_checked_by_field(changes, message):
     with pytest.raises(InputError) as exc:
         _cover(**changes)
+    assert str(exc.value) == message
+
+
+_ID_COLLECTION_ENTRY_POINTS = {
+    "ground": lambda ids: _cover(ground=ids),
+    "agents": lambda ids: AgentSpace([("a",), ids]),
+    "targets": lambda ids: _cover(targets=ids),
+    "coverage": lambda ids: _cover(coverage={"a": ids, "b": ("z",)}),
+    "subset_mask": lambda ids: _cover().subset_mask(ids),
+    "value": lambda ids: _cover().value(ids),
+    "marginal-added": lambda ids: _cover().marginal(ids, ()),
+    "marginal-context": lambda ids: _cover().marginal((), ids),
+    "curvature-u": lambda ids: SetFunction.curvature_witness(ids, ("c",), F(1, 2)),
+    "curvature-v": lambda ids: SetFunction.curvature_witness(("c",), ids, F(1, 2)),
+    "p-additive-u": lambda ids: SetFunction.p_additive_witness(("a", "b", "c"), ids, ("c",), 1),
+    "p-additive-v": lambda ids: SetFunction.p_additive_witness(("a", "b", "c"), ("c",), ids, 1),
+}
+
+
+@pytest.mark.parametrize("entry_point", _ID_COLLECTION_ENTRY_POINTS)
+@pytest.mark.parametrize("ids", ["ab", b"ab", bytearray(b"ab")], ids=["str", "bytes", "bytearray"])
+def test_every_collection_of_ids_refuses_a_bare_string(entry_point, ids):
+    # each character of "ab" is a known id, so a call that reads the
+    # string as a collection returns a value instead of raising
+    with pytest.raises(InputError):
+        _ID_COLLECTION_ENTRY_POINTS[entry_point](ids)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.subset_mask("ab"), lambda f: f.value("ab"),
+    lambda f: f.marginal("ab", ()), lambda f: f.marginal(("a",), "ab"),
+], ids=["subset_mask", "value", "marginal-added", "marginal-context"])
+def test_a_subset_given_as_a_string_is_named(call):
+    with pytest.raises(InputError) as exc:
+        call(_cover())
+    assert str(exc.value) == "ids: expected a collection of ids, got the string 'ab'"
+
+
+@pytest.mark.parametrize("u, v, message", [
+    (["a", "a"], ["b"], "u: repeated element id 'a'"),
+    (["a"], ["b", "c", "b"], "v: repeated element id 'b'"),
+], ids=["u", "v"])
+def test_a_p_additive_block_repeats_no_id(u, v, message):
+    # read as a set, ["a", "a"] would be U = {a} and save as ["a"]
+    with pytest.raises(InputError) as exc:
+        SetFunction.p_additive_witness(("a", "b", "c"), u, v, 2)
     assert str(exc.value) == message
 
 
@@ -217,6 +269,11 @@ class TestTabular:
         f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): "3/2"})
         assert f.value(("a", "b")) == F(3, 2)
 
+    def test_a_mask_outside_the_ground_set(self):
+        f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 2})
+        with pytest.raises(InputError, match=r"^mask 4: not a subset of the 2-element ground set$"):
+            f.mask_value(4)
+
 
 class TestTableParse:
     """``TabularFunction.from_obj`` reads plain integers and "N" / "N/M"
@@ -260,6 +317,18 @@ class TestTableParse:
         monkeypatch.setattr("pargreedy.objective.as_fraction", refuse)
         for raw in ("0", "007", "2/4", 3):
             assert self._parse(raw) == ("value", Fraction(raw))
+
+    def test_a_value_with_more_digits_than_int_converts(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            raw = "1" * 641
+            with pytest.raises(InputError, match=r"^objective\.values\['a'\]: invalid rational"):
+                TabularFunction.from_obj(("a",), {"values": {"": 0, "a": raw}})
+            with pytest.raises(InputError, match=r"^values\[\['a'\]\]: invalid rational"):
+                SetFunction.tabular(("a",), {(): 0, ("a",): raw})
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_unreduced_values_share_one_scale(self):
         f = TabularFunction.from_obj(("a", "b"), {"values": {
@@ -358,7 +427,7 @@ class TestOnePassTableParse:
         path = tmp_path / "table.json"
         save_instance(table, AgentSpace([ground[k::3] for k in range(3)]), path)
 
-        def refuse(ground, values):
+        def refuse(values):
             raise AssertionError("read entry by entry")
 
         monkeypatch.setattr(objective, "_file_entries", refuse)

@@ -240,6 +240,20 @@ class TestInstanceFormat:
             instance_from_obj(obj)
         assert str(exc.value) == message
 
+    def test_a_p_additive_block_that_repeats_an_id(self):
+        obj = {"ground": ["a", "b"], "agents": [["a"], ["b"]],
+               "objective": {"kind": "p-additive-witness", "u": ["a", "a"], "v": ["b"], "p": 2}}
+        with pytest.raises(InputError) as exc:
+            instance_from_obj(obj)
+        assert str(exc.value) == "u: repeated element id 'a'"
+
+    def test_a_ground_id_that_is_not_a_string(self):
+        obj = {"ground": ["a", 1], "agents": [["a"]],
+               "objective": {"kind": "tabular", "values": {"": 0, "a": 1}}}
+        with pytest.raises(InputError) as exc:
+            instance_from_obj(obj)
+        assert str(exc.value) == "ground: expected a list of id strings"
+
     def test_ground_not_fully_assigned(self):
         obj = {"ground": ["a", "b"], "agents": [["a"]],
                "objective": {"kind": "tabular",

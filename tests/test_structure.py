@@ -95,6 +95,13 @@ class TestInformationGraphRejectsMalformedEdges:
             InformationGraph(3, [(1, 2), edge])
         assert str(exc.value) == f"edges: expected a pair, got {edge!r}"
 
+    def test_an_edge_that_is_a_bytearray(self):
+        # its byte values would otherwise read as the pair (1, 2)
+        edge = bytearray(b"\x01\x02")
+        with pytest.raises(InputError) as exc:
+            InformationGraph(3, [edge])
+        assert str(exc.value) == "edges: expected a pair, got bytearray(b'\\x01\\x02')"
+
 
 @st.composite
 def edge_lists(draw, n_max: int = 12):
