@@ -13,11 +13,10 @@ that order.  The maximum sets are enumerated lazily, so a predicate stops at
 its first witness.  Computations refuse graphs of more than ``GRAPH_CAP``
 vertices with a CapacityError instead of approximating.
 
-Each graph is searched at most once per p: every invariant reads the first
-maximum set through the graph's own memo,
-:meth:`~pargreedy.structure.InformationGraph.max_set_mask`, and omega is
-alpha of the graph's kept complement.  So alpha, theta and the sibling
-search share one search, and the results do not depend on call order.
+Each graph is searched at most once per p and colored at most once: its one
+memo, :meth:`~pargreedy.structure.InformationGraph.kept`, keeps the first
+maximum set per p and theta's witness, and omega is alpha of the kept
+complement.  So the results do not depend on the order of the calls.
 
 The in-neighborhood convention is fixed module-wide: N_i contains only the
 lower-index neighbors of i, matching the direction of information flow.
@@ -112,12 +111,15 @@ def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[
 def clique_cover_number(graph: InformationGraph) -> InvariantWitness:
     """theta(G): chromatic number of the complement, witnessed by a minimum
     partition of the vertices into cliques.  The coloring's lower bound, the
-    clique number of the complement, is alpha(G)."""
+    clique number of the complement, is alpha(G).  Colored once per graph."""
     _require_cap(graph, "clique cover number")
-    n = graph.n
+    return graph.kept("theta", _clique_cover, graph)
+
+
+def _clique_cover(graph: InformationGraph) -> InvariantWitness:
     alpha = _max_mask(graph, 1).bit_count()
-    k, coloring = _chromatic_number(graph.complement().adjacency_masks(), n, alpha)
-    partition = tuple(tuple(v + 1 for v in range(n) if coloring[v] == c) for c in range(k))
+    k, coloring = _chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
+    partition = tuple(tuple(v + 1 for v, cv in enumerate(coloring) if cv == c) for c in range(k))
     return InvariantWitness(k, partition)
 
 
@@ -233,9 +235,12 @@ def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int) -> int:
 
 
 def _max_mask(graph: InformationGraph, p: int) -> int:
-    """The first maximum p-pseudo-independent set of the graph, searched
-    once per graph and p."""
-    return graph.max_set_mask(p, _max_pseudo_independent_mask)
+    """The first maximum p-pseudo-independent set, searched once per graph and p."""
+    return graph.kept(p, _search, graph, p)
+
+
+def _search(graph: InformationGraph, p: int) -> int:
+    return _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p)
 
 
 def _maximum_sets(graph: InformationGraph, p: int):

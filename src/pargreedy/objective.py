@@ -129,14 +129,21 @@ def require(obj: dict, field: str, types, where: str = ""):
     return value
 
 
-def _refuse_string(ids, field: str, key=None) -> None:
-    """An InputError naming ``field`` (``field[key]`` with a key) if ``ids``,
-    which should be a collection of ids, is one string or bytes object,
-    whose characters or byte values it would give."""
+def _check_ids(ids, field: str, key=None) -> None:
+    """An InputError naming ``field`` (``field[key]`` with a key) unless
+    ``ids``, which should be a collection of ids, is iterable and is not one
+    string or bytes object, whose characters or byte values it would give."""
     if isinstance(ids, (str, bytes, bytearray)):
-        where = field if key is None else f"{field}[{key!r}]"
-        what = "the string" if isinstance(ids, str) else type(ids).__name__
-        raise InputError(f"{where}: expected a collection of ids, got {what} {ids!r}")
+        kind = "the string" if isinstance(ids, str) else type(ids).__name__
+        what = f"{kind} {ids!r}"
+    else:
+        try:
+            iter(ids)
+            return
+        except TypeError:
+            what = repr(ids)
+    where = field if key is None else f"{field}[{key!r}]"
+    raise InputError(f"{where}: expected a collection of ids, got {what}")
 
 
 def id_list(value, field: str) -> list[str]:
@@ -179,7 +186,7 @@ class SetFunction:
     axioms_by_construction = False
 
     def __init__(self, ground: Sequence[str], scale: int = 1):
-        _refuse_string(ground, "ground")
+        _check_ids(ground, "ground")
         ground = tuple(ground)
         seen = set()
         for g in ground:
@@ -202,7 +209,11 @@ class SetFunction:
         key that repeats an element is rejected, as in an instance file."""
         def entries():
             for key, raw in values.items():
-                ids = (key,) if isinstance(key, str) else tuple(key)
+                if isinstance(key, str):
+                    ids = (key,)
+                else:
+                    _check_ids(key, "values")
+                    ids = tuple(key)
 
                 def label():
                     return f"values[{sorted(ids)!r}]"
@@ -242,7 +253,7 @@ class SetFunction:
     def subset_mask(self, ids: Iterable[str]) -> int:
         """Bitmask of a subset given by element ids.  A bare string, bytes
         or bytearray is refused, not read as the ids of its characters."""
-        _refuse_string(ids, "ids")
+        _check_ids(ids, "ids")
         m = 0
         for e in ids:
             i = self._index.get(e)
@@ -395,6 +406,8 @@ def _file_entries(values: dict) -> Iterable[tuple[list[str], tuple[int, int]]]:
     """A table file's ``values`` read entry by entry, in file order, each
     key split and checked in full."""
     for key, raw in values.items():
+        if not isinstance(key, str):
+            raise InputError(f"values: keys must be strings of comma-separated ids, got {key!r}")
         ids = [e for e in key.split(",") if e]
         if len(set(ids)) != len(ids):
             raise InputError(f"objective.values[{key!r}]: repeated element in subset key")
@@ -412,10 +425,12 @@ class CoverFunction(SetFunction):
     def __init__(self, ground: Sequence[str], targets: Sequence[str],
                  weights: Mapping[str, object], coverage: Mapping[str, Iterable[str]]):
         super().__init__(ground)
-        _refuse_string(targets, "targets")
+        _check_ids(targets, "targets")
         targets = tuple(targets)
         tindex: dict[str, int] = {}
         for t in targets:
+            if not isinstance(t, str):
+                raise InputError(f"targets: target ids must be strings, got {t!r}")
             if t in tindex:
                 raise InputError(f"targets: duplicate target id {t!r}")
             tindex[t] = len(tindex)
@@ -436,7 +451,7 @@ class CoverFunction(SetFunction):
             if e not in self._index:
                 raise InputError(f"coverage: unknown element id {e!r}")
             covered.add(e)
-            _refuse_string(ts, "coverage", e)
+            _check_ids(ts, "coverage", e)
             m = 0
             for t in ts:
                 if t not in tindex:
@@ -509,6 +524,8 @@ class CurvatureWitnessFunction(_TwoBlockWitness):
 
     def __init__(self, u_ids: Sequence[str], v_ids: Sequence[str], lam):
         lam = as_lambda(lam)
+        _check_ids(u_ids, "u")
+        _check_ids(v_ids, "v")
         super().__init__(tuple(u_ids) + tuple(v_ids), lam.denominator)
         self.lam = lam
         self._a = lam.numerator  # lam * scale, read once, not per evaluation
@@ -589,8 +606,12 @@ class AgentSpace:
         sets = []
         seen: dict[str, int] = {}
         for i, d in enumerate(decisions):
-            _refuse_string(d, "agents", i + 1)
-            s = frozenset(d)
+            _check_ids(d, "agents", i + 1)
+            ids = tuple(d)
+            for e in ids:
+                if not isinstance(e, str):
+                    raise InputError(f"agents[{i + 1}]: decision ids must be strings, got {e!r}")
+            s = frozenset(ids)
             for e in s:
                 if e in seen:
                     raise InputError(

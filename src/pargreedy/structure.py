@@ -152,9 +152,9 @@ class InformationGraph:
     """Undirected graph over agents 1..n, stored only as its adjacency masks
     (:meth:`adjacency_masks`), which every other view is read off.
 
-    The masks are read-only, so what is derived from them once and kept on
-    the instance (the complement and the maximum-set memo of
-    :meth:`max_set_mask`) cannot go stale.
+    The masks are read-only, so a result derived from them cannot go stale.
+    Each graph keeps every such result, which is never None, in one memo,
+    :meth:`kept`: its complement, and the invariants callers derive from it.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
@@ -163,6 +163,10 @@ class InformationGraph:
         if n > VERTEX_CAP:
             raise CapacityError(f"graph of {n} vertices exceeds vertex cap {VERTEX_CAP}")
         adj = [0] * n
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InputError(f"edges: expected a collection of pairs, got {edges!r}") from None
         for e in edges:
             if isinstance(e, (str, bytes, bytearray, dict)):
                 raise InputError(f"edges: expected a pair, got {e!r}")
@@ -185,8 +189,7 @@ class InformationGraph:
 
     def _init(self, adj: tuple[int, ...]) -> None:
         self._adj = adj
-        self._complement: Optional[InformationGraph] = None
-        self._max_masks: dict[int, int] = {}
+        self._kept: dict = {}
 
     @property
     def n(self) -> int:
@@ -216,27 +219,16 @@ class InformationGraph:
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(k + 1 for k in set_bits(self._adj[i - 1] & ((1 << (i - 1)) - 1)))
 
+    def kept(self, key, build: Callable, *args):
+        """The result for ``key``: ``build(*args)`` at the first call, kept after that."""
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = build(*args)
+        return value
+
     def complement(self) -> "InformationGraph":
         """The complement graph, built from the masks at the first call and kept."""
-        if self._complement is None:
-            full = (1 << self.n) - 1
-            c = self._complement = InformationGraph.__new__(InformationGraph)
-            c._init(tuple(full ^ (1 << i) ^ m for i, m in enumerate(self._adj)))
-        return self._complement
-
-    def max_set_mask(self, p: int, search: Callable[[tuple[int, ...], int, int], int]) -> int:
-        """The first maximum p-pseudo-independent set in index order, as a
-        bitmask: ``search(self.adjacency_masks(), self.n, p)`` at the first
-        call for each p, and the kept result after that.
-
-        ``search`` is the exact search of :mod:`pargreedy.graphmetrics`,
-        which reads every invariant it reports through this memo, so a graph
-        is searched at most once per p whatever the order of the calls.
-        """
-        mask = self._max_masks.get(p)
-        if mask is None:
-            mask = self._max_masks[p] = search(self.adjacency_masks(), self.n, p)
-        return mask
+        return self.kept("complement", _complement, self._adj)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return [(i, i + 1 + k) for i, m in enumerate(self._adj, start=1)
@@ -250,6 +242,13 @@ class InformationGraph:
 
     def __repr__(self) -> str:
         return f"InformationGraph(n={self.n}, edges={self.sorted_edges()})"
+
+
+def _complement(adj: tuple[int, ...]) -> InformationGraph:
+    full = (1 << len(adj)) - 1
+    c = InformationGraph.__new__(InformationGraph)
+    c._init(tuple(full ^ (1 << i) ^ m for i, m in enumerate(adj)))
+    return c
 
 
 class Schedule(Record):

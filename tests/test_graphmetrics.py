@@ -15,7 +15,9 @@ from pargreedy import (
     clique_cover_number,
     clique_number,
     complement_turan_graph,
+    curvature_graph_bounds,
     earliest_schedule,
+    graph_ratio_bounds,
     has_p_sibling,
     has_sibling_condition,
     independence_number,
@@ -472,6 +474,57 @@ class TestSearchMemo:
         assert main(["certify", "--suite", "random", "--count", "1", "--seed", "7"]) == 0
         searches, _ = counts
         assert searches == [1]
+
+
+class TestColoringMemo:
+    """theta's exact coloring of the complement runs at most once per graph,
+    whichever public call asks for theta first."""
+
+    @pytest.fixture
+    def colorings(self, monkeypatch):
+        """The vertex count of every coloring search run."""
+        calls = []
+        color = graphmetrics._chromatic_number
+
+        def counting_color(adj, n, lb):
+            calls.append(n)
+            return color(adj, n, lb)
+
+        monkeypatch.setattr(graphmetrics, "_chromatic_number", counting_color)
+        return calls
+
+    def test_bounds_with_a_lambda_colors_once(self, colorings, tmp_path, capsys):
+        # the plain and the curvature bounds both need theta
+        path = tmp_path / "g.json"
+        save_graph(optimal_graph(6, 2), path)
+        assert main(["bounds", "--in", str(path), "--lambda", "1/2"]) == 0
+        assert colorings == [6]
+        assert capsys.readouterr().out == (
+            "lower=1/4 upper=1/3 refined_upper=1/4 curvature_lower=4/7 curvature_upper=2/3\n")
+
+    def test_theta_callers_color_once_in_any_order(self, colorings):
+        calls = {
+            "theta": clique_cover_number,
+            "ratio": graph_ratio_bounds,
+            "curvature": lambda g: curvature_graph_bounds(g, "1/2"),
+        }
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            names = list(calls)
+            rng.shuffle(names)
+            shared = {name: calls[name](g) for name in names}
+            assert colorings == [g.n], names
+            for name in names:
+                assert shared[name] == calls[name](_fresh(g)), name
+            colorings.clear()
+
+    def test_an_oversized_graph_is_refused_before_any_coloring(self, colorings):
+        g = InformationGraph(21)
+        for _ in range(2):
+            with pytest.raises(CapacityError, match="^clique cover number on 21 vertices"):
+                clique_cover_number(g)
+        assert colorings == []
 
 
 @pytest.mark.parametrize("call, what", [

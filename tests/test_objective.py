@@ -111,10 +111,16 @@ def _cover(**changes):
      "targets: expected a collection of ids, got bytearray bytearray(b'yz')"),
     ({"coverage": {"a": b"y", "b": ("z",)}},
      "coverage['a']: expected a collection of ids, got bytes b'y'"),
+    ({"targets": ("y", 1), "weights": {}}, "targets: target ids must be strings, got 1"),
+    ({"targets": (1, "z"), "weights": {1: 1, "z": 2}, "coverage": {"a": (1,), "b": ("z",)}},
+     "targets: target ids must be strings, got 1"),
+    ({"targets": None}, "targets: expected a collection of ids, got None"),
+    ({"coverage": {"a": 5, "b": ("z",)}}, "coverage['a']: expected a collection of ids, got 5"),
 ], ids=["empty-id", "duplicate-id", "duplicate-target", "unknown-weight-target",
         "negative-weight", "missing-weight", "unknown-element", "unknown-target",
         "uncovered-element", "ground-string", "targets-string", "coverage-string",
-        "ground-bytes", "targets-bytearray", "coverage-bytes"])
+        "ground-bytes", "targets-bytearray", "coverage-bytes", "target-id-not-a-string",
+        "target-id-not-a-string-but-covered", "targets-none", "coverage-int"])
 def test_cover_arguments_are_checked_by_field(changes, message):
     with pytest.raises(InputError) as exc:
         _cover(**changes)
@@ -143,6 +149,13 @@ def test_every_collection_of_ids_refuses_a_bare_string(entry_point, ids):
     # each character of "ab" is a known id, so a call that reads the
     # string as a collection returns a value instead of raising
     with pytest.raises(InputError):
+        _ID_COLLECTION_ENTRY_POINTS[entry_point](ids)
+
+
+@pytest.mark.parametrize("entry_point", _ID_COLLECTION_ENTRY_POINTS)
+@pytest.mark.parametrize("ids", [None, 5], ids=["None", "int"])
+def test_every_collection_of_ids_refuses_a_non_collection(entry_point, ids):
+    with pytest.raises(InputError, match=rf"expected a collection of ids, got {ids!r}$"):
         _ID_COLLECTION_ENTRY_POINTS[entry_point](ids)
 
 
@@ -268,6 +281,18 @@ class TestTabular:
     def test_lookup(self):
         f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): "3/2"})
         assert f.value(("a", "b")) == F(3, 2)
+
+    def test_a_values_key_that_is_not_a_string(self):
+        # a frozenset key belongs to SetFunction.tabular, not to a table's values
+        with pytest.raises(InputError) as exc:
+            TabularFunction(("a",), {frozenset(): 0, frozenset({"a"}): 1})
+        assert str(exc.value) == (
+            "values: keys must be strings of comma-separated ids, got frozenset()")
+
+    def test_a_subset_key_that_is_not_a_collection(self):
+        with pytest.raises(InputError) as exc:
+            SetFunction.tabular(("a",), {(): 0, 5: 1})
+        assert str(exc.value) == "values: expected a collection of ids, got 5"
 
     def test_a_mask_outside_the_ground_set(self):
         f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 2})
@@ -739,6 +764,17 @@ class TestAgentSpace:
         with pytest.raises(InputError) as exc:
             AgentSpace([{"ab"}, b"ab"])
         assert str(exc.value) == "agents[2]: expected a collection of ids, got bytes b'ab'"
+
+    def test_a_decision_set_that_is_not_a_collection(self):
+        with pytest.raises(InputError) as exc:
+            AgentSpace([{"ab"}, 5])
+        assert str(exc.value) == "agents[2]: expected a collection of ids, got 5"
+
+    def test_a_decision_id_that_is_not_a_string(self, cover_fixture):
+        # the partition check would otherwise sort a mix of ints and strings
+        with pytest.raises(InputError) as exc:
+            check_partition(cover_fixture, AgentSpace([[1, "c"], ["a", "b"]]))
+        assert str(exc.value) == "agents[1]: decision ids must be strings, got 1"
 
     def test_null_decisions_allowed(self):
         X = AgentSpace([{"a"}, set(), {"b"}])

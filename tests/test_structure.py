@@ -76,6 +76,12 @@ class TestInformationGraphRejectsBooleans:
 
 
 class TestInformationGraphRejectsMalformedEdges:
+    @pytest.mark.parametrize("edges", [None, 5], ids=repr)
+    def test_edges_that_are_not_a_collection(self, edges):
+        with pytest.raises(InputError) as exc:
+            InformationGraph(2, edges)
+        assert str(exc.value) == f"edges: expected a collection of pairs, got {edges!r}"
+
     @pytest.mark.parametrize("edge", [5, None], ids=repr)
     def test_an_edge_that_is_not_iterable(self, edge):
         with pytest.raises(InputError, match=rf"^edges: expected a pair, got {edge!r}$"):
