@@ -7,11 +7,16 @@ pseudo-independence numbers, the sibling predicates, and the lower bound of
 the exact coloring of the complement that gives the clique cover number.
 The search visits vertices in increasing index, tries including a vertex
 before excluding it, skips every vertex that can no longer join the set and
-prunes on a clique bound, so it meets the sets in one fixed order ("index
+prunes on a clique bound that counts, per clique, only the members the set
+can still take there, so it meets the sets in one fixed order ("index
 order"): the reported maximum set and every witness are the first ones in
-that order.  The maximum sets are enumerated lazily, so a predicate stops at
-its first witness.  Computations refuse graphs of more than ``GRAPH_CAP``
-vertices with a CapacityError instead of approximating.
+that order.  The maximum set is found by extending each set found with
+every later vertex that fits, which is the first set of its own size, and
+searching one size above it, not every size from 1.  The maximum sets are
+enumerated lazily, so a predicate stops at its first witness.  The coloring
+keeps each color class as a vertex mask, so a color is tested against a
+vertex's neighbors in one AND.  Computations refuse graphs of more than
+``GRAPH_CAP`` vertices with a CapacityError instead of approximating.
 
 Each graph is searched at most once per p and colored at most once: its one
 memo, :meth:`~pargreedy.structure.InformationGraph.kept`, keeps the first
@@ -70,42 +75,45 @@ def clique_number(graph: InformationGraph) -> InvariantWitness:
     return _largest(graph, 1, "clique number", complement=True)
 
 
-def _assign(adj: tuple[int, ...], order: list[int], colors: list[int],
-            pos: int, used: int, k: int) -> bool:
-    """Color ``order[pos:]`` with at most k colors, ``used`` of them already
-    open, each vertex opening at most one fresh color; on failure the colors
-    of those vertices are left at -1."""
+def _assign(adj: tuple[int, ...], order: list[int], classes: list[int],
+            pos: int, used: int) -> bool:
+    """Color ``order[pos:]`` with at most ``len(classes)`` colors, ``used``
+    of them already open, each vertex opening at most one fresh color.
+    ``classes[c]`` is the mask of the vertices colored c, so v may take c
+    when ``classes[c] & adj[v]`` is 0; on failure the classes are left as
+    they were."""
     if pos == len(order):
         return True
     v = order[pos]
-    forbidden = {colors[u] for u in set_bits(adj[v]) if colors[u] >= 0}
-    for c in range(min(used + 1, k)):
-        if c in forbidden:
+    vb, nb = 1 << v, adj[v]
+    for c in range(used + 1 if used < len(classes) else used):
+        if classes[c] & nb:
             continue
-        colors[v] = c
-        if _assign(adj, order, colors, pos + 1, max(used, c + 1), k):
+        classes[c] |= vb
+        if _assign(adj, order, classes, pos + 1, used + (c == used)):
             return True
-        colors[v] = -1
+        classes[c] ^= vb
     return False
 
 
-def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> tuple[int, list[int]]:
-    """Exact chromatic number with one optimal coloring, by backtracking.
+def _chromatic_number(adj: tuple[int, ...], n: int, lb: int) -> list[int]:
+    """Exact chromatic number with one optimal coloring, by backtracking:
+    the coloring's color classes, as vertex masks, in color order.
 
     Vertices are tried in degree-descending order and colors in increasing
     order, and each vertex may only open one fresh color (symmetry
     breaking), so a search's first descent is the first-fit coloring in
-    that order.  k rises from ``lb``, the clique number of the graph being
-    colored, until a k-coloring is found; a failed search leaves every
-    color at -1.  The backtracking recurses once per vertex, so its depth
-    is at most n.
+    that order.  A vertex may join a color when the class's mask meets none
+    of its neighbors.  k rises from ``lb``, the clique number of the graph
+    being colored, until a k-coloring is found; a failed search leaves
+    every class empty, so the next k adds one.  The backtracking recurses
+    once per vertex, so its depth is at most n.
     """
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    colors = [-1] * n
-    k = lb
-    while not _assign(adj, order, colors, 0, 0, k):
-        k += 1
-    return k, colors
+    classes = [0] * lb
+    while not _assign(adj, order, classes, 0, 0):
+        classes.append(0)
+    return classes
 
 
 def clique_cover_number(graph: InformationGraph) -> InvariantWitness:
@@ -118,9 +126,8 @@ def clique_cover_number(graph: InformationGraph) -> InvariantWitness:
 
 def _clique_cover(graph: InformationGraph) -> InvariantWitness:
     alpha = _max_mask(graph, 1).bit_count()
-    k, coloring = _chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
-    partition = tuple(tuple(v + 1 for v, cv in enumerate(coloring) if cv == c) for c in range(k))
-    return InvariantWitness(k, partition)
+    classes = _chromatic_number(graph.complement().adjacency_masks(), graph.n, alpha)
+    return InvariantWitness(len(classes), tuple(map(_vertices, classes)))
 
 
 def maximum_independent_sets(graph: InformationGraph) -> list[tuple[int, ...]]:
@@ -181,31 +188,40 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
     neighbor u of v that now has p in-neighbors in the set: every vertex of
     ``alive`` comes after every vertex of the set, so adj[u] & cur is u's
     in-neighborhood inside it, and the set only grows, so a dropped vertex
-    stays blocked.  A branch is pruned once ``alive`` cannot supply the
-    missing members, counting at most p from each clique of the partition
-    (the j-th member of a clique in index order has j - 1 in-neighbors in
-    the set).  It is a generator, so callers that stop at the first set
-    they need enumerate no further.
+    stays blocked.  A child whose set and ``alive`` together fall short of
+    ``size`` is not pushed.  A node is pruned once ``alive`` cannot supply
+    the missing members by the clique bound: a clique c of the partition
+    gives at most min(|c & alive|, p - |c & cur|) of them, since the j-th
+    new member of c has |c & cur| + j - 1 in-neighbors in the set.  That
+    minimum is at least 1 whenever c meets ``alive`` (a vertex of ``alive``
+    has fewer than p in-neighbors in the set), so the members held are
+    counted only for a clique with two or more vertices in ``alive``.  It
+    is a generator, so callers that stop at the first set they need
+    enumerate no further.
     """
-    stack = [(0, (1 << n) - 1, 0)]
+    stack = [(0, (1 << n) - 1, 0)] if n >= size else []
     while stack:
         cur, alive, have = stack.pop()
         if have == size:
             yield cur
             continue
         need = size - have
-        if alive.bit_count() < need:
-            continue
         for c in cliques:
             k = (c & alive).bit_count()
-            need -= k if k < p else p
-            if need <= 0:
-                break
+            if k:
+                if k > 1:
+                    room = p - (c & cur).bit_count()
+                    if k > room:
+                        k = room
+                need -= k
+                if need <= 0:
+                    break
         else:
             continue
         vb = alive & -alive
         alive ^= vb
-        stack.append((cur, alive, have))
+        if have + alive.bit_count() >= size:
+            stack.append((cur, alive, have))
         cur |= vb
         hits = adj[vb.bit_length() - 1] & alive
         while hits:
@@ -213,21 +229,34 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
             hits ^= ub
             if (adj[ub.bit_length() - 1] & cur).bit_count() >= p:
                 alive ^= ub
-        stack.append((cur, alive, have + 1))
+        have += 1
+        if have + alive.bit_count() >= size:
+            stack.append((cur, alive, have))
 
 
 def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int) -> int:
     """Maximum set J with |N_j n J| < p for every j in J, the first one in
     index order.  At p = 1, the first maximum independent set.
 
-    Takes the first set of each size, sizes rising from 1, until a size has
-    none.  A larger set's first members form a smaller set that comes
-    before it in index order, so the first set of the last size found is
-    the first maximum set.
+    Each round extends the set S it holds, the first set of its size, by
+    every later vertex that still has fewer than p in-neighbors in it,
+    lowest first: the include-first dive below the node where the search
+    reached S.  The extension E is the first set of its own size in index
+    order.  A set T of that size before E agrees with E below some vertex v
+    that T holds and E lacks.  Below the last member of S, T's first |S|
+    members would be a set of S's size before S; past it, the dive skipped
+    v because v has p in-neighbors among E's members below v, which T
+    shares.  So the next round takes the first set one size above E, with
+    no search for E itself, and the first round extends the empty set.
+    The first set of the last size found is the first maximum set, since a
+    larger set's first members form a smaller set before it.
     """
     cliques = _suffix_cliques(adj, n)
     best = 0
     while True:
+        for v in range(best.bit_length(), n):
+            if (adj[v] & best).bit_count() < p:
+                best |= 1 << v
         bigger = next(_all_pseudo_independent_of_size(adj, n, p, best.bit_count() + 1, cliques), None)
         if bigger is None:
             return best

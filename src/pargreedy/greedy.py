@@ -117,7 +117,10 @@ def _profile_count(decisions: list[list[tuple[str, int]]]) -> int:
 
 def _ties(value, opts: list[tuple[str, int]], views) -> dict[int, list[int]]:
     """For each view, the masks of the options that maximize
-    f(view | option), in ground order."""
+    f(view | option), in ground order.  A lone option is its own tie and
+    is not evaluated."""
+    if len(opts) == 1:
+        return dict.fromkeys(views, [opts[0][1]])
     ties = {}
     for vis in views:
         values = [value(vis | m) for _, m in opts]

@@ -215,8 +215,8 @@ class SetFunction:
                     _check_ids(key, "values")
                     ids = tuple(key)
 
-                def label():
-                    return f"values[{sorted(ids)!r}]"
+                def label():  # key=str: a key may mix ids of other types
+                    return f"values[{sorted(ids, key=str)!r}]"
                 if len(set(ids)) != len(ids):
                     raise InputError(f"{label()}: repeated element in subset key")
                 yield ids, _table_value(raw, label)
@@ -434,6 +434,9 @@ class CoverFunction(SetFunction):
             if t in tindex:
                 raise InputError(f"targets: duplicate target id {t!r}")
             tindex[t] = len(tindex)
+        for field, given in (("weights", weights), ("coverage", coverage)):
+            if not isinstance(given, Mapping):
+                raise InputError(f"{field}: expected a mapping, got {given!r}")
         wlist = [ZERO] * len(targets)
         for t, raw in weights.items():
             if t not in tindex:
@@ -598,20 +601,29 @@ OBJECTIVE_KINDS: dict[str, type[SetFunction]] = {
 class AgentSpace:
     """Ordered per-agent decision sets.  Empty sets model the null decision.
 
-    Non-empty sets must be pairwise disjoint; together with the objective's
-    ground set they form a partition (checked by :func:`check_partition`).
+    No set may name an id twice, and non-empty sets must be pairwise
+    disjoint; together with the objective's ground set they form a
+    partition (checked by :func:`check_partition`).
     """
 
     def __init__(self, decisions: Sequence[Iterable[str]]):
         sets = []
         seen: dict[str, int] = {}
-        for i, d in enumerate(decisions):
+        try:
+            rows = iter(decisions)
+        except TypeError:
+            raise InputError(
+                f"agents: expected a sequence of decision sets, got {decisions!r}") from None
+        for i, d in enumerate(rows):
             _check_ids(d, "agents", i + 1)
             ids = tuple(d)
             for e in ids:
                 if not isinstance(e, str):
                     raise InputError(f"agents[{i + 1}]: decision ids must be strings, got {e!r}")
             s = frozenset(ids)
+            if len(s) < len(ids):
+                e = next(e for k, e in enumerate(ids) if e in ids[:k])
+                raise InputError(f"agents[{i + 1}]: repeated decision id {e!r}")
             for e in s:
                 if e in seen:
                     raise InputError(

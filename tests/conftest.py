@@ -155,6 +155,68 @@ def brute_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple
     return [s for s in leaves if len(s) == best]
 
 
+def _rising_suffix_cliques(adj: tuple[int, ...], n: int) -> list[int]:
+    """First-fit clique partition from the highest index down."""
+    cliques: list[int] = []
+    for v in range(n - 1, -1, -1):
+        for i, c in enumerate(cliques):
+            if c & ~adj[v] == 0:
+                cliques[i] = c | 1 << v
+                break
+        else:
+            cliques.append(1 << v)
+    return cliques
+
+
+def rising_sets_of_size(adj: tuple[int, ...], n: int, p: int, size: int, cliques: list[int]):
+    """Every p-pseudo-independent set of ``size`` vertices, as bitmasks, in
+    index order: the search ``graphmetrics`` used before it bounded each
+    clique by the members it already holds.  Include-first depth-first
+    search; a node is pruned when ``alive`` cannot supply the missing
+    members counting at most p per clique of the partition."""
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        cur, alive, have = stack.pop()
+        if have == size:
+            yield cur
+            continue
+        need = size - have
+        if alive.bit_count() < need:
+            continue
+        for c in cliques:
+            k = (c & alive).bit_count()
+            need -= k if k < p else p
+            if need <= 0:
+                break
+        else:
+            continue
+        vb = alive & -alive
+        alive ^= vb
+        stack.append((cur, alive, have))
+        cur |= vb
+        hits = adj[vb.bit_length() - 1] & alive
+        while hits:
+            ub = hits & -hits
+            hits ^= ub
+            if (adj[ub.bit_length() - 1] & cur).bit_count() >= p:
+                alive ^= ub
+        stack.append((cur, alive, have + 1))
+
+
+def rising_maximum_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
+    """Every maximum p-pseudo-independent set, as sorted vertex tuples, in
+    index order, by the search ``graphmetrics`` used before it jumped: the
+    first set of each size, sizes rising from 1 until a size has none, then
+    every set of the last size found."""
+    adj, n = graph.adjacency_masks(), graph.n
+    cliques = _rising_suffix_cliques(adj, n)
+    size = 0
+    while next(rising_sets_of_size(adj, n, p, size + 1, cliques), None) is not None:
+        size += 1
+    return [tuple(v + 1 for v in range(n) if m >> v & 1)
+            for m in rising_sets_of_size(adj, n, p, size, cliques)]
+
+
 class EdgeSetGraph:
     """An information graph kept as a frozenset of (min, max) edge tuples,
     with every other view read off that set: the independent route that the

@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pargreedy import graphmetrics
@@ -44,6 +44,7 @@ from conftest import (
     brute_theta,
     is_clique,
     is_independent,
+    rising_maximum_sets,
     two_pass_clique_cover,
 )
 
@@ -331,6 +332,40 @@ def small_graphs(draw, n_max=12):
     density = draw(st.integers(0, 8))
     draws = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
     return InformationGraph(n, [e for e, d in zip(pairs, draws) if d < density])
+
+
+class TestSearchAgainstRisingSearch:
+    """alpha_p jumps past every size its include-first dive reaches and
+    bounds each clique by the members the set already holds; the search
+    that rose one size at a time (``conftest.rising_maximum_sets``) is the
+    oracle for the first maximum set and every maximum set, in order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_graphs(), st.sampled_from((1, 2, 3)))
+    # the first set of size 5, (1, 2, 3, 6, 7), skips vertex 4, which has
+    # two neighbors in it but would give 6 and 7 a third in-neighbor: the
+    # extension takes only vertices past the set's last member
+    @example(InformationGraph(7, [(1, 3), (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (2, 7), (3, 5),
+                                  (4, 5), (4, 6), (4, 7), (5, 6), (5, 7)]), 3)
+    def test_same_sets_in_the_same_order(self, g, p):
+        sets = rising_maximum_sets(g, p)
+        assert pseudo_independence_number(g, p) == InvariantWitness(len(sets[0]), sets[0])
+        assert maximum_pseudo_independent_sets(g, p) == sets
+
+    def test_alpha_2_of_an_optimal_graph_takes_at_most_two_size_searches(self, monkeypatch):
+        # rising from size 1, the search took 17
+        sizes = []
+        search = graphmetrics._all_pseudo_independent_of_size
+
+        def counting_search(adj, n, p, size, cliques):
+            sizes.append(size)
+            return search(adj, n, p, size, cliques)
+
+        monkeypatch.setattr(graphmetrics, "_all_pseudo_independent_of_size", counting_search)
+        first = rising_maximum_sets(optimal_graph(16, 2), 2)[0]
+        assert pseudo_independence_number(optimal_graph(16, 2), 2) == InvariantWitness(
+            len(first), first)
+        assert len(sizes) <= 2
 
 
 def _in_members(graph, w, members):

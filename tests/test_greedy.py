@@ -45,6 +45,7 @@ from pargreedy.greedy import (
     _profile_count,
     _pruned_optimum,
     _pruned_worst,
+    _ties,
 )
 from pargreedy.objective import OBJECTIVE_KINDS, check_properties, total_curvature
 from pargreedy.suites import (
@@ -550,6 +551,12 @@ class TestLevelBuild:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
 
+    def test_a_lone_decision_is_its_own_tie_unevaluated(self):
+        def value(mask):
+            raise AssertionError(f"evaluated {mask}")
+
+        assert _ties(value, [("a", 4)], {0, 1, 3}) == {0: [4], 1: [4], 3: [4]}
+
     @staticmethod
     def _counted(engine):
         rng = random.Random(34)
@@ -564,12 +571,12 @@ class TestLevelBuild:
     def test_evaluations_are_pinned(self):
         # scaled_value calls and _evaluate misses of the stack walk; the
         # level-by-level build must not evaluate more
-        assert self._counted(_level_build) == [(119, 117), (281, 279), (269, 146)]
+        assert self._counted(_level_build) == [(113, 111), (281, 279), (269, 146)]
 
     def test_run_greedy_evaluates_no_more_than_the_level_build(self):
         # the cover (64 profiles) and the p-additive witness (128) stay on
         # the level build; the curvature witness (256) takes the pruned search
-        assert self._counted(run_greedy) == [(119, 117), (244, 241), (269, 146)]
+        assert self._counted(run_greedy) == [(113, 111), (244, 241), (269, 146)]
 
 
 class TestPrunedSearches:

@@ -159,6 +159,18 @@ def test_every_collection_of_ids_refuses_a_non_collection(entry_point, ids):
         _ID_COLLECTION_ENTRY_POINTS[entry_point](ids)
 
 
+@pytest.mark.parametrize("call, message", [
+    (AgentSpace, "agents: expected a sequence of decision sets, got {!r}"),
+    (lambda given: _cover(weights=given), "weights: expected a mapping, got {!r}"),
+    (lambda given: _cover(coverage=given), "coverage: expected a mapping, got {!r}"),
+], ids=["agents", "weights", "coverage"])
+@pytest.mark.parametrize("given", [None, 5], ids=["None", "int"])
+def test_an_argument_of_the_wrong_type_is_named(call, message, given):
+    with pytest.raises(InputError) as exc:
+        call(given)
+    assert str(exc.value) == message.format(given)
+
+
 @pytest.mark.parametrize("call", [
     lambda f: f.subset_mask("ab"), lambda f: f.value("ab"),
     lambda f: f.marginal("ab", ()), lambda f: f.marginal(("a",), "ab"),
@@ -293,6 +305,12 @@ class TestTabular:
         with pytest.raises(InputError) as exc:
             SetFunction.tabular(("a",), {(): 0, 5: 1})
         assert str(exc.value) == "values: expected a collection of ids, got 5"
+
+    def test_a_bad_value_under_a_key_of_mixed_id_types(self):
+        # naming the value sorts the key's ids, here an int and a str
+        with pytest.raises(InputError) as exc:
+            SetFunction.tabular(("a",), {(): 0, (1, "a"): "x"})
+        assert str(exc.value).startswith("values[[1, 'a']]: invalid rational 'x'")
 
     def test_a_mask_outside_the_ground_set(self):
         f = SetFunction.tabular(("a", "b"), {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 2})
@@ -775,6 +793,15 @@ class TestAgentSpace:
         with pytest.raises(InputError) as exc:
             check_partition(cover_fixture, AgentSpace([[1, "c"], ["a", "b"]]))
         assert str(exc.value) == "agents[1]: decision ids must be strings, got 1"
+
+    @pytest.mark.parametrize("decisions, message", [
+        ([["a", "a"]], "agents[1]: repeated decision id 'a'"),
+        ([{"b"}, ("c", "a", "d", "a", "c")], "agents[2]: repeated decision id 'a'"),
+    ])
+    def test_a_repeated_id_in_one_decision_set(self, decisions, message):
+        with pytest.raises(InputError) as exc:
+            AgentSpace(decisions)
+        assert str(exc.value) == message
 
     def test_null_decisions_allowed(self):
         X = AgentSpace([{"a"}, set(), {"b"}])

@@ -190,6 +190,17 @@ class TestInstanceFormat:
         with pytest.raises(InputError, match="partition"):
             instance_from_obj(obj)
 
+    def test_a_repeated_id_in_one_decision_set(self, tmp_path):
+        # it used to load as {a}, and save_instance then wrote ["a"]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({
+            "ground": ["a", "b"], "agents": [["b"], ["a", "a"]],
+            "objective": {"kind": "cover", "targets": ["y"], "weights": {"y": 1},
+                          "coverage": {"a": ["y"], "b": []}}}))
+        with pytest.raises(InputError) as exc:
+            load_instance(path)
+        assert str(exc.value) == "agents: partition violated: agents[2]: repeated decision id 'a'"
+
     def test_unknown_kind(self):
         with pytest.raises(InputError, match="objective.kind") as exc:
             instance_from_obj({"ground": [], "agents": [],
