@@ -34,6 +34,22 @@ class WitnessInstance(Record):
     params: Optional[Mapping] = None
 
 
+def _two_blocks(graph: InformationGraph, members: tuple[int, ...],
+                sibling: Optional[int] = None) -> tuple[tuple, tuple, AgentSpace]:
+    """The ids of blocks U and V, and the agents' decision sets: member k
+    chooses {u_k, v_k}, the sibling (when given) {u_(a+1), t} with a the
+    number of members, and every other agent the null decision."""
+    a = len(members)
+    u_ids = tuple(f"u{k}" for k in range(1, a + 1 + (sibling is not None)))
+    v_ids = tuple(f"v{k}" for k in range(1, a + 1))
+    decisions = [set() for _ in range(graph.n)]
+    for agent, u, v in zip(members, u_ids, v_ids):
+        decisions[agent - 1] = {u, v}
+    if sibling is not None:
+        decisions[sibling - 1] = {u_ids[a], "t"}
+    return u_ids, v_ids, AgentSpace(decisions)
+
+
 def curvature_witness(graph: InformationGraph, lam) -> WitnessInstance:
     """The two-block construction attaining (a - (a-1)*lam) / a, where a is
     the independence number of the graph.
@@ -49,24 +65,16 @@ def curvature_witness(graph: InformationGraph, lam) -> WitnessInstance:
     predicted ratio is 1 in that case either way.
     """
     lam = as_lambda(lam)
-    ind = independence_number(graph)
-    alpha = ind.value
-    members = ind.witness
-    u_ids = tuple(f"u{k}" for k in range(1, alpha + 1))
-    v_ids = tuple(f"v{k}" for k in range(1, alpha + 1))
+    members = independence_number(graph).witness
+    alpha = len(members)
+    if alpha == 0:
+        raise InputError("graph: construction needs alpha(G) >= 1, got a graph with no vertices")
+    u_ids, v_ids, agents = _two_blocks(graph, members)
     f = SetFunction.curvature_witness(u_ids, v_ids, lam)
-    position = {agent: k for k, agent in enumerate(members)}
-    decisions = []
-    for agent in range(1, graph.n + 1):
-        if agent in position:
-            k = position[agent]
-            decisions.append({u_ids[k], v_ids[k]})
-        else:
-            decisions.append(set())
     predicted = (alpha - (alpha - 1) * lam) / Fraction(alpha)
     effective = lam if alpha >= 2 else ZERO
     return WitnessInstance(
-        f, AgentSpace(decisions), graph, predicted, "curvature-upper",
+        f, agents, graph, predicted, "curvature-upper",
         {"lambda": lam, "alpha": alpha, "curvature": effective,
          "independent_set": members})
 
@@ -86,37 +94,22 @@ def p_additive_witness(graph: InformationGraph, p: int) -> WitnessInstance:
     if sibling is not None:
         members = sibling.pseudo_independent_set
         sibling_agent: Optional[int] = sibling.vertex
+        source = "redundancy-upper-sibling"
     else:
         members = pseudo_independence_number(graph, p).witness
         sibling_agent = None
+        source = "redundancy-upper"
     a = len(members)
     if p > a:
         raise InputError(
             f"p: construction needs p <= alpha_p(G), got p={p} with alpha_p={a}"
             " (the predicted ratio would exceed 1)")
-    blocks = a + (1 if sibling_agent is not None else 0)
-    u_ids = tuple(f"u{k}" for k in range(1, blocks + 1))
-    v_ids = tuple(f"v{k}" for k in range(1, a + 1))
+    u_ids, v_ids, agents = _two_blocks(graph, members, sibling_agent)
     ground = u_ids + v_ids + (("t",) if sibling_agent is not None else ())
     f = SetFunction.p_additive_witness(ground, u_ids, v_ids, p)
-    position = {agent: k for k, agent in enumerate(members)}
-    decisions = []
-    for agent in range(1, graph.n + 1):
-        if agent in position:
-            k = position[agent]
-            decisions.append({u_ids[k], v_ids[k]})
-        elif agent == sibling_agent:
-            decisions.append({u_ids[a], "t"})
-        else:
-            decisions.append(set())
-    if sibling_agent is not None:
-        predicted = Fraction(p, a + 1)
-        source = "redundancy-upper-sibling"
-    else:
-        predicted = Fraction(p, a)
-        source = "redundancy-upper"
+    # U holds one id per member and one for a sibling: p/(a+1) with one, p/a without
     return WitnessInstance(
-        f, AgentSpace(decisions), graph, predicted, source,
+        f, agents, graph, Fraction(p, len(u_ids)), source,
         {"p": p, "alpha_p": a, "sibling": sibling_agent is not None,
          "pseudo_independent_set": members})
 

@@ -74,12 +74,22 @@ def rho(n: int, q: int) -> Fraction:
     return Fraction(1, r) if remainder_one(n, q) else Fraction(1, r + 1)
 
 
+def _require_vertices(alpha: int) -> None:
+    """Refuse alpha = 0, a graph with no vertices: every upper bound
+    divides by alpha."""
+    if alpha == 0:
+        raise UndefinedRatioError(
+            "graph: has no vertices (alpha = 0), so its ratio bounds are undefined")
+
+
 def _graph_bounds(alpha: int, theta: int, sibling: bool) -> RatioBounds:
+    _require_vertices(alpha)
     refined = Fraction(1, alpha + 1) if sibling else None
     return RatioBounds(Fraction(1, theta + 1), Fraction(1, alpha), refined)
 
 
 def _curvature_bounds(alpha: int, theta: int, lam: Fraction) -> RatioBounds:
+    _require_vertices(alpha)
     return RatioBounds((theta - (theta - 1) * lam) / (theta + lam),
                        (alpha - (alpha - 1) * lam) / Fraction(alpha))
 

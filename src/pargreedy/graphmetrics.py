@@ -20,7 +20,8 @@ vertex's neighbors in one AND.  Computations refuse graphs of more than
 
 Each graph is searched at most once per p and colored at most once: its one
 memo, :meth:`~pargreedy.structure.InformationGraph.kept`, keeps the first
-maximum set per p and theta's witness, and omega is alpha of the kept
+maximum set per p, the clique partition every search of the graph bounds
+on (whatever p), and theta's witness, and omega is alpha of the kept
 complement.  So the results do not depend on the order of the calls.
 
 The in-neighborhood convention is fixed module-wide: N_i contains only the
@@ -234,9 +235,11 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
             stack.append((cur, alive, have))
 
 
-def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int) -> int:
+def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int,
+                                  cliques: list[int]) -> int:
     """Maximum set J with |N_j n J| < p for every j in J, the first one in
-    index order.  At p = 1, the first maximum independent set.
+    index order.  At p = 1, the first maximum independent set.  ``cliques``
+    is ``_suffix_cliques(adj, n)``.
 
     Each round extends the set S it holds, the first set of its size, by
     every later vertex that still has fewer than p in-neighbors in it,
@@ -251,7 +254,6 @@ def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int) -> int:
     The first set of the last size found is the first maximum set, since a
     larger set's first members form a smaller set before it.
     """
-    cliques = _suffix_cliques(adj, n)
     best = 0
     while True:
         for v in range(best.bit_length(), n):
@@ -269,15 +271,21 @@ def _max_mask(graph: InformationGraph, p: int) -> int:
 
 
 def _search(graph: InformationGraph, p: int) -> int:
-    return _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p)
+    return _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p, _cliques(graph))
+
+
+def _cliques(graph: InformationGraph) -> list[int]:
+    """The graph's clique partition for the search, built once per graph
+    (it does not depend on p)."""
+    return graph.kept("cliques", _suffix_cliques, graph.adjacency_masks(), graph.n)
 
 
 def _maximum_sets(graph: InformationGraph, p: int):
     """Every maximum p-pseudo-independent set of the graph, as bitmasks, in
     index order (lazily)."""
-    adj = graph.adjacency_masks()
     size = _max_mask(graph, p).bit_count()
-    return _all_pseudo_independent_of_size(adj, graph.n, p, size, _suffix_cliques(adj, graph.n))
+    return _all_pseudo_independent_of_size(graph.adjacency_masks(), graph.n, p, size,
+                                           _cliques(graph))
 
 
 def pseudo_independence_number(graph: InformationGraph, p: int) -> InvariantWitness:

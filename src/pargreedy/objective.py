@@ -156,8 +156,9 @@ def id_list(value, field: str) -> list[str]:
 class SetFunction:
     """A set function over a finite ground set, evaluated exactly.
 
-    Build one with the static constructors below, or from an instance
-    file's ``"objective"`` payload with ``OBJECTIVE_KINDS[kind].from_obj``.
+    Build one with its kind's class (``SetFunction.cover`` and the two
+    witness names are bound to theirs), with :meth:`tabular`, or from an
+    instance file's ``"objective"`` payload with ``OBJECTIVE_KINDS[kind].from_obj``.
     Each kind is a subclass with a class attribute ``kind`` (its name in
     instance files), ``_evaluate(mask)`` for a mask not yet in the value
     cache, ``to_obj()`` for the payload and the classmethod
@@ -221,25 +222,6 @@ class SetFunction:
                     raise InputError(f"{label()}: repeated element in subset key")
                 yield ids, _table_value(raw, label)
         return TabularFunction(ground, entries())
-
-    @staticmethod
-    def cover(ground: Sequence[str], targets: Sequence[str],
-              weights: Mapping[str, object], coverage: Mapping[str, Iterable[str]]
-              ) -> "CoverFunction":
-        """Weighted set cover; see :class:`CoverFunction`."""
-        return CoverFunction(ground, targets, weights, coverage)
-
-    @staticmethod
-    def curvature_witness(u_ids: Sequence[str], v_ids: Sequence[str], lam
-                          ) -> "CurvatureWitnessFunction":
-        """The curvature witness on ground U + V; see :class:`CurvatureWitnessFunction`."""
-        return CurvatureWitnessFunction(u_ids, v_ids, lam)
-
-    @staticmethod
-    def p_additive_witness(ground: Sequence[str], u_ids: Sequence[str],
-                           v_ids: Sequence[str], p: int) -> "PAdditiveWitnessFunction":
-        """The p-additive witness; see :class:`PAdditiveWitnessFunction`."""
-        return PAdditiveWitnessFunction(ground, u_ids, v_ids, p)
 
     # -- evaluation ---------------------------------------------------
 
@@ -596,6 +578,10 @@ OBJECTIVE_KINDS: dict[str, type[SetFunction]] = {
     cls.kind: cls
     for cls in (TabularFunction, CoverFunction, CurvatureWitnessFunction, PAdditiveWitnessFunction)
 }
+
+SetFunction.cover = staticmethod(CoverFunction)
+SetFunction.curvature_witness = staticmethod(CurvatureWitnessFunction)
+SetFunction.p_additive_witness = staticmethod(PAdditiveWitnessFunction)
 
 
 class AgentSpace:

@@ -148,6 +148,13 @@ def validate_assignment(assignment: IterationAssignment) -> Optional[AssignmentV
     return None
 
 
+def _check_vertex_cap(n: int) -> None:
+    """Refuse a graph of more than VERTEX_CAP vertices; each construction
+    calls this before it builds an edge."""
+    if n > VERTEX_CAP:
+        raise CapacityError(f"graph of {n} vertices exceeds vertex cap {VERTEX_CAP}")
+
+
 class InformationGraph:
     """Undirected graph over agents 1..n, stored only as its adjacency masks
     (:meth:`adjacency_masks`), which every other view is read off.
@@ -160,8 +167,7 @@ class InformationGraph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not is_int(n) or n < 0:
             raise InputError(f"n: must be a nonnegative integer, got {n!r}")
-        if n > VERTEX_CAP:
-            raise CapacityError(f"graph of {n} vertices exceeds vertex cap {VERTEX_CAP}")
+        _check_vertex_cap(n)
         adj = [0] * n
         try:
             edges = iter(edges)
@@ -284,6 +290,7 @@ def induced_graph(assignment: IterationAssignment) -> InformationGraph:
     violation = validate_assignment(assignment)
     if violation is not None:
         raise InputError(f"assignment: {violation.detail}")
+    _check_vertex_cap(assignment.n)
     P = assignment.P
     edges = [(i, j)
              for i in range(1, assignment.n + 1)
@@ -324,6 +331,7 @@ def optimal_graph(n: int, q: int) -> InformationGraph:
     are chained by residue mod r, which is the complement Turan graph.
     """
     check_n_q(n, q)
+    _check_vertex_cap(n)
     if n == 1:
         return InformationGraph(1)
     r = ceil_div(n, q)
@@ -343,6 +351,7 @@ def turan_graph(n: int, r: int) -> InformationGraph:
     classes of size ceil(n/r) are the residues 1..(n mod r).
     """
     check_n_q(n, r, "r")
+    _check_vertex_cap(n)
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if (j - i) % r != 0]
     return InformationGraph(n, edges)
@@ -351,6 +360,7 @@ def turan_graph(n: int, r: int) -> InformationGraph:
 def complement_turan_graph(n: int, r: int) -> InformationGraph:
     """Disjoint union of r cliques: vertices adjacent iff i = j (mod r)."""
     check_n_q(n, r, "r")
+    _check_vertex_cap(n)
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if (j - i) % r == 0]
     return InformationGraph(n, edges)

@@ -30,6 +30,13 @@ class TestCurvatureWitness:
         assert w.predicted_ratio == F(2, 3)
         assert w.params["alpha"] == 3
 
+    def test_a_graph_with_no_vertices_is_refused(self):
+        # the predicted ratio divides by alpha = 0
+        with pytest.raises(InputError) as exc:
+            curvature_witness(InformationGraph(0), F(1, 2))
+        assert str(exc.value) == (
+            "graph: construction needs alpha(G) >= 1, got a graph with no vertices")
+
     def test_lambda_zero_modular(self):
         w = curvature_witness(edgeless_graph(3), 0)
         assert w.predicted_ratio == 1

@@ -25,6 +25,7 @@ from pargreedy import (
     optimal_graph,
     rho,
     SetFunction,
+    UndefinedRatioError,
 )
 from pargreedy.bounds import STAGE_NAMES, VERDICTS, CertifyRow
 from pargreedy.suites import (
@@ -118,6 +119,13 @@ class TestGraphRatioBounds:
                     assert b.upper == F(1, r) == rho(n, q), (n, q)
                 else:
                     assert b.lower == F(1, r + 1) == rho(n, q), (n, q)
+
+    def test_a_graph_with_no_vertices_has_undefined_bounds(self):
+        # both bounds divide by alpha = 0
+        for bounds in (graph_ratio_bounds, lambda g: curvature_graph_bounds(g, "1/2")):
+            with pytest.raises(UndefinedRatioError) as exc:
+                bounds(InformationGraph(0))
+            assert str(exc.value) == "graph: has no vertices (alpha = 0), so its ratio bounds are undefined"
 
     def test_no_feasible_graph_beats_rho(self):
         # guaranteed lower bound of any q-feasible graph never exceeds rho(n, q)
@@ -294,6 +302,13 @@ class TestCertify:
         report = certify(random_cover_entries(99, 200, 6))
         assert report.count("FAIL") == 0
         assert len(report.rows) == 200
+
+    def test_a_row_on_a_graph_with_no_vertices_is_undefined(self):
+        empty = SuiteEntry("empty", "g0", SetFunction.cover((), (), {}, {}), AgentSpace([]),
+                           InformationGraph(0), F(1))
+        report = certify([empty] + random_cover_entries(1, 3, 6))
+        assert [r.verdict for r in report.rows] == ["undefined", "pass", "pass", "pass"]
+        assert report.rows[0].note == "graph: has no vertices (alpha = 0), so its ratio bounds are undefined"
 
     def test_empty_suite(self):
         report = certify(())

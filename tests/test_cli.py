@@ -52,6 +52,13 @@ class TestBoundsVerb:
         assert code == 0
         assert "lower=1/3" in out and "upper=1/2" in out and "refined_upper=1/3" in out
 
+    @pytest.mark.parametrize("lam", [(), ("--lambda", "1/2")])
+    def test_a_graph_with_no_vertices_is_an_input_error(self, capsys, tmp_path, lam):
+        path = tmp_path / "g0.json"
+        path.write_text(json.dumps({"n": 0, "edges": []}))
+        code, out, err = run_cli(capsys, "bounds", "--in", str(path), *lam)
+        assert (code, out, err) == (2, "", "input error: graph: has no vertices (alpha = 0), so its ratio bounds are undefined\n")
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "bounds")
         assert code == 2 and "input error" in err
@@ -262,6 +269,15 @@ class TestAdversarialVerb:
         assert code == 0 and "predicted_ratio=2/3" in out
         assert json.loads(w.read_text())["predicted_ratio"] == "2/3"
 
+    def test_curvature_on_a_graph_with_no_vertices_is_an_input_error(self, capsys, tmp_path):
+        g = tmp_path / "g0.json"
+        g.write_text(json.dumps({"n": 0, "edges": []}))
+        code, out, err = run_cli(capsys, "adversarial", "--family", "curvature",
+                                 "--graph", str(g), "--lambda", "1/2")
+        assert (code, out) == (2, "")
+        assert err == ("input error: graph: construction needs alpha(G) >= 1,"
+                       " got a graph with no vertices\n")
+
     def test_p_additive(self, capsys, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"n": 5, "edges": [[1, 5], [2, 5], [3, 5], [4, 5]]}))
@@ -271,6 +287,18 @@ class TestAdversarialVerb:
 
 
 class TestCertifyVerb:
+    def test_a_witness_on_no_vertices_is_one_undefined_row(self, capsys, tmp_path):
+        path = tmp_path / "w0.json"
+        save_witness(WitnessInstance(SetFunction.cover((), (), {}, {}), AgentSpace([]),
+                                     InformationGraph(0), Fraction(1), "empty"), path)
+        code, out, _ = run_cli(capsys, "certify", "--witness", str(path), "--suite", "random",
+                               "--seed", "1", "--count", "3")
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 5
+        assert lines[0].endswith(" verdict=undefined note=graph: has no vertices (alpha = 0), so its ratio bounds are undefined")
+        assert all(" verdict=pass" in line for line in lines[1:4])
+        assert lines[4].startswith("rows=4 failures=0 capacity_errors=0 undefined=1 ")
+
     def test_witness_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--suite", "witnesses",
                                "--alpha-max", "3", "--lambdas", "0,1/2,1")

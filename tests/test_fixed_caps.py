@@ -1,7 +1,11 @@
 """The exhaustive searches have fixed caps: no public entry point takes a
 cap or a generator parameter as an option."""
 
+import ast
+import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pargreedy
 from pargreedy import SetFunction, graphmetrics, greedy, objective, structure, suites
@@ -46,3 +50,25 @@ def test_caps_are_module_constants():
 def test_vertex_cap_is_a_module_constant_that_admits_1500_agents():
     # the 1500-agent greedy runs of tests/test_greedy.py need graphs that large
     assert structure.VERTEX_CAP == 10_000
+
+
+def _module_caps():
+    """(module, name) of every module-level ``*_CAP`` constant assigned in
+    the package's source, and of ``greedy.PRUNE_PROFILES``."""
+    caps = {("greedy", "PRUNE_PROFILES")}
+    for path in Path(pargreedy.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                caps |= {(path.stem, t.id) for t in targets
+                         if isinstance(t, ast.Name) and t.id.endswith("_CAP")}
+    return caps
+
+
+def test_readme_names_every_cap_with_its_value():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r"`(\w+)\.([A-Z_]+)` = (\d[\d,]*)", readme)
+    for module, name, value in named:
+        constant = getattr(importlib.import_module(f"pargreedy.{module}"), name)
+        assert constant == int(value.replace(",", "")), f"{module}.{name}"
+    assert _module_caps() <= {(module, name) for module, name, _ in named}

@@ -32,10 +32,11 @@ from pargreedy import (
     SiblingWitness,
     verify_no_disjoint_max_sets,
 )
+from pargreedy.bounds import certify
 from pargreedy.cli import main
 from pargreedy.graphmetrics import _max_pseudo_independent_mask
 from pargreedy.serialize import save_graph
-from pargreedy.suites import random_feasible_graph
+from pargreedy.suites import random_cover_entries, random_feasible_graph
 
 from conftest import (
     brute_alpha,
@@ -429,7 +430,7 @@ def _fresh(g):
 
 
 def _uncached(adj, n, p):
-    mask = _max_pseudo_independent_mask(adj, n, p)
+    mask = _max_pseudo_independent_mask(adj, n, p, graphmetrics._suffix_cliques(adj, n))
     return InvariantWitness(mask.bit_count(), tuple(v + 1 for v in range(n) if mask >> v & 1))
 
 
@@ -465,9 +466,9 @@ class TestSearchMemo:
         search = graphmetrics._max_pseudo_independent_mask
         complement = InformationGraph.complement
 
-        def counting_search(adj, n, p):
+        def counting_search(adj, n, p, cliques):
             searches.append(p)
-            return search(adj, n, p)
+            return search(adj, n, p, cliques)
 
         def counting_complement(self):
             built = complement(self)
@@ -509,6 +510,27 @@ class TestSearchMemo:
         assert main(["certify", "--suite", "random", "--count", "1", "--seed", "7"]) == 0
         searches, _ = counts
         assert searches == [1]
+
+
+    def test_each_graph_builds_its_clique_partition_once(self, monkeypatch, tmp_path, capsys):
+        # one for the graph and one for its complement, whatever p; the
+        # partition does not depend on p
+        sizes = []
+        partition = graphmetrics._suffix_cliques
+
+        def counting_partition(adj, n):
+            sizes.append(n)
+            return partition(adj, n)
+
+        monkeypatch.setattr(graphmetrics, "_suffix_cliques", counting_partition)
+        path = tmp_path / "g.json"
+        save_graph(optimal_graph(16, 2), path)
+        assert main(["analyze", "graph", "--in", str(path), "--p", "2"]) == 0
+        assert sizes == [16, 16]
+        sizes.clear()
+        report = certify(random_cover_entries(7, 5, 6))
+        assert [r.verdict for r in report.rows] == ["pass"] * 5
+        assert len(sizes) == 5
 
 
 class TestColoringMemo:
@@ -560,6 +582,85 @@ class TestColoringMemo:
             with pytest.raises(CapacityError, match="^clique cover number on 21 vertices"):
                 clique_cover_number(g)
         assert colorings == []
+
+
+class _CountedReads(tuple):
+    """Adjacency masks that count how often the search reads one."""
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountedReads.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def cycle(n):
+    return InformationGraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+class TestSearchWork:
+    """The exact searches' work, pinned: a sound but looser prune finds the
+    same sets and colorings, so only a count of its steps shows it."""
+
+    def test_alpha_p_search_reads(self):
+        # the adjacency reads of enumerating every maximum set, then of the
+        # search one size above, which finds nothing; at p = 1, applying
+        # the members-held clique bound only to cliques with three or more
+        # alive vertices reads 2044 times on optimal_graph(16, 2)
+        graphs = {
+            "optimal-16-2": optimal_graph(16, 2),
+            "complement-turan-18-3": complement_turan_graph(18, 3),
+            "uniform-18-0.2": random_graph(random.Random(1), 18, 0.2),
+            "uniform-18-0.5": random_graph(random.Random(2), 18, 0.5),
+        }
+        reads = {}
+        for name, g in graphs.items():
+            adj = g.adjacency_masks()
+            cliques = graphmetrics._suffix_cliques(adj, g.n)
+            counted = _CountedReads(adj)
+            for p in (1, 2, 3):
+                size = pseudo_independence_number(g, p).value
+                _CountedReads.reads = 0
+                sets = graphmetrics._all_pseudo_independent_of_size(counted, g.n, p, size, cliques)
+                assert len(list(sets)) == len(maximum_pseudo_independent_sets(g, p))
+                above = graphmetrics._all_pseudo_independent_of_size(
+                    counted, g.n, p, size + 1, cliques)
+                assert next(above, None) is None
+                reads[name, p] = _CountedReads.reads
+        assert reads == {
+            ("optimal-16-2", 1): 1534, ("optimal-16-2", 2): 24, ("optimal-16-2", 3): 24,
+            ("complement-turan-18-3", 1): 758, ("complement-turan-18-3", 2): 12887,
+            ("complement-turan-18-3", 3): 39446,
+            ("uniform-18-0.2", 1): 288, ("uniform-18-0.2", 2): 5665, ("uniform-18-0.2", 3): 7970,
+            ("uniform-18-0.5", 1): 114, ("uniform-18-0.5", 2): 1503, ("uniform-18-0.5", 3): 6947,
+        }
+
+    def test_theta_coloring_calls(self, monkeypatch):
+        # the _assign calls of theta's coloring, which recurses through the
+        # module global; only graphs with theta > alpha show anything, since
+        # at theta = alpha the first descent succeeds.  Letting every vertex
+        # open any number of fresh colors makes C5, C7 and C9 take 19, 87
+        # and 643 calls
+        calls = []
+        assign = graphmetrics._assign
+
+        def counting_assign(*args):
+            calls.append(args[3])
+            return assign(*args)
+
+        monkeypatch.setattr(graphmetrics, "_assign", counting_assign)
+        graphs = {
+            "C5": cycle(5), "C7": cycle(7), "C9": cycle(9),
+            "uniform-16-0.6": random_graph(random.Random(8), 16, 0.6),
+            "uniform-14-0.4": random_graph(random.Random(32), 14, 0.4),
+        }
+        work = {}
+        for name, g in graphs.items():
+            calls.clear()
+            theta = clique_cover_number(g).value
+            assert theta > independence_number(g).value, name
+            work[name] = (theta, len(calls))
+        assert work == {"C5": (3, 13), "C7": (4, 23), "C9": (5, 41),
+                        "uniform-16-0.6": (4, 83), "uniform-14-0.4": (6, 80)}
 
 
 @pytest.mark.parametrize("call, what", [

@@ -222,6 +222,29 @@ class TestVertexCap:
         with pytest.raises(CapacityError):
             InformationGraph(VERTEX_CAP + 1, [(1, 2)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: optimal_graph(51, 7),  # the complement Turan branch
+        lambda: optimal_graph(51, 5),  # the remainder-one branch
+        lambda: turan_graph(51, 3),
+        lambda: complement_turan_graph(51, 51),
+        lambda: induced_graph(optimal_assignment(51, 5)),
+    ])
+    def test_constructions_refuse_before_building_any_edge(self, monkeypatch, build):
+        # the same refusal as the constructor's, made before any O(n^2) pair loop
+        inits = []
+        init = InformationGraph.__init__
+
+        def recording_init(self, n, edges=()):
+            inits.append(n)
+            init(self, n, edges)
+
+        monkeypatch.setattr(structure, "VERTEX_CAP", 50)
+        monkeypatch.setattr(InformationGraph, "__init__", recording_init)
+        with pytest.raises(CapacityError) as exc:
+            build()
+        assert str(exc.value) == "graph of 51 vertices exceeds vertex cap 50"
+        assert inits == []
+
 
 class TestInformationGraphIsReadOnly:
     @pytest.mark.parametrize("field, value", [("n", 4), ("edges", frozenset())])
