@@ -12,7 +12,8 @@ can still take there, so it meets the sets in one fixed order ("index
 order"): the reported maximum set and every witness are the first ones in
 that order.  The maximum set is found by extending each set found with
 every later vertex that fits, which is the first set of its own size, and
-searching one size above it, not every size from 1.  The maximum sets are
+searching one size above it, not every size from 1.  At p <= 2 the search
+finds a vertex's blocked neighbors in one AND.  The maximum sets are
 enumerated lazily, so a predicate stops at its first witness.  The coloring
 keeps each color class as a vertex mask, so a color is tested against a
 vertex's neighbors in one AND.  Computations refuse graphs of more than
@@ -189,20 +190,27 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
     neighbor u of v that now has p in-neighbors in the set: every vertex of
     ``alive`` comes after every vertex of the set, so adj[u] & cur is u's
     in-neighborhood inside it, and the set only grows, so a dropped vertex
-    stays blocked.  A child whose set and ``alive`` together fall short of
-    ``size`` is not pushed.  A node is pruned once ``alive`` cannot supply
-    the missing members by the clique bound: a clique c of the partition
-    gives at most min(|c & alive|, p - |c & cur|) of them, since the j-th
-    new member of c has |c & cur| + j - 1 in-neighbors in the set.  That
-    minimum is at least 1 whenever c meets ``alive`` (a vertex of ``alive``
-    has fewer than p in-neighbors in the set), so the members held are
-    counted only for a clique with two or more vertices in ``alive``.  It
-    is a generator, so callers that stop at the first set they need
-    enumerate no further.
+    stays blocked.  Each node also keeps ``short``, a mask that holds the
+    vertices of ``alive`` one in-neighbor short of p (at p = 1, every
+    vertex); it may keep bits of vertices no longer alive, since it is read
+    only through v's alive neighbors.  So v's blocked neighbors are
+    adj[v] & alive & short, found in one AND.  The other alive neighbors of
+    v gain one in-neighbor: at p = 2 they all join ``short``, and only at
+    p >= 3 is each one's count taken.  A child whose set and ``alive``
+    together fall short of ``size`` is not pushed.  A node is pruned once
+    ``alive`` cannot supply the missing members by the clique bound: a
+    clique c of the partition gives at most min(|c & alive|, p - |c & cur|)
+    of them, since the j-th new member of c has |c & cur| + j - 1
+    in-neighbors in the set.  That minimum is at least 1 whenever c meets
+    ``alive`` (a vertex of ``alive`` has fewer than p in-neighbors in the
+    set), so the members held are counted only for a clique with two or
+    more vertices in ``alive``.  It is a generator, so callers that stop at
+    the first set they need enumerate no further.
     """
-    stack = [(0, (1 << n) - 1, 0)] if n >= size else []
+    full = (1 << n) - 1
+    stack = [(0, full, 0, full if p == 1 else 0)] if n >= size else []
     while stack:
-        cur, alive, have = stack.pop()
+        cur, alive, have, short = stack.pop()
         if have == size:
             yield cur
             continue
@@ -222,17 +230,22 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
         vb = alive & -alive
         alive ^= vb
         if have + alive.bit_count() >= size:
-            stack.append((cur, alive, have))
+            stack.append((cur, alive, have, short))
         cur |= vb
         hits = adj[vb.bit_length() - 1] & alive
-        while hits:
-            ub = hits & -hits
-            hits ^= ub
-            if (adj[ub.bit_length() - 1] & cur).bit_count() >= p:
-                alive ^= ub
+        alive ^= hits & short
+        hits &= alive
+        if p > 2:
+            while hits:
+                ub = hits & -hits
+                hits ^= ub
+                if (adj[ub.bit_length() - 1] & cur).bit_count() == p - 1:
+                    short |= ub
+        else:
+            short |= hits
         have += 1
         if have + alive.bit_count() >= size:
-            stack.append((cur, alive, have))
+            stack.append((cur, alive, have, short))
 
 
 def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int,

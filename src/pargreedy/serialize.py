@@ -111,7 +111,7 @@ def witness_to_obj(w: WitnessInstance) -> dict:
     return {
         "instance": instance_to_obj(w.objective, w.agents),
         "graph": graph_to_obj(w.graph),
-        "predicted_ratio": str(w.predicted_ratio),
+        "predicted_ratio": str(as_fraction(w.predicted_ratio, "predicted_ratio")),
         "bound_ref": w.source,
         "params": params,
     }

@@ -183,11 +183,12 @@ class InformationGraph:
             if len(pair) != 2:
                 raise InputError(f"edges: expected a pair, got {pair!r}")
             i, j = pair
-            if not (is_int(i) and is_int(j)):
+            # the type test passes plain ints cheaply; is_int admits int subclasses
+            if not (type(i) is int and type(j) is int or is_int(i) and is_int(j)):
                 raise InputError(f"edges: vertex ids must be integers, got {pair!r}")
             if i == j:
                 raise InputError(f"edges: self-loop at vertex {i}")
-            if min(i, j) < 1 or max(i, j) > n:
+            if not (0 < i <= n and 0 < j <= n):
                 raise InputError(f"edges: pair {pair!r} outside vertices 1..{n}")
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)

@@ -32,6 +32,7 @@ from pargreedy.objective import (
     require,
     total_curvature,
 )
+from pargreedy.structure import is_int
 from pargreedy.suites import random_assignment, random_feasible_graph
 
 
@@ -215,6 +216,74 @@ def rising_maximum_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]
         size += 1
     return [tuple(v + 1 for v in range(n) if m >> v & 1)
             for m in rising_sets_of_size(adj, n, p, size, cliques)]
+
+
+def counted_sets_of_size(adj: tuple[int, ...], n: int, p: int, size: int, cliques: list[int]):
+    """Every p-pseudo-independent set of ``size`` vertices, as bitmasks, in
+    index order: the search ``graphmetrics`` used before it kept, per node,
+    the mask of the vertices one in-neighbor short of p.  Including v
+    counts, for every alive neighbor u of v, u's in-neighbors in the set,
+    and drops u at p of them."""
+    stack = [(0, (1 << n) - 1, 0)] if n >= size else []
+    while stack:
+        cur, alive, have = stack.pop()
+        if have == size:
+            yield cur
+            continue
+        need = size - have
+        for c in cliques:
+            k = (c & alive).bit_count()
+            if k:
+                if k > 1:
+                    room = p - (c & cur).bit_count()
+                    if k > room:
+                        k = room
+                need -= k
+                if need <= 0:
+                    break
+        else:
+            continue
+        vb = alive & -alive
+        alive ^= vb
+        if have + alive.bit_count() >= size:
+            stack.append((cur, alive, have))
+        cur |= vb
+        hits = adj[vb.bit_length() - 1] & alive
+        while hits:
+            ub = hits & -hits
+            hits ^= ub
+            if (adj[ub.bit_length() - 1] & cur).bit_count() >= p:
+                alive ^= ub
+        have += 1
+        if have + alive.bit_count() >= size:
+            stack.append((cur, alive, have))
+
+
+def checked_adjacency(n: int, edges) -> tuple[int, ...]:
+    """The adjacency masks of a graph on vertices 1..n, by the per-edge
+    checks ``InformationGraph`` made before it tested ids by their type and
+    range by chained comparisons: the same InputError for the first bad
+    edge."""
+    adj = [0] * n
+    for e in edges:
+        if isinstance(e, (str, bytes, bytearray, dict)):
+            raise InputError(f"edges: expected a pair, got {e!r}")
+        try:
+            pair = tuple(e)
+        except TypeError:
+            raise InputError(f"edges: expected a pair, got {e!r}") from None
+        if len(pair) != 2:
+            raise InputError(f"edges: expected a pair, got {pair!r}")
+        i, j = pair
+        if not (is_int(i) and is_int(j)):
+            raise InputError(f"edges: vertex ids must be integers, got {pair!r}")
+        if i == j:
+            raise InputError(f"edges: self-loop at vertex {i}")
+        if min(i, j) < 1 or max(i, j) > n:
+            raise InputError(f"edges: pair {pair!r} outside vertices 1..{n}")
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    return tuple(adj)
 
 
 class EdgeSetGraph:

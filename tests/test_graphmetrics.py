@@ -43,6 +43,7 @@ from conftest import (
     brute_omega,
     brute_pseudo_independent_sets,
     brute_theta,
+    counted_sets_of_size,
     is_clique,
     is_independent,
     rising_maximum_sets,
@@ -369,6 +370,28 @@ class TestSearchAgainstRisingSearch:
         assert len(sizes) <= 2
 
 
+class TestSearchAgainstCountedSearch:
+    """Including a vertex drops, with one AND, its alive neighbors that were
+    one in-neighbor short of p; the search that counted each neighbor's
+    in-neighbors instead (``conftest.counted_sets_of_size``) is the oracle
+    for every set of size alpha_p, in order, and for none one size above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capped_graphs(), st.integers(1, 4))
+    @example(InformationGraph(7), 2)
+    @example(complete(6), 2)
+    @example(InformationGraph(0), 1)
+    @example(InformationGraph(3, [(1, 2), (1, 3), (2, 3)]), 4)
+    def test_same_sets_in_the_same_order(self, g, p):
+        adj, n = g.adjacency_masks(), g.n
+        cliques = graphmetrics._suffix_cliques(adj, n)
+        size = pseudo_independence_number(g, p).value
+        for s, some in ((size, True), (size + 1, False)):
+            sets = list(graphmetrics._all_pseudo_independent_of_size(adj, n, p, s, cliques))
+            assert sets == list(counted_sets_of_size(adj, n, p, s, cliques))
+            assert bool(sets) is some
+
+
 def _in_members(graph, w, members):
     return tuple(u for u in members if u < w and graph.has_edge(u, w))
 
@@ -603,9 +626,10 @@ class TestSearchWork:
 
     def test_alpha_p_search_reads(self):
         # the adjacency reads of enumerating every maximum set, then of the
-        # search one size above, which finds nothing; at p = 1, applying
-        # the members-held clique bound only to cliques with three or more
-        # alive vertices reads 2044 times on optimal_graph(16, 2)
+        # search one size above, which finds nothing; applying the
+        # members-held clique bound only to cliques with three or more alive
+        # vertices changes six of the twelve (optimal_graph(16, 2) at p = 1
+        # reads 1534 times)
         graphs = {
             "optimal-16-2": optimal_graph(16, 2),
             "complement-turan-18-3": complement_turan_graph(18, 3),
@@ -627,11 +651,11 @@ class TestSearchWork:
                 assert next(above, None) is None
                 reads[name, p] = _CountedReads.reads
         assert reads == {
-            ("optimal-16-2", 1): 1534, ("optimal-16-2", 2): 24, ("optimal-16-2", 3): 24,
-            ("complement-turan-18-3", 1): 758, ("complement-turan-18-3", 2): 12887,
-            ("complement-turan-18-3", 3): 39446,
-            ("uniform-18-0.2", 1): 288, ("uniform-18-0.2", 2): 5665, ("uniform-18-0.2", 3): 7970,
-            ("uniform-18-0.5", 1): 114, ("uniform-18-0.5", 2): 1503, ("uniform-18-0.5", 3): 6947,
+            ("optimal-16-2", 1): 1279, ("optimal-16-2", 2): 16, ("optimal-16-2", 3): 24,
+            ("complement-turan-18-3", 1): 323, ("complement-turan-18-3", 2): 7260,
+            ("complement-turan-18-3", 3): 31622,
+            ("uniform-18-0.2", 1): 125, ("uniform-18-0.2", 2): 1965, ("uniform-18-0.2", 3): 6333,
+            ("uniform-18-0.5", 1): 32, ("uniform-18-0.5", 2): 320, ("uniform-18-0.5", 3): 4896,
         }
 
     def test_theta_coloring_calls(self, monkeypatch):

@@ -316,6 +316,25 @@ class TestWitnessFormat:
         assert json.loads(path.read_text())["params"] == {}
         assert load_witness(path).params == {}
 
+    @pytest.mark.parametrize("ratio, message", [
+        (None, "expected int, 'p/q' string or Fraction, got NoneType"),
+        (True, "expected a rational, got a boolean"),
+    ], ids=["None", "True"])
+    def test_save_refuses_a_ratio_that_would_not_load(self, tmp_path, ratio, message):
+        # a None ratio was once written as "None", which load_witness refused
+        half = sequential_half_witness()
+        path = tmp_path / "w.json"
+        with pytest.raises(InputError) as exc:
+            save_witness(WitnessInstance(half.objective, half.agents, half.graph, ratio,
+                                         half.source), path)
+        assert str(exc.value) == f"predicted_ratio: {message}"
+        assert not path.exists()
+        for w in (half, curvature_witness(star_graph(3), F(1, 3))):
+            save_witness(w, path)
+            saved = path.read_bytes()
+            save_witness(load_witness(path), path)
+            assert path.read_bytes() == saved
+
     def test_params_must_be_an_object(self):
         obj = witness_to_obj(sequential_half_witness())
         obj["params"] = ["curvature", 1]

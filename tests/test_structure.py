@@ -41,7 +41,7 @@ from pargreedy.suites import (
     star_graph,
 )
 
-from conftest import EdgeSetGraph, is_clique
+from conftest import EdgeSetGraph, checked_adjacency, is_clique
 
 
 def assignment(*P, q=None):
@@ -73,6 +73,45 @@ class TestInformationGraphRejectsBooleans:
     def test_vertex_id(self):
         with pytest.raises(InputError, match="vertex ids must be integers"):
             InformationGraph(3, [(True, 2)])
+
+
+class _Id(int):
+    """An int subclass other than bool, which is a vertex id."""
+
+
+# one edge-list entry from a kind and two vertex ids
+_ENTRIES = {
+    "tuple": lambda i, j: (i, j),
+    "list": lambda i, j: [i, j],
+    "generator": lambda i, j: (v for v in (i, j)),
+    "subclass": lambda i, j: (_Id(i), _Id(j)),
+    "bool": lambda i, j: (True, j),
+    "float": lambda i, j: (float(i), j),
+    "str": lambda i, j: "12",
+    "bytes": lambda i, j: b"12",
+    "dict": lambda i, j: {i: j},
+    "one": lambda i, j: [i],
+    "three": lambda i, j: [i, j, i],
+}
+
+
+@st.composite
+def mixed_edge_lists(draw):
+    """A vertex count 0..8 and a list of entries: well-formed pairs (tuples,
+    lists, generators, int subclasses) with up to two entries of any kind
+    put among them, whose ids may be 0, negative, n + 1 or equal."""
+    n = draw(st.integers(0, 8))
+    entries = []
+    if n >= 2:
+        kinds = st.sampled_from(("tuple", "list", "generator", "subclass"))
+        pairs = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        entries = [(kind, *pair) for kind, pair in draw(st.lists(st.tuples(kinds, pairs),
+                                                                 max_size=12))]
+    ids = st.integers(-1, n + 1)
+    for entry in draw(st.lists(st.tuples(st.sampled_from(tuple(_ENTRIES)), ids, ids),
+                               max_size=2)):
+        entries.insert(draw(st.integers(0, len(entries))), entry)
+    return n, entries
 
 
 class TestInformationGraphRejectsMalformedEdges:
@@ -107,6 +146,29 @@ class TestInformationGraphRejectsMalformedEdges:
         with pytest.raises(InputError) as exc:
             InformationGraph(3, [edge])
         assert str(exc.value) == "edges: expected a pair, got bytearray(b'\\x01\\x02')"
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_edge_lists())
+    def test_same_masks_or_error_as_the_per_edge_checks(self, drawn):
+        n, entries = drawn
+        results = []
+        for build in (checked_adjacency, lambda n, edges: InformationGraph(n, edges).adjacency_masks()):
+            try:
+                results.append(build(n, [_ENTRIES[kind](i, j) for kind, i, j in entries]))
+            except InputError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+
+    def test_plain_int_edges_make_no_is_int_call(self, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return is_int(value)
+
+        monkeypatch.setattr(structure, "is_int", counting)
+        InformationGraph(4, [(1, 2), [2, 3], (4, 1)])
+        assert calls == [4]
 
 
 @st.composite
