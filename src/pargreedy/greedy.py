@@ -69,6 +69,7 @@ from .structure import (
     Schedule,
     earliest_schedule,
     normalize_assignment,
+    set_bits,
     validate_assignment,
 )
 
@@ -301,8 +302,7 @@ def run_greedy(f: SetFunction, agents: AgentSpace, graph: InformationGraph,
     if agents.n != graph.n:
         raise InputError(f"agents: {agents.n} agents but graph has {graph.n} vertices")
     decisions = _ordered_decisions(f, agents)
-    in_masks = graph.in_neighbor_masks()
-    sources = [[j for j in range(i) if in_masks[i] >> j & 1] for i in range(graph.n)]
+    sources = [list(set_bits(m)) for m in graph.in_neighbor_masks()]
     return _greedy_engine(f, decisions, sources, policy, earliest_schedule(graph))
 
 

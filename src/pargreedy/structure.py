@@ -150,7 +150,7 @@ def validate_assignment(assignment: IterationAssignment) -> Optional[AssignmentV
 
 def _check_vertex_cap(n: int) -> None:
     """Refuse a graph of more than VERTEX_CAP vertices; each construction
-    calls this before it builds an edge."""
+    calls this before it builds a mask."""
     if n > VERTEX_CAP:
         raise CapacityError(f"graph of {n} vertices exceeds vertex cap {VERTEX_CAP}")
 
@@ -192,11 +192,11 @@ class InformationGraph:
                 raise InputError(f"edges: pair {pair!r} outside vertices 1..{n}")
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
-        self._init(tuple(adj))
+        self._init(adj)
 
-    def _init(self, adj: tuple[int, ...]) -> None:
-        self._adj = adj
-        self._kept: dict = {}
+    def _init(self, adj: Iterable[int]) -> "InformationGraph":
+        self._adj, self._kept = tuple(adj), {}
+        return self
 
     @property
     def n(self) -> int:
@@ -251,11 +251,22 @@ class InformationGraph:
         return f"InformationGraph(n={self.n}, edges={self.sorted_edges()})"
 
 
+def _from_masks(adj: Iterable[int]) -> InformationGraph:
+    """The graph with these masks, unchecked: for graphs the package builds."""
+    return InformationGraph.__new__(InformationGraph)._init(adj)
+
+
 def _complement(adj: tuple[int, ...]) -> InformationGraph:
     full = (1 << len(adj)) - 1
-    c = InformationGraph.__new__(InformationGraph)
-    c._init(tuple(full ^ (1 << i) ^ m for i, m in enumerate(adj)))
-    return c
+    return _from_masks(full ^ (1 << i) ^ m for i, m in enumerate(adj))
+
+
+def _same_label_masks(labels: Sequence) -> list[int]:
+    """Per vertex, the mask of the other vertices with its label."""
+    classes: dict = {}
+    for k, label in enumerate(labels):
+        classes[label] = classes.get(label, 0) | 1 << k
+    return [classes[label] ^ 1 << k for k, label in enumerate(labels)]
 
 
 class Schedule(Record):
@@ -287,17 +298,13 @@ def optimal_assignment(n: int, q: int) -> IterationAssignment:
 
 def induced_graph(assignment: IterationAssignment) -> InformationGraph:
     """Graph with an edge {i, j} whenever the two agents sit in different
-    iterations (the later one observes the earlier one)."""
+    iterations (the later one observes the earlier one): the complement of
+    one clique per iteration class."""
     violation = validate_assignment(assignment)
     if violation is not None:
         raise InputError(f"assignment: {violation.detail}")
     _check_vertex_cap(assignment.n)
-    P = assignment.P
-    edges = [(i, j)
-             for i in range(1, assignment.n + 1)
-             for j in range(i + 1, assignment.n + 1)
-             if P[i - 1] < P[j - 1]]
-    return InformationGraph(assignment.n, edges)
+    return _from_masks(_same_label_masks(assignment.P)).complement()
 
 
 def earliest_schedule(graph: InformationGraph) -> Schedule:
@@ -333,38 +340,31 @@ def optimal_graph(n: int, q: int) -> InformationGraph:
     """
     check_n_q(n, q)
     _check_vertex_cap(n)
-    if n == 1:
-        return InformationGraph(1)
     r = ceil_div(n, q)
-    if remainder_one(n, q):
-        step = r - 1
-        edges = [(i, j) for i in range(1, n) for j in range(i + 1, n)
-                 if (j - i) % step == 0]
-        edges += [(i, n) for i in range(1, (q - 1) * step + 1)]
-        return InformationGraph(n, edges)
-    return complement_turan_graph(n, r)
+    if n == 1 or not remainder_one(n, q):
+        return complement_turan_graph(n, r)
+    seen, last = (q - 1) * (r - 1), 1 << (n - 1)
+    chains = _same_label_masks([k % (r - 1) for k in range(n - 1)])
+    return _from_masks([m | last if k < seen else m for k, m in enumerate(chains)]
+                       + [(1 << seen) - 1])
 
 
 def turan_graph(n: int, r: int) -> InformationGraph:
-    """Complete multipartite graph on r near-equal residue classes.
+    """Complete multipartite graph on r near-equal residue classes, built
+    as the complement of :func:`complement_turan_graph`.
 
     Vertices i and j are adjacent iff i != j (mod r).  The (n mod r)
     classes of size ceil(n/r) are the residues 1..(n mod r).
     """
-    check_n_q(n, r, "r")
-    _check_vertex_cap(n)
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             if (j - i) % r != 0]
-    return InformationGraph(n, edges)
+    return complement_turan_graph(n, r).complement()
 
 
 def complement_turan_graph(n: int, r: int) -> InformationGraph:
-    """Disjoint union of r cliques: vertices adjacent iff i = j (mod r)."""
+    """Disjoint union of r cliques, one mask per residue class: vertices
+    adjacent iff i = j (mod r)."""
     check_n_q(n, r, "r")
     _check_vertex_cap(n)
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             if (j - i) % r == 0]
-    return InformationGraph(n, edges)
+    return _from_masks(_same_label_masks([k % r for k in range(n)]))
 
 
 def normalize_assignment(assignment: IterationAssignment) -> IterationAssignment:

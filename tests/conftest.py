@@ -326,6 +326,41 @@ class EdgeSetGraph:
                                      if (i, j) not in self.edges])
 
 
+# The edge lists of structure's constructions, by testing every vertex
+# pair: a route that builds no class mask.  Valid (n, q), (n, r) and
+# nondecreasing assignments only.
+
+def pair_list_induced_graph(P) -> list[tuple[int, int]]:
+    n = len(P)
+    return [(i, j)
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if P[i - 1] < P[j - 1]]
+
+
+def pair_list_optimal_graph(n: int, q: int) -> list[tuple[int, int]]:
+    if n == 1:
+        return []
+    r = -(-n // q)
+    if n % q == 1 % q:
+        step = r - 1
+        edges = [(i, j) for i in range(1, n) for j in range(i + 1, n)
+                 if (j - i) % step == 0]
+        edges += [(i, n) for i in range(1, (q - 1) * step + 1)]
+        return edges
+    return pair_list_complement_turan_graph(n, r)
+
+
+def pair_list_turan_graph(n: int, r: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if (j - i) % r != 0]
+
+
+def pair_list_complement_turan_graph(n: int, r: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if (j - i) % r == 0]
+
+
 def all_graphs(n: int):
     """Every labeled graph on vertices 1..n."""
     pairs = list(combinations(range(1, n + 1), 2))

@@ -41,7 +41,15 @@ from pargreedy.suites import (
     star_graph,
 )
 
-from conftest import EdgeSetGraph, checked_adjacency, is_clique
+from conftest import (
+    EdgeSetGraph,
+    checked_adjacency,
+    is_clique,
+    pair_list_complement_turan_graph,
+    pair_list_induced_graph,
+    pair_list_optimal_graph,
+    pair_list_turan_graph,
+)
 
 
 def assignment(*P, q=None):
@@ -203,13 +211,16 @@ def assert_same_as_edge_set(g: InformationGraph, n: int, edges) -> None:
 
 
 class TestMasksAgainstEdgeSetOracle:
+    # each construction, and its edge list by a route that builds no mask
     CONSTRUCTIONS = {
-        "optimal_graph": optimal_graph,
-        "induced_graph": lambda n, q: induced_graph(optimal_assignment(n, q)),
-        "turan_graph": turan_graph,
-        "complement_turan_graph": complement_turan_graph,
-        "star_graph": lambda n, q: star_graph(n),
-        "edgeless_graph": lambda n, q: edgeless_graph(n),
+        "optimal_graph": (optimal_graph, pair_list_optimal_graph),
+        "induced_graph": (lambda n, q: induced_graph(optimal_assignment(n, q)),
+                          lambda n, q: pair_list_induced_graph(optimal_assignment(n, q).P)),
+        "turan_graph": (turan_graph, pair_list_turan_graph),
+        "complement_turan_graph": (complement_turan_graph, pair_list_complement_turan_graph),
+        "star_graph": (lambda n, q: star_graph(n),
+                       lambda n, q: [(i, n + 1) for i in range(1, n + 1)]),
+        "edgeless_graph": (lambda n, q: edgeless_graph(n), lambda n, q: []),
     }
 
     @settings(max_examples=150, deadline=None)
@@ -219,20 +230,21 @@ class TestMasksAgainstEdgeSetOracle:
         assert_same_as_edge_set(InformationGraph(n, edges), n, edges)
 
     @pytest.mark.parametrize("name", CONSTRUCTIONS)
-    def test_named_constructions(self, name, monkeypatch):
-        built = []
-        init = InformationGraph.__init__
-
-        def record(self, n, edges=()):
-            edges = list(edges)
-            built.append((n, edges))
-            init(self, n, edges)
-
-        monkeypatch.setattr(InformationGraph, "__init__", record)
-        for n in range(1, 10):
+    def test_named_constructions(self, name):
+        build, pair_list = self.CONSTRUCTIONS[name]
+        for n in range(1, 13):
             for q in range(1, n + 1):
-                g = self.CONSTRUCTIONS[name](n, q)
-                assert_same_as_edge_set(g, *built[-1])
+                g = build(n, q)
+                assert_same_as_edge_set(g, g.n, pair_list(n, q))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda q: st.tuples(
+        st.just(q), st.lists(st.integers(1, q), min_size=1, max_size=30))))
+    def test_induced_graph_of_drawn_assignments(self, drawn):
+        q, P = drawn
+        P = tuple(sorted(P))
+        g = induced_graph(IterationAssignment(q, P))
+        assert_same_as_edge_set(g, len(P), pair_list_induced_graph(P))
 
     @settings(max_examples=100, deadline=None)
     @given(edge_lists(), st.randoms(use_true_random=False))
@@ -292,20 +304,42 @@ class TestVertexCap:
         lambda: induced_graph(optimal_assignment(51, 5)),
     ])
     def test_constructions_refuse_before_building_any_edge(self, monkeypatch, build):
-        # the same refusal as the constructor's, made before any O(n^2) pair loop
-        inits = []
-        init = InformationGraph.__init__
+        # the same refusal as the constructor's, made before any mask is built
+        calls = []
 
-        def recording_init(self, n, edges=()):
-            inits.append(n)
-            init(self, n, edges)
+        def recording(name, inner):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return record
 
         monkeypatch.setattr(structure, "VERTEX_CAP", 50)
-        monkeypatch.setattr(InformationGraph, "__init__", recording_init)
+        monkeypatch.setattr(InformationGraph, "__init__",
+                            recording("__init__", InformationGraph.__init__))
+        for name in ("_same_label_masks", "_from_masks"):
+            monkeypatch.setattr(structure, name, recording(name, getattr(structure, name)))
         with pytest.raises(CapacityError) as exc:
             build()
         assert str(exc.value) == "graph of 51 vertices exceeds vertex cap 50"
-        assert inits == []
+        assert calls == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: turan_graph(600, 3),
+        lambda: complement_turan_graph(600, 3),
+        lambda: optimal_graph(600, 3),
+        lambda a=optimal_assignment(600, 2): induced_graph(a),
+    ])
+    def test_a_construction_allocates_only_its_masks(self, build):
+        # 600 masks of at most 600 bits each, about 0.1 MB; a list of the
+        # 6*10^4 to 1.2*10^5 edge tuples of the dense ones takes megabytes
+        tracemalloc.start()
+        try:
+            g = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 600 and g.edge_count > 0
+        assert peak < 500_000
 
 
 class TestInformationGraphIsReadOnly:
