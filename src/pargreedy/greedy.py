@@ -13,14 +13,15 @@ denominator); the tie policies are:
   tie resolution,
 * ``all``               -- return every resolution, one per leaf.
 
-The tie tree is built one level (agent) at a time with no recursion, so the
-number of agents is not bounded by the interpreter's recursion limit;
-``first`` / ``last`` keep one tie per level, so their tree is a single path.
-Only the current level is held: the decision union of every path to it, in
-depth-first order, so the leaves come out in ground order.  Every node,
-leaves and null-decision agents included, counts against ``NODE_CAP``, which
-guards against blowup; a level's count is checked before the level is
-built, so at most ``NODE_CAP`` unions are ever held.
+The tie tree is walked in one forward pass, one level (agent) at a time
+with no recursion, so the number of agents is not bounded by the
+interpreter's recursion limit; ``first`` / ``last`` keep one tie per level,
+so their tree is a single path.  Only the current level is held: the
+decision union of every path to it, in depth-first order, so the leaves come
+out in ground order.  Every node, leaves and null-decision agents included,
+counts against ``NODE_CAP``, which guards against blowup; a level's count is
+checked before the level is built, so at most ``NODE_CAP`` unions are ever
+held.
 
 Agent i's gains depend only on the union of its visible sources' decisions,
 so its tie set is computed once per distinct visible union in the level and
@@ -38,11 +39,12 @@ are more than ``PRUNE_PROFILES`` action profiles, the product of the
 decision-set sizes.  Below that gate, and on every table, the plain
 searches are as fast or faster, and they are the only ones that run.
 
-* ``worst`` does not build the tree.  A forward pass keeps one path count
-  per state, a union cut down to the bits later agents observe; it gives
-  the exact node count checked against ``NODE_CAP`` and the exact leaf
-  count reported as the resolutions.  A depth-first branch-and-bound in the
-  tree's leaf order then finds the first minimal leaf, pruning a node u with
+* ``worst`` merges the levels of the same pass: each union is cut down to
+  the bits later agents observe, and equal ones are kept once with a path
+  count, which gives the exact node count checked against ``NODE_CAP`` and
+  the exact leaf count reported as the resolutions.  A depth-first
+  branch-and-bound over the ties the pass recorded, in the tree's leaf
+  order, then finds the first minimal leaf, pruning a node u with
   f(u) >= the best leaf so far.
 * :func:`brute_force_optimum` returns the first maximizing profile in
   lexicographic ground order.  On such an objective it stops at the first
@@ -164,131 +166,95 @@ def _outcome(f: SetFunction, decisions: list[list[tuple[str, int]]], union: int,
 def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
                    visible_sources: list[list[int]], policy: str, schedule: Schedule
                    ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
-    """The engine both drivers share.  ``visible_sources[i]`` lists the
-    agents (0-based) whose decisions agent i observes.  ``worst`` on an
-    objective that holds its axioms by construction, with more than
-    ``PRUNE_PROFILES`` profiles, takes :func:`_pruned_worst`; everything
-    else takes :func:`_level_build`."""
-    if (policy == "worst" and f.axioms_by_construction
-            and _profile_count(decisions) > PRUNE_PROFILES):
-        return _pruned_worst(f, decisions, visible_sources, schedule)
-    return _level_build(f, decisions, visible_sources, policy, schedule)
+    """The engine both drivers share: one forward pass over the levels of
+    the tie tree.  ``visible_sources[i]`` lists the agents (0-based) whose
+    decisions agent i observes.
 
+    A level lists the decision union of every path to it, in depth-first
+    order: each agent with decisions replaces every union by its
+    extensions with its ties, in ground order.  A merged pass (``worst`` on
+    an objective that holds its axioms by construction, with more than
+    ``PRUNE_PROFILES`` profiles) keeps a dict instead: what the agents
+    after i can see of a path is its union cut down to ``later[i + 1]``,
+    and paths that agree there have subtrees of the same shape, so each
+    such state is kept once with its path count.  Each level's node count
+    is checked against ``NODE_CAP`` before the level is built.
 
-def _level_build(f: SetFunction, decisions: list[list[tuple[str, int]]],
-                 visible_sources: list[list[int]], policy: str, schedule: Schedule
-                 ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
-    """Level-by-level build of the tie tree.
-
-    ``frontier`` holds the decision union of every path to the current
-    depth, in depth-first order: each level replaces every union by its
-    extensions with agent i's ties, in ground order.  Only one level is
-    held, and its node count is checked against ``NODE_CAP`` before it is
-    built, so no more than ``NODE_CAP`` unions are ever held."""
+    Unmerged, the last level is the leaves.  Merged, a depth-first walk over
+    an explicit stack, ties in ground order, finds the first minimal leaf:
+    f is monotone, so f(u) bounds every leaf below u from below, and a node
+    with f(u) >= the best leaf so far is pruned; a later leaf replaces the
+    best only when strictly smaller, so the first minimal leaf is kept."""
     value = f.scaled_value
     node_cap = NODE_CAP  # read once per call, not once per node
     too_many = f"tie-tree enumeration exceeded {node_cap} nodes"
-    nodes = 1  # the root
-    frontier = [0]
-    for opts, sources in zip(decisions, visible_sources):
-        if not opts:  # a null decision: one child per node
-            nodes += len(frontier)
-            continue
-        # The decision sets are disjoint, so what agent i sees of a path is
-        # its union cut down to its sources' decision sets (distinct single
-        # bits, so their sum is their union).
-        seen = sum(m for j in sources for _, m in decisions[j])
-        ties = _ties(value, opts, set(map(seen.__and__, frontier)))
-        if policy in ("first", "last"):
-            ties = {vis: tied[:1] if policy == "first" else tied[-1:]
-                    for vis, tied in ties.items()}
-        # size the level before building it: a cheap bound, then the exact count
-        if nodes + len(frontier) * len(opts) > node_cap and nodes + sum(
-                map(len, map(ties.__getitem__, map(seen.__and__, frontier)))) > node_cap:
-            raise CapacityError(too_many)
-        frontier = [u | m for u in frontier for m in ties[seen & u]]
-        nodes += len(frontier)
-    if nodes > node_cap:  # null-decision levels count after the last check
-        raise CapacityError(too_many)
-
-    if policy == "all":
-        # Two paths differ in some agent's decision, so no two leaves share
-        # a union, and depth-first order is already ground order.
-        return tuple(_outcome(f, decisions, u, len(frontier), schedule) for u in frontier)
-    values = list(map(value, frontier))
-    leaf = frontier[values.index((max if policy == "best" else min)(values))]
-    return _outcome(f, decisions, leaf, len(frontier), schedule)
-
-
-def _pruned_worst(f: SetFunction, decisions: list[list[tuple[str, int]]],
-                  visible_sources: list[list[int]], schedule: Schedule) -> GreedyOutcome:
-    """The first minimal leaf of the tie tree, for a monotone f, in two
-    passes that never build the tree.
-
-    The count: what the agents from i on can see of a path is its union cut
-    down to ``later[i]``, the bits some of them observe.  Paths that agree
-    there, one *state*, have subtrees of the same shape, so a forward pass
-    that keeps one path count per state gives the exact node and leaf
-    counts, and ``NODE_CAP`` is checked level by level as in
-    :func:`_level_build`.  Each agent's ties are computed once per view.
-
-    The leaf: a depth-first walk over an explicit stack, ties in ground
-    order, so the leaves come in the level build's order.  f is monotone,
-    so f(u) bounds every leaf below u from below, and a node with
-    f(u) >= the best leaf so far is pruned: a later leaf replaces the best
-    only when strictly smaller, so the first minimal leaf is kept."""
-    value = f.scaled_value
-    node_cap = NODE_CAP
-    too_many = f"tie-tree enumeration exceeded {node_cap} nodes"
-    n = len(decisions)
+    merge = (policy == "worst" and f.axioms_by_construction
+             and _profile_count(decisions) > PRUNE_PROFILES)
+    # The decision sets are disjoint, so what agent i sees of a path is its
+    # union cut down to its sources' decision sets (distinct single bits,
+    # so their sum is their union).
     seen = [sum(m for j in sources for _, m in decisions[j]) if opts else 0
             for opts, sources in zip(decisions, visible_sources)]
-    later = [0] * (n + 1)
-    for i in reversed(range(n)):
-        later[i] = later[i + 1] | seen[i]
+    if merge:
+        later = [0] * (len(seen) + 1)  # later[i]: the bits agents i, i + 1, ... observe
+        for i in reversed(range(len(seen))):
+            later[i] = later[i + 1] | seen[i]
 
     steps = []  # (ties by view, bits seen) of each agent with decisions
-    nodes = 1  # the root
-    states = {0: 1}  # state -> number of paths to it
-    paths = 1  # nodes in the current level
+    nodes = paths = 1  # the root; the paths to the current level
+    level = {0: 1} if merge else [0]
     for i, opts in enumerate(decisions):
         if not opts:  # a null decision: one child per path
             nodes += paths
             continue
         see = seen[i]
-        mine = _ties(value, opts, {s & see for s in states})
-        steps.append((mine, see))
-        # size the level before counting it: a cheap bound, then the exact count
+        ties = _ties(value, opts, {s & see for s in level})
+        if policy in ("first", "last"):
+            ties = {vis: tied[:1] if policy == "first" else tied[-1:]
+                    for vis, tied in ties.items()}
+        steps.append((ties, see))
+        # size the level before building it: a cheap bound, then the exact count
         if nodes + paths * len(opts) > node_cap and nodes + sum(
-                c * len(mine[s & see]) for s, c in states.items()) > node_cap:
+                len(ties[s & see]) * (level[s] if merge else 1) for s in level) > node_cap:
             raise CapacityError(too_many)
-        keep, grown = later[i + 1], {}
-        for s, c in states.items():
-            for m in mine[s & see]:
-                t = (s | m) & keep
-                grown[t] = grown.get(t, 0) + c
-        states = grown
-        paths = sum(states.values())
+        if merge:
+            keep, grown = later[i + 1], {}
+            for s, c in level.items():
+                for m in ties[s & see]:
+                    t = (s | m) & keep
+                    grown[t] = grown.get(t, 0) + c
+            level, paths = grown, sum(grown.values())
+        else:
+            level = [s | m for s in level for m in ties[s & see]]
+            paths = len(level)
         nodes += paths
     if nodes > node_cap:  # null-decision levels count after the last check
         raise CapacityError(too_many)
 
+    if not merge:
+        if policy == "all":
+            # Two paths differ in some agent's decision, so no two leaves
+            # share a union, and depth-first order is already ground order.
+            return tuple(_outcome(f, decisions, u, paths, schedule) for u in level)
+        values = list(map(value, level))
+        leaf = level[values.index((max if policy == "best" else min)(values))]
+        return _outcome(f, decisions, leaf, paths, schedule)
     last = len(steps) - 1
-    best, best_union = None, 0
+    best, leaf = None, 0
     stack = [(0, 0)] if steps else []  # (depth, union) of inner nodes, the next on top
     while stack:
         d, u = stack.pop()
         if best is not None and value(u) >= best:
             continue
-        mine, see = steps[d]
+        ties, see = steps[d]
         if d < last:
-            stack += [(d + 1, u | m) for m in reversed(mine[u & see])]
+            stack += [(d + 1, u | m) for m in reversed(ties[u & see])]
             continue
-        for m in mine[u & see]:  # the leaves below u
+        for m in ties[u & see]:  # the leaves below u
             v = value(u | m)
             if best is None or v < best:
-                best, best_union = v, u | m
-    return _outcome(f, decisions, best_union, paths, schedule)
+                best, leaf = v, u | m
+    return _outcome(f, decisions, leaf, paths, schedule)
 
 
 def run_greedy(f: SetFunction, agents: AgentSpace, graph: InformationGraph,

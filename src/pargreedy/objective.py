@@ -568,8 +568,9 @@ class PAdditiveWitnessFunction(_TwoBlockWitness):
     def from_obj(cls, ground: Sequence[str], payload: dict) -> "PAdditiveWitnessFunction":
         u, v = cls._blocks_from_obj(payload)
         p = require(payload, "p", int, "objective")
+        known = set(ground)
         for e in u + v:
-            if e not in ground:
+            if e not in known:
                 raise InputError(f"objective.u/v: element {e!r} not in ground")
         return cls(ground, u, v, p)
 

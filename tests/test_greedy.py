@@ -38,13 +38,12 @@ from pargreedy import greedy
 from pargreedy.greedy import (
     NODE_CAP,
     POLICIES,
+    PROFILE_CAP,
     PRUNE_PROFILES,
     _flat_optimum,
-    _level_build,
     _ordered_decisions,
     _profile_count,
     _pruned_optimum,
-    _pruned_worst,
     _ties,
 )
 from pargreedy.objective import OBJECTIVE_KINDS, check_properties, total_curvature
@@ -485,33 +484,45 @@ def _outcome_or_error(run, *args):
         return str(exc)
 
 
-def _counted_worst(engine, f, X, graph):
-    """(scaled_value calls, _evaluate misses) of one worst-policy run on
-    the graph, through ``run_greedy`` or straight through the level build."""
-    counts = [0, 0]
+def _gated(run, f, X, structure, policy, prune=PRUNE_PROFILES, cap=NODE_CAP):
+    """A driver's outcome, or its CapacityError message, with
+    ``greedy.PRUNE_PROFILES`` and ``greedy.NODE_CAP`` patched: a gate of
+    ``PROFILE_CAP`` keeps every level whole, a gate of 0 merges the levels
+    of every ``worst`` run on an objective that holds its axioms by
+    construction."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "PRUNE_PROFILES", prune)
+        mp.setattr(greedy, "NODE_CAP", cap)
+        return _outcome_or_error(run, f, X, structure, policy)
+
+
+def _traced(f, search):
+    """The masks one search passes to ``f.scaled_value``, in call order,
+    and the number of ``_evaluate`` calls (cache misses) it makes."""
+    calls, misses = [], []
     scaled, evaluate = f.scaled_value, f._evaluate
 
     def call(mask):
-        counts[0] += 1
+        calls.append(mask)
         return scaled(mask)
 
     def miss(mask):
-        counts[1] += 1
+        misses.append(mask)
         return evaluate(mask)
 
-    decisions, sources, schedule = _graph_inputs(f, X, graph)
     f.scaled_value, f._evaluate = call, miss
-    if engine is _level_build:
-        engine(f, decisions, sources, "worst", schedule)
-    else:
-        engine(f, X, graph, "worst")
-    return tuple(counts)
+    try:
+        search(f)
+    finally:
+        del f.scaled_value, f._evaluate
+    return calls, len(misses)
 
 
 class TestLevelBuild:
-    """The level-by-level build against the depth-first stack walk it
-    replaced (``conftest.stack_greedy_engine``): the same node count, the
-    same cap, the same evaluations, and no level over the cap held."""
+    """The one forward pass, levels kept whole or merged, against the
+    depth-first stack walk it replaced (``conftest.stack_greedy_engine``):
+    the same outcomes, the same node count, the same cap, the same
+    evaluations, and no level over the cap held."""
 
     @settings(max_examples=60, deadline=None)
     @given(greedy_instances())
@@ -523,13 +534,12 @@ class TestLevelBuild:
                                                       float("inf"))
                 assert run(f, X, structure, policy) == expected
                 for cap in (total - 1, total, total + 1):
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr("pargreedy.greedy.NODE_CAP", cap)
-                        got = _outcome_or_error(run, f, X, structure, policy)
                     oracle = _outcome_or_error(stack_greedy_engine, f, decisions, sources,
                                                policy, schedule, cap)
-                    assert got == (oracle if isinstance(oracle, str) else oracle[0])
-                    assert isinstance(got, str) == (cap < total)
+                    for prune in (0, PROFILE_CAP):
+                        got = _gated(run, f, X, structure, policy, prune, cap)
+                        assert got == (oracle if isinstance(oracle, str) else oracle[0])
+                        assert isinstance(got, str) == (cap < total)
 
     def test_an_over_cap_level_is_never_built(self):
         # ten agents each tied between two elements of one target: 2^10
@@ -558,31 +568,38 @@ class TestLevelBuild:
         assert _ties(value, [("a", 4)], {0, 1, 3}) == {0: [4], 1: [4], 3: [4]}
 
     @staticmethod
-    def _counted(engine):
+    def _counted():
+        """(scaled_value calls, _evaluate misses) of one worst-policy
+        ``run_greedy`` on each of three instances."""
         rng = random.Random(34)
         f, X = random_cover_instance(rng, 10, max_ground=16)
-        counted = [_counted_worst(engine, f, X, random_feasible_graph(rng, 10, 4))]
-        w = curvature_witness(edgeless_graph(8), F(1, 3))
-        counted.append(_counted_worst(engine, w.objective, w.agents, w.graph))
-        w = p_additive_witness(star_graph(6), 2)
-        counted.append(_counted_worst(engine, w.objective, w.agents, w.graph))
+        cases = [(f, X, random_feasible_graph(rng, 10, 4))]
+        for w in (curvature_witness(edgeless_graph(8), F(1, 3)),
+                  p_additive_witness(star_graph(6), 2)):
+            cases.append((w.objective, w.agents, w.graph))
+        counted = []
+        for f, X, graph in cases:
+            calls, misses = _traced(f, lambda g: run_greedy(g, X, graph, "worst"))
+            counted.append((len(calls), misses))
         return counted
 
-    def test_evaluations_are_pinned(self):
-        # scaled_value calls and _evaluate misses of the stack walk; the
-        # level-by-level build must not evaluate more
-        assert self._counted(_level_build) == [(113, 111), (281, 279), (269, 146)]
+    def test_evaluations_are_pinned(self, monkeypatch):
+        # scaled_value calls and _evaluate misses of the stack walk, with
+        # every level kept whole; the pass must not evaluate more
+        monkeypatch.setattr(greedy, "PRUNE_PROFILES", PROFILE_CAP)
+        assert self._counted() == [(113, 111), (281, 279), (269, 146)]
 
     def test_run_greedy_evaluates_no_more_than_the_level_build(self):
-        # the cover (64 profiles) and the p-additive witness (128) stay on
-        # the level build; the curvature witness (256) takes the pruned search
-        assert self._counted(run_greedy) == [(113, 111), (244, 241), (269, 146)]
+        # the cover (64 profiles) and the p-additive witness (128) keep
+        # their levels whole; the curvature witness (256) merges them and
+        # takes the branch-and-bound
+        assert self._counted() == [(113, 111), (244, 241), (269, 146)]
 
 
 class TestPrunedSearches:
-    """The pruned ``worst`` search and the pruned optimum, which an
-    objective that holds its axioms by construction takes above
-    ``PRUNE_PROFILES`` profiles, against the level build and the flat loop
+    """The merged ``worst`` pass and the pruned optimum, which an objective
+    that holds its axioms by construction takes above ``PRUNE_PROFILES``
+    profiles, against the stack walk, the whole levels and the flat loop
     that every other input keeps."""
 
     @settings(max_examples=60, deadline=None)
@@ -592,18 +609,12 @@ class TestPrunedSearches:
         assert f.axioms_by_construction
         assert _profile_count(_ordered_decisions(f, X)) > PRUNE_PROFILES
         for run, structure, decisions, sources, schedule in _greedy_inputs(*instance):
-            expected = _level_build(f, decisions, sources, "worst", schedule)
-            assert _pruned_worst(f, decisions, sources, schedule) == expected
+            expected, total = stack_greedy_engine(f, decisions, sources, "worst", schedule,
+                                                  float("inf"))
             assert run(f, X, structure, "worst") == expected
-            _, total = stack_greedy_engine(f, decisions, sources, "worst", schedule,
-                                           float("inf"))
             for cap in (total - 1, total, total + 1):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr("pargreedy.greedy.NODE_CAP", cap)
-                    got = _outcome_or_error(run, f, X, structure, "worst")
-                    level = _outcome_or_error(_level_build, f, decisions, sources, "worst",
-                                              schedule)
-                assert got == level
+                got = _gated(run, f, X, structure, "worst", cap=cap)
+                assert got == _gated(run, f, X, structure, "worst", PROFILE_CAP, cap)
                 assert isinstance(got, str) == (cap < total)
 
     @settings(max_examples=60, deadline=None)
@@ -618,31 +629,41 @@ class TestPrunedSearches:
 
     def test_a_table_never_takes_a_pruned_path(self, monkeypatch):
         # one monotone submodular function as a cover and as a table, with
-        # 3^4 * 2 = 162 profiles: only the cover prunes
+        # 3^4 * 2 = 162 profiles, every agent tied among options that each
+        # cover one target of weight 1: only the cover prunes
         owned = [[f"e{i}_{k}" for k in range(3 if i < 4 else 2)] for i in range(5)]
         ground = [e for own in owned for e in own]
-        f = SetFunction.cover(ground, ("y1", "y2", "y3"), {"y1": 1, "y2": 2, "y3": 2},
-                              {e: ("y1", "y2", "y3")[k % 3:][:2] for k, e in enumerate(ground)})
+        f = SetFunction.cover(ground, ("y0", "y1", "y2"), dict.fromkeys(("y0", "y1", "y2"), 1),
+                              {e: (f"y{k}",) for own in owned for k, e in enumerate(own)})
         table = SetFunction.tabular(ground, {f.mask_subset(m): f.mask_value(m)
                                              for m in range(1 << len(ground))})
         assert check_properties(table).all_hold
         X = AgentSpace([set(own) for own in owned])
         graph, assignment = InformationGraph(5, [(1, 5)]), IterationAssignment(2, (1,) * 4 + (2,))
         assert _profile_count(_ordered_decisions(table, X)) > PRUNE_PROFILES
-        searches = (lambda g: run_greedy(g, X, graph, "worst"),
-                    lambda g: run_parallel_greedy(g, X, assignment, "worst"),
-                    lambda g: brute_force_optimum(g, X))
-        expected = [search(table) for search in searches]
+        worst = (lambda g: run_greedy(g, X, graph, "worst"),
+                 lambda g: run_parallel_greedy(g, X, assignment, "worst"))
+        for search in worst:
+            # the unions that only the branch-and-bound evaluates: the
+            # cover's run against the same run with its levels kept whole
+            calls, _ = _traced(f, search)
+            with monkeypatch.context() as mp:
+                mp.setattr(greedy, "PRUNE_PROFILES", PROFILE_CAP)
+                whole, _ = _traced(f, search)
+            pruned_only = set(calls) - set(whole)
+            assert pruned_only
+            assert not pruned_only & set(_traced(table, search)[0])
+            assert search(table) == search(f)
+
+        optimum = brute_force_optimum(table, X)
 
         def refuse(*args):
             raise AssertionError("pruned path taken")
 
-        monkeypatch.setattr(greedy, "_pruned_worst", refuse)
         monkeypatch.setattr(greedy, "_pruned_optimum", refuse)
-        for search, outcome in zip(searches, expected):
-            assert search(table) == outcome
-            with pytest.raises(AssertionError, match="pruned path taken"):
-                search(f)
+        assert brute_force_optimum(table, X) == optimum
+        with pytest.raises(AssertionError, match="pruned path taken"):
+            brute_force_optimum(f, X)
 
 
 def _drivers(f, X, graph, assignment):

@@ -18,6 +18,7 @@ from pargreedy import (
     sequential_half_witness,
 )
 from pargreedy.adversarial import WitnessInstance
+from pargreedy.objective import OBJECTIVE_KINDS
 from pargreedy.serialize import (
     assignment_from_obj,
     assignment_to_obj,
@@ -250,6 +251,25 @@ class TestInstanceFormat:
         with pytest.raises(InputError) as exc:
             instance_from_obj(obj)
         assert str(exc.value) == message
+
+    def test_p_additive_blocks_are_checked_against_a_set(self):
+        # each block member is looked up once in a set built from the
+        # ground, not searched for in the ground list
+        class Ground(list):
+            searches = 0
+
+            def __contains__(self, e):
+                Ground.searches += 1
+                return super().__contains__(e)
+
+        ground = Ground(f"e{k}" for k in range(200))
+        payload = {"kind": "p-additive-witness", "u": ground[:100], "v": ground[100:], "p": 2}
+        f = OBJECTIVE_KINDS["p-additive-witness"].from_obj(ground, payload)
+        assert f.ground == tuple(ground) and Ground.searches == 0
+        payload["v"] = ground[100:] + ["y", "z"]
+        with pytest.raises(InputError) as exc:
+            OBJECTIVE_KINDS["p-additive-witness"].from_obj(ground, payload)
+        assert str(exc.value) == "objective.u/v: element 'y' not in ground"
 
     def test_a_p_additive_block_that_repeats_an_id(self):
         obj = {"ground": ["a", "b"], "agents": [["a"], ["b"]],
