@@ -7,23 +7,27 @@ pseudo-independence numbers, the sibling predicates, and the lower bound of
 the exact coloring of the complement that gives the clique cover number.
 The search visits vertices in increasing index, tries including a vertex
 before excluding it, skips every vertex that can no longer join the set and
-prunes on a clique bound that counts, per clique, only the members the set
+prunes on a partition bound that counts, per part, only the members the set
 can still take there, so it meets the sets in one fixed order ("index
 order"): the reported maximum set and every witness are the first ones in
-that order.  The maximum set is found by extending each set found with
-every later vertex that fits, which is the first set of its own size, and
-searching one size above it, not every size from 1.  At p <= 2 the search
-finds a vertex's blocked neighbors in one AND.  The maximum sets are
-enumerated lazily, so a predicate stops at its first witness.  The coloring
-keeps each color class as a vertex mask, so a color is tested against a
-vertex's neighbors in one AND.  Computations refuse graphs of more than
-``GRAPH_CAP`` vertices with a CapacityError instead of approximating.
+that order.  At p = 1 the parts are cliques; at p >= 2 a part may also be a
+clique closed by one lower vertex that misses at most its p - 1 lowest
+members, and such a part still holds at most p members of a set.  The
+maximum set is found by extending each set found with every later vertex
+that fits, which is the first set of its own size, and searching one size
+above it, not every size from 1.  At p <= 2 the search finds a vertex's
+blocked neighbors in one AND.  The maximum sets are enumerated lazily,
+starting from the kept first one, so a predicate stops at its first witness
+and starts no search when that set has one.  The coloring keeps each color
+class as a vertex mask, so a color is tested against a vertex's neighbors
+in one AND.  Computations refuse graphs of more than ``GRAPH_CAP`` vertices
+with a CapacityError instead of approximating.
 
 Each graph is searched at most once per p and colored at most once: its one
-memo, :meth:`~pargreedy.structure.InformationGraph.kept`, keeps the first
-maximum set per p, the clique partition every search of the graph bounds
-on (whatever p), and theta's witness, and omega is alpha of the kept
-complement.  So the results do not depend on the order of the calls.
+memo, :meth:`~pargreedy.structure.InformationGraph.kept`, keeps, per p, the
+first maximum set and the partition its searches bound on, and theta's
+witness, and omega is alpha of the kept complement.  So the results do not
+depend on the order of the calls.
 
 The in-neighborhood convention is fixed module-wide: N_i contains only the
 lower-index neighbors of i, matching the direction of information flow.
@@ -156,33 +160,61 @@ def has_sibling_condition(graph: InformationGraph) -> Optional[SiblingWitness]:
     search ends at the first I that has such a w; None costs a full
     enumeration."""
     _require_cap(graph, "sibling condition")
-    sibling = _first_p_sibling(graph, 1)
+    sibling = _first_p_sibling(graph, 1, [])
     if sibling is None:
         return None
     return SiblingWitness(sibling.vertex, sibling.pseudo_independent_set, sibling.members[0])
 
 
-def _suffix_cliques(adj: tuple[int, ...], n: int) -> list[int]:
-    """A partition of the vertices into cliques, first fit from the highest
-    index down, so that its restriction to the vertices from any index on
-    (where the search's ``alive`` vertices lie) is the first-fit partition
-    of those vertices."""
+def _suffix_cliques(adj: tuple[int, ...], n: int, p: int = 1) -> list[int]:
+    """A partition of the vertices into parts that each hold at most p
+    members of any p-pseudo-independent set, for the search's bound.
+
+    First fit from the highest index down, so that its restriction to the
+    vertices from any index on (where the search's ``alive`` vertices lie)
+    is the first-fit partition of those vertices.  A vertex joins the first
+    open clique whose members it all neighbors.  If there is none, and p >=
+    2, it joins the first open clique of at least p members whose members
+    it all neighbors except the p - 1 lowest, and that part closes: no
+    later vertex joins it.  Otherwise it opens a clique of its own.  In
+    every part, each member except the p lowest neighbors every lower
+    member.  At p = 1 there is no closing step, so the parts are the
+    cliques of the first fit.
+    """
     cliques: list[int] = []
+    closed: list[int] = []
     for v in range(n - 1, -1, -1):
+        out = ~adj[v]
         for i, c in enumerate(cliques):
-            if c & ~adj[v] == 0:
+            if not c & out:
                 cliques[i] = c | 1 << v
                 break
         else:
-            cliques.append(1 << v)
-    return cliques
+            if p > 1:
+                for i, c in enumerate(cliques):
+                    if c.bit_count() >= p:
+                        high = c
+                        for _ in range(p - 1):
+                            high &= high - 1
+                        if not high & out:
+                            closed.append(cliques.pop(i) | 1 << v)
+                            break
+                else:
+                    cliques.append(1 << v)
+            else:
+                cliques.append(1 << v)
+    return cliques + closed
 
 
 def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: int,
-                                    cliques: list[int]):
+                                    parts: list[int]):
     """Yield every p-pseudo-independent set of exactly ``size`` vertices, as
     bitmasks, in index order.  At p = 1 these are the independent sets.
-    ``cliques`` is ``_suffix_cliques(adj, n)``.
+    ``parts`` partitions the vertices into parts in which each member
+    except the p lowest neighbors every lower member, such as
+    ``_suffix_cliques(adj, n, p)`` (a clique partition is one at any p).
+    Such a part P holds at most p members of a p-pseudo-independent set J:
+    the (p+1)-th lowest member of J & P would have p in-neighbors in J.
 
     Depth-first search with an explicit stack.  ``alive`` holds the later
     vertices that can still join the set; the search branches on the lowest
@@ -198,14 +230,14 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
     v gain one in-neighbor: at p = 2 they all join ``short``, and only at
     p >= 3 is each one's count taken.  A child whose set and ``alive``
     together fall short of ``size`` is not pushed.  A node is pruned once
-    ``alive`` cannot supply the missing members by the clique bound: a
-    clique c of the partition gives at most min(|c & alive|, p - |c & cur|)
-    of them, since the j-th new member of c has |c & cur| + j - 1
-    in-neighbors in the set.  That minimum is at least 1 whenever c meets
-    ``alive`` (a vertex of ``alive`` has fewer than p in-neighbors in the
-    set), so the members held are counted only for a clique with two or
-    more vertices in ``alive``.  It is a generator, so callers that stop at
-    the first set they need enumerate no further.
+    ``alive`` cannot supply the missing members by the part bound: a part
+    c gives at most min(|c & alive|, p - |c & cur|) of them, since every
+    set below the node holds ``cur`` and at most p members of c.  That
+    minimum is at least 1 whenever c meets ``alive``: were p members of c
+    in ``cur``, an alive vertex of c, above them all, would neighbor them
+    all and not be alive.  So the members held are counted only for a part
+    with two or more vertices in ``alive``.  It is a generator, so callers
+    that stop at the first set they need enumerate no further.
     """
     full = (1 << n) - 1
     stack = [(0, full, 0, full if p == 1 else 0)] if n >= size else []
@@ -215,7 +247,7 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
             yield cur
             continue
         need = size - have
-        for c in cliques:
+        for c in parts:
             k = (c & alive).bit_count()
             if k:
                 if k > 1:
@@ -249,10 +281,10 @@ def _all_pseudo_independent_of_size(adj: tuple[int, ...], n: int, p: int, size: 
 
 
 def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int,
-                                  cliques: list[int]) -> int:
+                                  parts: list[int]) -> int:
     """Maximum set J with |N_j n J| < p for every j in J, the first one in
-    index order.  At p = 1, the first maximum independent set.  ``cliques``
-    is ``_suffix_cliques(adj, n)``.
+    index order.  At p = 1, the first maximum independent set.  ``parts``
+    is as for :func:`_all_pseudo_independent_of_size`.
 
     Each round extends the set S it holds, the first set of its size, by
     every later vertex that still has fewer than p in-neighbors in it,
@@ -272,7 +304,7 @@ def _max_pseudo_independent_mask(adj: tuple[int, ...], n: int, p: int,
         for v in range(best.bit_length(), n):
             if (adj[v] & best).bit_count() < p:
                 best |= 1 << v
-        bigger = next(_all_pseudo_independent_of_size(adj, n, p, best.bit_count() + 1, cliques), None)
+        bigger = next(_all_pseudo_independent_of_size(adj, n, p, best.bit_count() + 1, parts), None)
         if bigger is None:
             return best
         best = bigger
@@ -284,21 +316,24 @@ def _max_mask(graph: InformationGraph, p: int) -> int:
 
 
 def _search(graph: InformationGraph, p: int) -> int:
-    return _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p, _cliques(graph))
+    return _max_pseudo_independent_mask(graph.adjacency_masks(), graph.n, p, _parts(graph, p))
 
 
-def _cliques(graph: InformationGraph) -> list[int]:
-    """The graph's clique partition for the search, built once per graph
-    (it does not depend on p)."""
-    return graph.kept("cliques", _suffix_cliques, graph.adjacency_masks(), graph.n)
+def _parts(graph: InformationGraph, p: int) -> list[int]:
+    """The graph's partition for the search at p, built once per graph and p."""
+    return graph.kept(("parts", p), _suffix_cliques, graph.adjacency_masks(), graph.n, p)
 
 
 def _maximum_sets(graph: InformationGraph, p: int):
     """Every maximum p-pseudo-independent set of the graph, as bitmasks, in
-    index order (lazily)."""
-    size = _max_mask(graph, p).bit_count()
-    return _all_pseudo_independent_of_size(graph.adjacency_masks(), graph.n, p, size,
-                                           _cliques(graph))
+    index order (lazily).  The first is the kept one, so the enumeration
+    starts only when a caller asks for a second set."""
+    first = _max_mask(graph, p)
+    yield first
+    rest = _all_pseudo_independent_of_size(graph.adjacency_masks(), graph.n, p,
+                                           first.bit_count(), _parts(graph, p))
+    next(rest)
+    yield from rest
 
 
 def pseudo_independence_number(graph: InformationGraph, p: int) -> InvariantWitness:
@@ -322,7 +357,10 @@ class PSiblingWitness(Record):
     members: tuple[int, ...]
 
 
-def _first_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitness]:
+def _first_p_sibling(graph: InformationGraph, p: int,
+                     walked: list[int]) -> Optional[PSiblingWitness]:
+    """The first p-sibling witness over the maximum sets in index order, or
+    None; each set that has none is appended to ``walked``."""
     in_masks = graph.in_neighbor_masks()
     for m in _maximum_sets(graph, p):
         for w in range(graph.n):
@@ -331,6 +369,7 @@ def _first_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitnes
             hits = in_masks[w] & m
             if hits.bit_count() >= p:
                 return PSiblingWitness(w + 1, _vertices(m), _vertices(hits))
+        walked.append(m)
     return None
 
 
@@ -345,7 +384,7 @@ def has_p_sibling(graph: InformationGraph, p: int) -> Optional[PSiblingWitness]:
     maximum set, so its size is alpha_p."""
     check_positive_int(p, "p")
     _require_cap(graph, "p-sibling property")
-    return _first_p_sibling(graph, p)
+    return _first_p_sibling(graph, p, [])
 
 
 class DisjointSetsCheck(Record):
@@ -365,9 +404,9 @@ def verify_no_disjoint_max_sets(graph: InformationGraph, p: int) -> DisjointSets
     p-pseudo-independent sets pairwise intersect."""
     check_positive_int(p, "p")
     _require_cap(graph, "disjoint maximum set check")
-    if _first_p_sibling(graph, p) is not None:
+    masks: list[int] = []
+    if _first_p_sibling(graph, p, masks) is not None:
         return DisjointSetsCheck(applicable=False, holds=True)
-    masks = list(_maximum_sets(graph, p))
     for a in range(len(masks)):
         for b in range(a + 1, len(masks)):
             if masks[a] & masks[b] == 0:

@@ -133,14 +133,13 @@ def two_pass_clique_cover(graph: InformationGraph, alpha: int) -> tuple[int, tup
     return k, tuple(tuple(sorted(vs)) for _, vs in sorted(classes.items()))
 
 
-def brute_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
-    """Every maximum p-pseudo-independent set (each member has fewer than p
+def all_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
+    """Every p-pseudo-independent set (each member has fewer than p
     lower-index neighbors in the set), in index order.
 
     Unpruned include/exclude enumeration over vertices 1..n, trying to
-    include a vertex before excluding it; every feasible set is a leaf, and
-    the maximum ones keep the leaf order.  O(2^n); for oracle-sized graphs
-    only.  At p = 1 these are the maximum independent sets."""
+    include a vertex before excluding it; every feasible set is a leaf.
+    O(2^n); for oracle-sized graphs only."""
     leaves: list[tuple[int, ...]] = []
 
     def go(v: int, chosen: tuple[int, ...]) -> None:
@@ -152,11 +151,19 @@ def brute_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple
         go(v + 1, chosen)
 
     go(1, ())
+    return leaves
+
+
+def brute_pseudo_independent_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]]:
+    """Every maximum p-pseudo-independent set, in index order: the largest
+    leaves of the unpruned enumeration, in leaf order.  At p = 1 these are
+    the maximum independent sets."""
+    leaves = all_pseudo_independent_sets(graph, p)
     best = max(map(len, leaves))
     return [s for s in leaves if len(s) == best]
 
 
-def _rising_suffix_cliques(adj: tuple[int, ...], n: int) -> list[int]:
+def first_fit_cliques(adj: tuple[int, ...], n: int) -> list[int]:
     """First-fit clique partition from the highest index down."""
     cliques: list[int] = []
     for v in range(n - 1, -1, -1):
@@ -210,7 +217,7 @@ def rising_maximum_sets(graph: InformationGraph, p: int) -> list[tuple[int, ...]
     first set of each size, sizes rising from 1 until a size has none, then
     every set of the last size found."""
     adj, n = graph.adjacency_masks(), graph.n
-    cliques = _rising_suffix_cliques(adj, n)
+    cliques = first_fit_cliques(adj, n)
     size = 0
     while next(rising_sets_of_size(adj, n, p, size + 1, cliques), None) is not None:
         size += 1

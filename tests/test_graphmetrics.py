@@ -39,11 +39,13 @@ from pargreedy.serialize import save_graph
 from pargreedy.suites import random_cover_entries, random_feasible_graph
 
 from conftest import (
+    all_pseudo_independent_sets,
     brute_alpha,
     brute_omega,
     brute_pseudo_independent_sets,
     brute_theta,
     counted_sets_of_size,
+    first_fit_cliques,
     is_clique,
     is_independent,
     rising_maximum_sets,
@@ -392,6 +394,37 @@ class TestSearchAgainstCountedSearch:
             assert bool(sets) is some
 
 
+class TestSearchParts:
+    """The partition the search bounds on at p: its parts hold at most p
+    members of any p-pseudo-independent set, so the search over them finds
+    what the search over the cliques of the first fit
+    (``conftest.counted_sets_of_size``) finds, in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(1, 4))
+    # vertex 1 neighbors neither member of the clique {2, 3}, so it must not
+    # close it: {1, 2, 3} is 2-pseudo-independent
+    @example(InformationGraph(3, [(2, 3)]), 2)
+    @example(complete(6), 3)
+    def test_parts_against_unpruned_enumeration(self, g, p):
+        adj, n = g.adjacency_masks(), g.n
+        parts = graphmetrics._suffix_cliques(adj, n, p)
+        assert all(parts)
+        assert sum(c.bit_count() for c in parts) == n
+        assert sum(parts) == (1 << n) - 1
+        for s in all_pseudo_independent_sets(g, p):
+            mask = sum(1 << v - 1 for v in s)
+            assert all((c & mask).bit_count() <= p for c in parts), s
+        cliques = first_fit_cliques(adj, n)
+        if p == 1:
+            assert parts == cliques
+        size = len(brute_pseudo_independent_sets(g, p)[0])
+        for s, some in ((size, True), (size + 1, False)):
+            sets = list(graphmetrics._all_pseudo_independent_of_size(adj, n, p, s, parts))
+            assert sets == list(counted_sets_of_size(adj, n, p, s, cliques))
+            assert bool(sets) is some
+
+
 def _in_members(graph, w, members):
     return tuple(u for u in members if u < w and graph.has_edge(u, w))
 
@@ -431,6 +464,38 @@ class TestPrunedSearchAgainstOracle:
         assert independence_number(g) == InvariantWitness(len(sets[0]), sets[0])
         cliques = brute_pseudo_independent_sets(g.complement(), 1)
         assert clique_number(g) == InvariantWitness(len(cliques[0]), cliques[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.integers(1, 4))
+    @example(InformationGraph(6), 1)
+    @example(InformationGraph(6), 2)
+    def test_disjoint_check_enumerates_the_maximum_sets_once(self, g, p):
+        # the first maximum set is kept by the alpha_p search; the sibling
+        # scan enumerates the others only when that set has no sibling, and
+        # the check reuses the sets it walked
+        sets = brute_pseudo_independent_sets(g, p)
+        size = pseudo_independence_number(g, p).value
+        sibling = next((w for s in sets for w in range(1, g.n + 1)
+                        if w not in s and len(_in_members(g, w, s)) >= p), None)
+        first_has_one = any(w not in sets[0] and len(_in_members(g, w, sets[0])) >= p
+                            for w in range(1, g.n + 1))
+        sizes = []
+        search = graphmetrics._all_pseudo_independent_of_size
+
+        def counting_search(adj, n, p, size, parts):
+            sizes.append(size)
+            return search(adj, n, p, size, parts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphmetrics, "_all_pseudo_independent_of_size", counting_search)
+            check = verify_no_disjoint_max_sets(g, p)
+        assert sizes == ([] if first_has_one else [size])
+        if sibling is not None:
+            assert check == DisjointSetsCheck(applicable=False, holds=True)
+        else:
+            pair = next(((a, b) for a, b in combinations(sets, 2) if not set(a) & set(b)), None)
+            assert check == DisjointSetsCheck(applicable=True, holds=pair is None,
+                                              counterexample=pair)
 
 
 def _invariant_calls(p):
@@ -536,24 +601,45 @@ class TestSearchMemo:
 
 
     def test_each_graph_builds_its_clique_partition_once(self, monkeypatch, tmp_path, capsys):
-        # one for the graph and one for its complement, whatever p; the
-        # partition does not depend on p
-        sizes = []
+        # once per graph and p: analyze graph --p 2 builds the graph's and
+        # its complement's at p = 1 and the graph's at p = 2
+        built = []
         partition = graphmetrics._suffix_cliques
 
-        def counting_partition(adj, n):
-            sizes.append(n)
-            return partition(adj, n)
+        def counting_partition(adj, n, p):
+            built.append((adj, p))
+            return partition(adj, n, p)
 
         monkeypatch.setattr(graphmetrics, "_suffix_cliques", counting_partition)
+        g = optimal_graph(16, 2)
         path = tmp_path / "g.json"
-        save_graph(optimal_graph(16, 2), path)
+        save_graph(g, path)
         assert main(["analyze", "graph", "--in", str(path), "--p", "2"]) == 0
-        assert sizes == [16, 16]
-        sizes.clear()
+        adj, co = g.adjacency_masks(), g.complement().adjacency_masks()
+        assert sorted(built) == sorted([(adj, 1), (co, 1), (adj, 2)])
+        built.clear()
         report = certify(random_cover_entries(7, 5, 6))
         assert [r.verdict for r in report.rows] == ["pass"] * 5
-        assert len(sizes) == 5
+        assert [p for _, p in built] == [1] * 5
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_sibling_of_the_kept_set_starts_no_search(self, monkeypatch, p):
+        # the first maximum set of the star, (1, 2, 3, 4), has the sibling 5
+        # at p = 1 and at p = 2; the alpha_p search kept it
+        g = star5()
+        assert pseudo_independence_number(g, p).witness == (1, 2, 3, 4)
+        sizes = []
+        search = graphmetrics._all_pseudo_independent_of_size
+
+        def counting_search(adj, n, p, size, parts):
+            sizes.append(size)
+            return search(adj, n, p, size, parts)
+
+        monkeypatch.setattr(graphmetrics, "_all_pseudo_independent_of_size", counting_search)
+        assert has_p_sibling(g, p) == PSiblingWitness(5, (1, 2, 3, 4), (1, 2, 3, 4))
+        if p == 1:
+            assert has_sibling_condition(g) == SiblingWitness(5, (1, 2, 3, 4), 1)
+        assert sizes == []
 
 
 class TestColoringMemo:
@@ -656,6 +742,37 @@ class TestSearchWork:
             ("complement-turan-18-3", 3): 31622,
             ("uniform-18-0.2", 1): 125, ("uniform-18-0.2", 2): 1965, ("uniform-18-0.2", 3): 6333,
             ("uniform-18-0.5", 1): 32, ("uniform-18-0.5", 2): 320, ("uniform-18-0.5", 3): 4896,
+        }
+
+    def test_alpha_p_search_reads_over_its_parts(self):
+        # as above, over the partition pseudo_independence_number uses at p;
+        # over the cliques of the first fit, uniform-18-0.2 reads 1965 and
+        # 6333 at p = 2 and 3, and uniform-18-0.5 320 and 4896
+        graphs = {
+            "optimal-16-2": optimal_graph(16, 2),
+            "complement-turan-18-3": complement_turan_graph(18, 3),
+            "uniform-18-0.2": random_graph(random.Random(1), 18, 0.2),
+            "uniform-18-0.5": random_graph(random.Random(2), 18, 0.5),
+        }
+        reads = {}
+        for name, g in graphs.items():
+            counted = _CountedReads(g.adjacency_masks())
+            for p in (1, 2, 3):
+                parts = graphmetrics._parts(g, p)
+                size = pseudo_independence_number(g, p).value
+                _CountedReads.reads = 0
+                sets = graphmetrics._all_pseudo_independent_of_size(counted, g.n, p, size, parts)
+                assert len(list(sets)) == len(maximum_pseudo_independent_sets(g, p))
+                above = graphmetrics._all_pseudo_independent_of_size(
+                    counted, g.n, p, size + 1, parts)
+                assert next(above, None) is None
+                reads[name, p] = _CountedReads.reads
+        assert reads == {
+            ("optimal-16-2", 1): 1279, ("optimal-16-2", 2): 16, ("optimal-16-2", 3): 24,
+            ("complement-turan-18-3", 1): 323, ("complement-turan-18-3", 2): 7260,
+            ("complement-turan-18-3", 3): 31622,
+            ("uniform-18-0.2", 1): 125, ("uniform-18-0.2", 2): 618, ("uniform-18-0.2", 3): 3245,
+            ("uniform-18-0.5", 1): 32, ("uniform-18-0.5", 2): 314, ("uniform-18-0.5", 3): 4695,
         }
 
     def test_theta_coloring_calls(self, monkeypatch):
