@@ -89,9 +89,12 @@ def _graph_bounds(alpha: int, theta: int, sibling: bool) -> RatioBounds:
 
 
 def _curvature_bounds(alpha: int, theta: int, lam: Fraction) -> RatioBounds:
+    """Both curvature bounds, each one Fraction of integers: with lam = t/b,
+    (theta b - (theta-1)t)/(theta b + t) and (alpha b - (alpha-1)t)/(alpha b)."""
     _require_vertices(alpha)
-    return RatioBounds((theta - (theta - 1) * lam) / (theta + lam),
-                       (alpha - (alpha - 1) * lam) / Fraction(alpha))
+    t, b = lam.numerator, lam.denominator
+    return RatioBounds(Fraction(theta * b - (theta - 1) * t, theta * b + t),
+                       Fraction(alpha * b - (alpha - 1) * t, alpha * b))
 
 
 def graph_ratio_bounds(graph: InformationGraph) -> RatioBounds:

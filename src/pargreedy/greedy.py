@@ -31,7 +31,8 @@ taken identifies a leaf, no two leaves share one, and a leaf costs one
 evaluation of that union.  Marginals telescope to f(union) - f(empty), so
 the value and per-agent marginals are built only for the leaves that are
 kept.  The searches add and compare scaled integers; a ``Fraction`` is
-built only for the values they return.
+built only for the values they return, and :func:`empirical_ratio`, which
+runs both searches on one ordering of the decisions, builds only the ratio.
 
 Two searches prune on an objective whose kind holds its axioms by
 construction (cover and both witnesses: monotone and submodular) when there
@@ -164,11 +165,12 @@ def _outcome(f: SetFunction, decisions: list[list[tuple[str, int]]], union: int,
 
 
 def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
-                   visible_sources: list[list[int]], policy: str, schedule: Schedule
-                   ) -> Union[GreedyOutcome, tuple[GreedyOutcome, ...]]:
+                   visible_sources: list[list[int]], policy: str) -> tuple[list[int], int]:
     """The engine both drivers share: one forward pass over the levels of
     the tie tree.  ``visible_sources[i]`` lists the agents (0-based) whose
-    decisions agent i observes.
+    decisions agent i observes.  Returns the decision unions of the leaves
+    kept (every leaf for ``all``, else the one the policy picks) and the
+    number of leaves.
 
     A level lists the decision union of every path to it, in depth-first
     order: each agent with decisions replaces every union by its
@@ -235,10 +237,9 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
         if policy == "all":
             # Two paths differ in some agent's decision, so no two leaves
             # share a union, and depth-first order is already ground order.
-            return tuple(_outcome(f, decisions, u, paths, schedule) for u in level)
+            return level, paths
         values = list(map(value, level))
-        leaf = level[values.index((max if policy == "best" else min)(values))]
-        return _outcome(f, decisions, leaf, paths, schedule)
+        return [level[values.index((max if policy == "best" else min)(values))]], paths
     last = len(steps) - 1
     best, leaf = None, 0
     stack = [(0, 0)] if steps else []  # (depth, union) of inner nodes, the next on top
@@ -254,7 +255,14 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
             v = value(u | m)
             if best is None or v < best:
                 best, leaf = v, u | m
-    return _outcome(f, decisions, leaf, paths, schedule)
+    return [leaf], paths
+
+
+def _graph_sources(agents: AgentSpace, graph: InformationGraph) -> list[list[int]]:
+    """The agents (0-based) each agent observes, if there are as many as vertices."""
+    if agents.n != graph.n:
+        raise InputError(f"agents: {agents.n} agents but graph has {graph.n} vertices")
+    return [list(set_bits(m)) for m in graph.in_neighbor_masks()]
 
 
 def run_greedy(f: SetFunction, agents: AgentSpace, graph: InformationGraph,
@@ -265,11 +273,12 @@ def run_greedy(f: SetFunction, agents: AgentSpace, graph: InformationGraph,
     Returns one outcome, or a tuple of outcomes for policy="all".
     """
     _check_policy(policy)
-    if agents.n != graph.n:
-        raise InputError(f"agents: {agents.n} agents but graph has {graph.n} vertices")
+    sources = _graph_sources(agents, graph)
     decisions = _ordered_decisions(f, agents)
-    sources = [list(set_bits(m)) for m in graph.in_neighbor_masks()]
-    return _greedy_engine(f, decisions, sources, policy, earliest_schedule(graph))
+    schedule = earliest_schedule(graph)
+    leaves, paths = _greedy_engine(f, decisions, sources, policy)
+    outcomes = tuple(_outcome(f, decisions, u, paths, schedule) for u in leaves)
+    return outcomes if policy == "all" else outcomes[0]
 
 
 def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: IterationAssignment,
@@ -295,7 +304,9 @@ def run_parallel_greedy(f: SetFunction, agents: AgentSpace, assignment: Iteratio
     # dense rank of the iteration values = earliest feasible round
     ranked = normalize_assignment(assignment)
     schedule = Schedule(ranked.P)
-    return _greedy_engine(f, decisions, sources, policy, schedule)
+    leaves, paths = _greedy_engine(f, decisions, sources, policy)
+    outcomes = tuple(_outcome(f, decisions, u, paths, schedule) for u in leaves)
+    return outcomes if policy == "all" else outcomes[0]
 
 
 def brute_force_optimum(f: SetFunction, agents: AgentSpace
@@ -312,18 +323,21 @@ def brute_force_optimum(f: SetFunction, agents: AgentSpace
     ``PROFILE_CAP`` before any profile is evaluated.
     """
     decisions = _ordered_decisions(f, agents)
+    best_value, union = _optimum(f, decisions)
+    return tuple(e for e, _ in _choices(decisions, union)), Fraction(best_value, f.scale)
+
+
+def _optimum(f: SetFunction, decisions: list[list[tuple[str, int]]]) -> tuple:
+    """(scaled value, union) of :func:`brute_force_optimum`'s profile."""
     count = _profile_count(decisions)
     if count > PROFILE_CAP:
         raise CapacityError(f"profile enumeration exceeds cap {PROFILE_CAP}")
-
     value = f.scaled_value
     # check_partition made the full mask the union of all decisions
     ceiling = value((1 << len(f.ground)) - 1) if f.axioms_by_construction else None
     if ceiling is not None and count > PRUNE_PROFILES:
-        best_value, union = _pruned_optimum(value, decisions, ceiling)
-    else:
-        best_value, union = _flat_optimum(value, decisions, ceiling)
-    return tuple(e for e, _ in _choices(decisions, union)), Fraction(best_value, f.scale)
+        return _pruned_optimum(value, decisions, ceiling)
+    return _flat_optimum(value, decisions, ceiling)
 
 
 def _flat_optimum(value, decisions: list[list[tuple[str, int]]], ceiling) -> tuple:
@@ -387,10 +401,14 @@ def empirical_ratio(f: SetFunction, agents: AgentSpace, graph: InformationGraph)
     """Worst-tie-broken greedy value divided by the exact optimum.
 
     This is an upper estimate of the graph's true competitive ratio, which
-    is an infimum over all objectives and decision spaces.
+    is an infimum over all objectives and decision spaces.  The searches
+    and checks of :func:`brute_force_optimum`, then of :func:`run_greedy`
+    with ``worst``, share one ordering of the decisions, and the one
+    Fraction built is the scaled f(leaf) - f(empty) over the scaled optimum.
     """
-    _, opt = brute_force_optimum(f, agents)
+    decisions = _ordered_decisions(f, agents)
+    opt, _ = _optimum(f, decisions)
     if opt == 0:
         raise UndefinedRatioError("optimum value is 0, ratio undefined")
-    worst = run_greedy(f, agents, graph, "worst")
-    return worst.value / opt
+    (leaf,), _ = _greedy_engine(f, decisions, _graph_sources(agents, graph), "worst")
+    return Fraction(f.scaled_value(leaf) - f.scaled_value(0), opt)

@@ -399,7 +399,9 @@ def _file_entries(values: dict) -> Iterable[tuple[list[str], tuple[int, int]]]:
 
 class CoverFunction(SetFunction):
     """Weighted set cover: f(A) is the total weight of targets covered by
-    the union of the coverage sets of A's elements."""
+    the union of the coverage sets of A's elements.  Each weight is read as a
+    table value is (:func:`_table_value`), and the scale is the lcm of their
+    denominators, so every value is an int sum of scaled weights."""
 
     kind = "cover"
     axioms_by_construction = True  # weights are checked to be >= 0
@@ -419,36 +421,36 @@ class CoverFunction(SetFunction):
         for field, given in (("weights", weights), ("coverage", coverage)):
             if not isinstance(given, Mapping):
                 raise InputError(f"{field}: expected a mapping, got {given!r}")
-        wlist = [ZERO] * len(targets)
+        wlist = [(0, 1)] * len(targets)  # (numerator, denominator) per target
         for t, raw in weights.items():
             if t not in tindex:
                 raise InputError(f"weights: unknown target id {t!r}")
-            w = as_fraction(raw, f"weights[{t!r}]")
-            if w < 0:
-                raise InputError(f"weights[{t!r}]: negative weight {w}")
-            wlist[tindex[t]] = w
+            num, den = _table_value(raw, lambda: f"weights[{t!r}]")
+            if num < 0:
+                raise InputError(f"weights[{t!r}]: negative weight {Fraction(num, den)}")
+            wlist[tindex[t]] = num, den
         missing_w = set(targets) - set(weights)
         if missing_w:
             raise InputError(f"weights: missing weight for target {sorted(missing_w)[0]!r}")
         emasks = [0] * len(self.ground)
-        covered = set()
+        covered = 0  # the mask of the elements with an entry
         for e, ts in coverage.items():
-            if e not in self._index:
+            i = self._index.get(e)
+            if i is None:
                 raise InputError(f"coverage: unknown element id {e!r}")
-            covered.add(e)
+            covered |= 1 << i
             _check_ids(ts, "coverage", e)
             m = 0
             for t in ts:
                 if t not in tindex:
                     raise InputError(f"coverage[{e!r}]: unknown target id {t!r}")
                 m |= 1 << tindex[t]
-            emasks[self._index[e]] = m
-        uncovered = set(self.ground) - covered
-        if uncovered:
-            raise InputError(f"coverage: no entry for element {sorted(uncovered)[0]!r}")
+            emasks[i] = m
+        if covered != (1 << len(self.ground)) - 1:
+            raise InputError(f"coverage: no entry for element {min(self._members(~covered))!r}")
         self.targets = targets
-        self.scale = lcm(*(w.denominator for w in wlist))
-        self._weights = tuple(w.numerator * (self.scale // w.denominator) for w in wlist)
+        self.scale = lcm(*(den for _, den in wlist))
+        self._weights = tuple(num * (self.scale // den) for num, den in wlist)
         self._element_target_masks = emasks
         self._target_cache: dict[int, int] = {0: 0}
 

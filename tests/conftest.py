@@ -23,6 +23,9 @@ from pargreedy import (
     InformationGraph,
     InputError,
     SetFunction,
+    UndefinedRatioError,
+    brute_force_optimum,
+    run_greedy,
 )
 from pargreedy.objective import (
     SCALE_BITS_CAP,
@@ -488,6 +491,26 @@ def brute_greedy(f: SetFunction, agents: AgentSpace, sources, policy: str, sched
     order = {e: k for k, e in enumerate(f.ground)}
     return tuple(sorted((outcome(leaf) for leaf in firsts.values()),
                         key=lambda o: [-1 if d is None else order[d] for d in o.profile]))
+
+
+# -- ratio and bound oracles (the compositions the fast paths replaced) --
+
+
+def composed_ratio(f: SetFunction, agents: AgentSpace, graph: InformationGraph) -> Fraction:
+    """What ``empirical_ratio`` returns, composed from the public calls:
+    ``brute_force_optimum`` first, then the worst greedy outcome's value
+    divided by the optimum, each call ordering the decisions itself."""
+    _, opt = brute_force_optimum(f, agents)
+    if opt == 0:
+        raise UndefinedRatioError("optimum value is 0, ratio undefined")
+    return run_greedy(f, agents, graph, "worst").value / opt
+
+
+def fraction_curvature_bounds(alpha: int, theta: int, lam: Fraction) -> tuple[Fraction, Fraction]:
+    """(lower, upper) of the curvature bounds in Fraction arithmetic:
+    (theta-(theta-1)lam)/(theta+lam) and (alpha-(alpha-1)lam)/alpha."""
+    return ((theta - (theta - 1) * lam) / (theta + lam),
+            (alpha - (alpha - 1) * lam) / Fraction(alpha))
 
 
 # -- node-count oracle (depth-first walk over an explicit stack) -------

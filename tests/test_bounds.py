@@ -32,6 +32,7 @@ from pargreedy.suites import (
     edgeless_graph,
     random_cover_entries,
     random_cover_instance,
+    random_feasible_graph,
     standard_witness_entries,
     witness_entry,
 )
@@ -39,7 +40,9 @@ from pargreedy.adversarial import WitnessInstance, curvature_witness
 from pargreedy.cli import main
 from pargreedy.serialize import save_witness
 
-from conftest import all_graphs, brute_theta
+from pargreedy.bounds import _curvature_bounds
+
+from conftest import all_graphs, brute_alpha, brute_theta, fraction_curvature_bounds
 
 F = Fraction
 
@@ -193,6 +196,51 @@ class TestCurvatureBounds:
     def test_lambda_validation(self):
         with pytest.raises(InputError, match="lambda"):
             curvature_eta_bounds(5, 2, "7/2")
+
+
+# every lam = k/d with d <= 12, each value once
+_LAMBDAS = sorted({F(k, d) for d in range(1, 13) for k in range(d + 1)})
+
+
+def _cycle(n):
+    return InformationGraph(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+class TestCurvatureBoundsAgainstFractionArithmetic:
+    """The bounds are built from lam's numerator and denominator as one
+    Fraction each; ``conftest.fraction_curvature_bounds`` evaluates the
+    formulas in Fraction arithmetic."""
+
+    def test_every_alpha_theta_and_lambda(self):
+        for theta in range(1, 21):
+            for alpha in range(1, theta + 1):
+                ends = []
+                for lam in _LAMBDAS:
+                    b = _curvature_bounds(alpha, theta, lam)
+                    assert (b.lower, b.upper) == fraction_curvature_bounds(alpha, theta, lam)
+                    assert b.refined_upper is None
+                    if lam in (0, 1):
+                        ends.append((b.lower, b.upper))
+                assert ends == [(1, 1), (F(1, theta + 1), F(1, alpha))]
+
+    def test_eta_bounds(self):
+        for r in range(1, 21):
+            for lam in _LAMBDAS:
+                b = curvature_eta_bounds(r, 1, lam)
+                assert (b.lower, b.upper) == fraction_curvature_bounds(r, r, lam)
+
+    def test_graph_bounds(self):
+        # (graph, alpha, theta): C5 and C7 have theta = alpha + 1
+        graphs = [(_cycle(5), 2, 3), (_cycle(7), 3, 4), (_cycle(7).complement(), 2, 3),
+                  (edgeless_graph(20), 20, 20), (complement_turan_graph(12, 4), 4, 4)]
+        rng = random.Random(32)
+        for n in rng.choices(range(1, 7), k=20):
+            g = random_feasible_graph(rng, n, rng.randint(1, n))
+            graphs.append((g, brute_alpha(g), brute_theta(g)))
+        for g, alpha, theta in graphs:
+            for lam in _LAMBDAS:
+                b = curvature_graph_bounds(g, str(lam))
+                assert (b.lower, b.upper) == fraction_curvature_bounds(alpha, theta, lam)
 
 
 class TestMinEdgesBound:

@@ -354,6 +354,14 @@ class TestCertifyVerb:
         _, out, _ = run_cli(capsys, *argv.split())
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_curvature_bound_scan_is_pinned(self, capsys):
+        # 404 rows of exact curvature bounds, pinned as the reports above
+        code, out, _ = run_cli(capsys, *"scan --curve curvature-bounds --r 1,2,3,7"
+                                         " --lambda-steps 100".split())
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "cbd163dc5d56e12fcbaf836e9337da8991e7b6b6ef4d08f84e7dd07c83e42324")
+
     @staticmethod
     def _two_agents_on_three_vertices(path):
         f = SetFunction.cover(("a", "b"), ("y",), {"y": 1}, {"a": ("y",), "b": ("y",)})

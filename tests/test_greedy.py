@@ -60,6 +60,7 @@ from conftest import (
     blow_up_values,
     brute_greedy,
     brute_optimum,
+    composed_ratio,
     objective_instances,
     stack_greedy_engine,
 )
@@ -288,6 +289,57 @@ class TestEmpiricalRatio:
             g = random_feasible_graph(rng, n, rng.randint(1, n))
             theta = clique_cover_number(g).value
             assert empirical_ratio(f, X, g) >= F(1, theta + 1)
+
+
+def _ratio_or_error(ratio, *args):
+    """A ratio, or the type and message of the error it raised."""
+    try:
+        return ratio(*args)
+    except (InputError, CapacityError) as exc:  # UndefinedRatioError is an InputError
+        return type(exc), str(exc)
+
+
+class TestEmpiricalRatioAgainstComposedCalls:
+    """``empirical_ratio`` orders the decisions once and divides the two
+    searches' scaled values; ``conftest.composed_ratio`` divides what
+    ``brute_force_optimum`` and ``run_greedy`` return.  Each side builds its
+    own objective, so neither reads values the other cached."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(objective_instances())
+    def test_drawn_instances(self, instance):
+        ground, payload, X, graph, _ = instance
+        make = OBJECTIVE_KINDS[payload["kind"]].from_obj
+        assert (_ratio_or_error(empirical_ratio, make(ground, payload), X, graph)
+                == _ratio_or_error(composed_ratio, make(ground, payload), X, graph))
+
+    def test_witness_constructions_on_random_graphs(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            g = random_feasible_graph(rng, n, rng.randint(1, n))
+            lam, p = F(rng.randint(0, 4), 4), rng.randint(1, min(n, 3))
+            for build, arg in ((curvature_witness, lam), (p_additive_witness, p)):
+                w, again = build(g, arg), build(g, arg)
+                assert (empirical_ratio(w.objective, w.agents, w.graph)
+                        == composed_ratio(again.objective, again.agents, again.graph))
+
+    @pytest.mark.parametrize("weight, vertices, cap, error", [
+        (0, 2, PROFILE_CAP, UndefinedRatioError),
+        (1, 3, PROFILE_CAP, InputError),
+        (0, 3, PROFILE_CAP, UndefinedRatioError),  # the optimum is checked first
+        (1, 3, 1, CapacityError),  # and the cap before both
+    ], ids=["zero-optimum", "agents-not-vertices", "zero-optimum-first", "profile-cap"])
+    def test_errors(self, monkeypatch, weight, vertices, cap, error):
+        monkeypatch.setattr(greedy, "PROFILE_CAP", cap)
+
+        def make():
+            return SetFunction.cover(("a", "b", "c"), ("y",), {"y": weight},
+                                     {"a": ("y",), "b": ("y",), "c": ()})
+        X = AgentSpace([{"a", "c"}, {"b"}])
+        got = _ratio_or_error(empirical_ratio, make(), X, InformationGraph(vertices))
+        assert got == _ratio_or_error(composed_ratio, make(), X, InformationGraph(vertices))
+        assert got[0] is error
 
 
 class TestParallelDifferential:

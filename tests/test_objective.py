@@ -127,6 +127,29 @@ def test_cover_arguments_are_checked_by_field(changes, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("raw, message", [
+    (True, "weights['y']: expected a rational, got a boolean"),
+    (0.5, "weights['y']: expected int, 'p/q' string or Fraction, got float"),
+    ("1/0", "weights['y']: invalid rational '1/0' (Fraction(1, 0))"),
+    ("abc", "weights['y']: invalid rational 'abc' (Invalid literal for Fraction: 'abc')"),
+    ("-2/3", "weights['y']: negative weight -2/3"),
+    (" 3 ", None), ("1.5", None), ("007", None), ("6/4", None), (F(3, 2), None),
+], ids=["bool", "float", "zero-denominator", "not-a-number", "negative", "spaces",
+        "decimal", "leading-zeros", "unreduced", "fraction"])
+def test_cover_weight_spellings_read_as_as_fraction_reads_them(raw, message):
+    # each weight is accepted with the value as_fraction gives it, or
+    # rejected with the message the cover constructor has always given
+    if message is not None:
+        with pytest.raises(InputError) as exc:
+            _cover(weights={"y": raw, "z": 2})
+        assert str(exc.value) == message
+        return
+    f = _cover(weights={"y": raw, "z": 2})
+    assert f.value(("a",)) == as_fraction(raw)
+    assert f.value(("a", "b")) == as_fraction(raw) + 2
+    assert f.scale == as_fraction(raw).denominator
+
+
 _ID_COLLECTION_ENTRY_POINTS = {
     "ground": lambda ids: _cover(ground=ids),
     "agents": lambda ids: AgentSpace([("a",), ids]),
