@@ -21,6 +21,7 @@ from .errors import (
     EXIT_OK,
     CapacityError,
     InputError,
+    PargreedyError,
     UndefinedRatioError,
 )
 from .graphmetrics import (
@@ -248,13 +249,16 @@ def chain_bound_check(f: SetFunction, agents: AgentSpace, n: int, q: int) -> Cha
 
 class SuiteEntry(Record):
     """One certification row: an instance, the graph it runs on, and an
-    optional predicted ratio when the instance is a constructed witness."""
+    optional predicted ratio when the instance is a constructed witness.
+    A row whose instance could not be built holds the error its
+    construction raised as ``fault``, and None for the instance."""
     instance_id: str
     graph_id: str
-    objective: SetFunction
-    agents: AgentSpace
-    graph: InformationGraph
+    objective: Optional[SetFunction]
+    agents: Optional[AgentSpace]
+    graph: Optional[InformationGraph]
     predicted_ratio: Optional[Fraction] = None
+    fault: Optional[PargreedyError] = None
 
 
 class CertifyRow(Record):
@@ -360,11 +364,15 @@ def certify(entries: Iterable[SuiteEntry]) -> BoundsReport:
     A row whose optimum is 0 is ``undefined``, one whose data are
     inconsistent (say, fewer agents than graph vertices) is
     ``input-error``, and one that exceeds a cap is ``capacity-error``; the
-    note of each is the error's message.  None of these aborts the suite.
+    note of each is the error's message.  An entry's ``fault``, the error
+    that building its instance raised, is reported the same way.  None of
+    these aborts the suite.
     """
     rows = []
     for entry in entries:
         try:
+            if entry.fault is not None:
+                raise entry.fault
             report = check_properties(entry.objective)
             if report.counterexample is not None:
                 rows.append(_unrated_row(entry, "inapplicable",

@@ -45,15 +45,22 @@ searches are as fast or faster, and they are the only ones that run.
   count, which gives the exact node count checked against ``NODE_CAP`` and
   the exact leaf count reported as the resolutions.  A depth-first
   branch-and-bound over the ties the pass recorded, in the tree's leaf
-  order, then finds the first minimal leaf, pruning a node u with
-  f(u) >= the best leaf so far.
+  order, then finds the first minimal leaf, pruning a node u at depth d
+  with f(u) + low[d] >= the best leaf so far.  low[d] floors what the
+  agents from d on add: by submodularity an option o adds at least its
+  last marginal f(o | A) >= f(S) - f(S - o) to any A within S - o, with S
+  the ground set (the per-element form of total curvature, Conforti and
+  Cornuéjols 1984), so low[d] sums each such agent's least last marginal
+  over the options it takes.
 * :func:`brute_force_optimum` returns the first maximizing profile in
   lexicographic ground order.  On such an objective it stops at the first
   profile worth f(ground), which no profile can exceed; above the gate it is
   a depth-first branch-and-bound (Land and Doig 1960) that prunes a node
   whose bound min(f(u | all remaining options), f(u) + sum over the
-  remaining agents of max f(a | u)) is <= the best so far.  On any other
-  objective it enumerates every profile.
+  remaining agents of max f(a | u)) is <= the best so far, or is < the
+  value of the full-information sequential greedy profile, which is at
+  most the optimum and at least half of it (Nemhauser, Wolsey and Fisher
+  1978).  On any other objective it enumerates every profile.
 """
 
 from __future__ import annotations
@@ -186,7 +193,14 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
     an explicit stack, ties in ground order, finds the first minimal leaf:
     f is monotone, so f(u) bounds every leaf below u from below, and a node
     with f(u) >= the best leaf so far is pruned; a later leaf replaces the
-    best only when strictly smaller, so the first minimal leaf is kept."""
+    best only when strictly smaller, so the first minimal leaf is kept.
+    Above the last agent the bound is f(u) + low[d]: f is submodular, so
+    an agent that takes option o adds f(o | A) >= f(S) - f(S - o) with S
+    the ground set, and low[d] sums, over the agents from depth d on, the
+    least such last marginal over the options the agent takes in some tie.
+    It costs an evaluation per such option, so it is built once, after the
+    first leaf, when a node above the last agent outlives the plain bound;
+    at the last agent the leaves cost no more than the bound would."""
     value = f.scaled_value
     node_cap = NODE_CAP  # read once per call, not once per node
     too_many = f"tie-tree enumeration exceeded {node_cap} nodes"
@@ -241,12 +255,27 @@ def _greedy_engine(f: SetFunction, decisions: list[list[tuple[str, int]]],
         values = list(map(value, level))
         return [level[values.index((max if policy == "best" else min)(values))]], paths
     last = len(steps) - 1
-    best, leaf = None, 0
+    best, leaf, low = None, 0, None
     stack = [(0, 0)] if steps else []  # (depth, union) of inner nodes, the next on top
     while stack:
         d, u = stack.pop()
-        if best is not None and value(u) >= best:
-            continue
+        if best is not None:
+            fu = value(u)
+            if fu >= best:
+                continue
+            if d < last:
+                if low is None:  # low[k]: what the agents from depth k on add at least
+                    full, low = (1 << len(f.ground)) - 1, [0] * (last + 2)
+                    top = value(full)
+                    for k in reversed(range(last + 1)):
+                        drop = top  # min f(S) - f(S - o) over the options o agent k took
+                        for m in {m for tied in steps[k][0].values() for m in tied}:
+                            drop = min(drop, top - value(full ^ m))
+                            if not drop:  # f is monotone: no term is below 0
+                                break
+                        low[k] = low[k + 1] + drop
+                if fu + low[d] >= best:
+                    continue
         ties, see = steps[d]
         if d < last:
             stack += [(d + 1, u | m) for m in reversed(ties[u & see])]
@@ -366,23 +395,42 @@ def _pruned_optimum(value, decisions: list[list[tuple[str, int]]], ceiling) -> t
     marginal f(a | u), since f is submodular (Nemhauser, Wolsey and Fisher
     1978).  A node whose bound is <= the best value so far is pruned: a
     later profile replaces the best only when strictly larger, so the first
-    maximizer is kept.  The search stops at a profile worth ``ceiling``."""
+    maximizer is kept.  The search stops at a profile worth ``ceiling``.
+
+    Once the first leaves miss the ceiling and a node outlives the best so
+    far, the profile of the full-information sequential greedy (each agent
+    in turn takes its first option of largest marginal) is evaluated once;
+    it is worth at least half the optimum, and the optimum is worth at
+    least its value, so a node whose bound is strictly below it is pruned
+    too.  A node that could hold a profile
+    worth that value is kept, so the first maximizer is never pruned."""
     steps = [[m for _, m in opts] for opts in decisions if opts]
     last = len(steps) - 1
     rest = [0] * (last + 2)  # every option of the agents from d on
     for d in reversed(range(last + 1)):
         rest[d] = rest[d + 1] | sum(steps[d])
     best_value, best_union = (None, 0) if steps else (value(0), 0)
+    floor = None
     stack = [(0, 0)] if steps else []  # (depth, union) of inner nodes, the next on top
     while stack:
         d, u = stack.pop()
-        if best_value is not None and value(u | rest[d]) <= best_value:
-            continue
+        if best_value is not None:
+            bound = value(u | rest[d])
+            if bound <= best_value:
+                continue
+            if floor is None:  # the sequential greedy's value, taken once
+                g = 0
+                for opts in steps:
+                    gains = [value(g | m) for m in opts]
+                    g |= opts[gains.index(max(gains))]
+                floor = value(g)
+            if bound < floor:
+                continue
         if d < last:
             if best_value is not None:
                 fu = value(u)
-                if fu + sum(max(value(u | m) for m in opts) - fu
-                            for opts in steps[d:]) <= best_value:
+                bound = fu + sum(max(value(u | m) for m in opts) - fu for opts in steps[d:])
+                if bound <= best_value or bound < floor:
                     continue
             stack += [(d + 1, u | m) for m in reversed(steps[d])]
             continue

@@ -16,7 +16,8 @@ from .adversarial import (
     sequential_half_witness,
 )
 from .bounds import SuiteEntry
-from .objective import AgentSpace, SetFunction
+from .errors import CapacityError, InputError
+from .objective import AgentSpace, SetFunction, as_lambda
 from .structure import (
     InformationGraph,
     IterationAssignment,
@@ -94,15 +95,24 @@ def witness_entry(w: WitnessInstance, instance_id: str, graph_id: str) -> SuiteE
                       predicted_ratio=w.predicted_ratio)
 
 
+def _built_entry(build, instance_id: str, graph_id: str) -> SuiteEntry:
+    """The row of the witness ``build()`` constructs.  A construction that
+    exceeds a cap or refuses its graph gives a row holding that error,
+    which :func:`certify` reports as the row's verdict."""
+    try:
+        return witness_entry(build(), instance_id, graph_id)
+    except (CapacityError, InputError) as exc:
+        return SuiteEntry(instance_id, graph_id, None, None, None, fault=exc)
+
+
 def curvature_witness_entries(alpha_max: int, lambdas: Sequence) -> list[SuiteEntry]:
     """Curvature witnesses on edgeless graphs of every size up to alpha_max."""
     entries = []
     for alpha in range(1, alpha_max + 1):
         g = edgeless_graph(alpha)
-        for lam in lambdas:
-            w = curvature_witness(g, lam)
-            entries.append(witness_entry(
-                w, f"curv-a{alpha}-l{w.params['lambda']}", f"edgeless-{alpha}"))
+        for lam in map(as_lambda, lambdas):
+            entries.append(_built_entry(lambda: curvature_witness(g, lam),
+                                        f"curv-a{alpha}-l{lam}", f"edgeless-{alpha}"))
     return entries
 
 
@@ -112,10 +122,10 @@ def p_additive_witness_entries(alpha_max: int, p_max: int) -> list[SuiteEntry]:
     entries = []
     for p in range(1, p_max + 1):
         for a in range(p, alpha_max + 1):
-            w = p_additive_witness(star_graph(a), p)
-            entries.append(witness_entry(w, f"padd-star-a{a}-p{p}", f"star-{a}"))
-            w = p_additive_witness(edgeless_graph(a), p)
-            entries.append(witness_entry(w, f"padd-free-a{a}-p{p}", f"edgeless-{a}"))
+            entries.append(_built_entry(lambda: p_additive_witness(star_graph(a), p),
+                                        f"padd-star-a{a}-p{p}", f"star-{a}"))
+            entries.append(_built_entry(lambda: p_additive_witness(edgeless_graph(a), p),
+                                        f"padd-free-a{a}-p{p}", f"edgeless-{a}"))
     return entries
 
 

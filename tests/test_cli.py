@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import pargreedy
+from pargreedy import graphmetrics
 from pargreedy import (
     AgentSpace,
     InformationGraph,
@@ -304,6 +305,38 @@ class TestCertifyVerb:
                                "--alpha-max", "3", "--lambdas", "0,1/2,1")
         assert code == 0
         assert "failures=0" in out.splitlines()[-1]
+
+    def test_a_witness_past_the_graph_cap_is_a_capacity_error_row(self, capsys, monkeypatch):
+        # with the cap at 5 vertices, no witness on edgeless(6), star(5) or
+        # star(6) can be built: each is a row that names the cap, every
+        # other row prints as it does with no cap, and the suite exits 3
+        argv = ("certify", "--suite", "witnesses", "--alpha-max", "6", "--lambdas", "1",
+                "--p-max", "2")
+        code, full, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(graphmetrics, "GRAPH_CAP", 5)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and err == ""
+        over = {"curv-a6-l1": ("edgeless-6", "independence number on 6"),
+                "padd-star-a5-p1": ("star-5", "p-sibling property on 6"),
+                "padd-star-a6-p1": ("star-6", "p-sibling property on 7"),
+                "padd-free-a6-p1": ("edgeless-6", "p-sibling property on 6"),
+                "padd-star-a5-p2": ("star-5", "p-sibling property on 6"),
+                "padd-star-a6-p2": ("star-6", "p-sibling property on 7"),
+                "padd-free-a6-p2": ("edgeless-6", "p-sibling property on 6")}
+        lines, expected = out.splitlines(), full.splitlines()
+        assert len(lines) == len(expected) == 1 + 6 + 2 * (6 + 5) + 1
+        for line, before in zip(lines[:-1], expected):
+            row = line.split()[1].removeprefix("instance=")
+            if row in over:
+                graph, what = over.pop(row)
+                assert line == (f"row instance={row} graph={graph} empirical=- lower=- upper=-"
+                                f" verdict=capacity-error note={what} vertices exceeds"
+                                " exact-search cap 5")
+            else:
+                assert line == before
+        assert over == {}
+        assert lines[-1] == "rows=29 failures=0 capacity_errors=7 equalities=22"
 
     def test_stored_witness_file(self, capsys, tmp_path):
         w = tmp_path / "w.json"

@@ -644,8 +644,8 @@ class TestLevelBuild:
     def test_run_greedy_evaluates_no_more_than_the_level_build(self):
         # the cover (64 profiles) and the p-additive witness (128) keep
         # their levels whole; the curvature witness (256) merges them and
-        # takes the branch-and-bound
-        assert self._counted() == [(113, 111), (244, 241), (269, 146)]
+        # takes the branch-and-bound, whose last-marginal floor prunes it
+        assert self._counted() == [(113, 111), (53, 50), (269, 146)]
 
 
 class TestPrunedSearches:
@@ -716,6 +716,81 @@ class TestPrunedSearches:
         assert brute_force_optimum(table, X) == optimum
         with pytest.raises(AssertionError, match="pruned path taken"):
             brute_force_optimum(f, X)
+
+
+def floor_witness(kind, seed):
+    """A witness whose two searches both floors work on.  ``curvature``: a
+    random lambda on a random graph of 9-12 agents, at least 8 of them
+    pairwise unseen.  ``p-additive`` (p = 2, 3): 9-12 agents that each see
+    at most p - 1 earlier agents, so all are members; ``p-additive-sibling``
+    adds a last agent that sees at least p of them.  Every member ties, so
+    many profiles tie at the optimum, and there are more than
+    ``PRUNE_PROFILES`` profiles."""
+    rng = random.Random(seed)
+    n = rng.randint(9, 12)
+    if kind == "curvature":
+        members = set(rng.sample(range(1, n + 1), rng.randint(8, n)))
+        density = rng.uniform(0.1, 0.7)
+        edges = [(i, j) for i, j in combinations(range(1, n + 1), 2)
+                 if not {i, j} <= members and rng.random() < density]
+        den = rng.randint(1, 9)
+        return curvature_witness(InformationGraph(n, edges), F(rng.randint(0, den), den))
+    p, a = rng.randint(2, 3), n - (kind == "p-additive-sibling")
+    edges = {(j, m) for m in range(2, a + 1)
+             for j in rng.sample(range(1, m), min(m - 1, rng.randint(0, p - 1)))}
+    edges |= {(j, n) for j in rng.sample(range(1, a + 1), rng.randint(p, a))} if a < n else set()
+    return p_additive_witness(InformationGraph(n, sorted(edges)), p)
+
+
+class TestSearchFloors:
+    """The last-marginal floor of the merged ``worst`` search and the
+    sequential-greedy floor of the pruned optimum, on the two witness
+    families: the first minimal leaf against the stack walk
+    (``conftest.stack_greedy_engine``), the first maximizing profile
+    against the flat loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(("curvature", "p-additive", "p-additive-sibling")),
+           st.integers(0, 2 ** 32 - 1))
+    def test_witness_searches_match_the_oracles(self, kind, seed):
+        w = floor_witness(kind, seed)
+        f, X, graph = w.objective, w.agents, w.graph
+        assert w.params.get("sibling", False) == (kind == "p-additive-sibling")
+        decisions = _ordered_decisions(f, X)
+        assert _profile_count(decisions) > PRUNE_PROFILES
+        rng = random.Random(seed)
+        assignment = random_assignment(rng, graph.n, rng.randint(1, graph.n))
+        for run, structure, _, sources, schedule in _greedy_inputs(f, X, graph, assignment):
+            expected, _ = stack_greedy_engine(f, decisions, sources, "worst", schedule,
+                                              float("inf"))
+            (leaf,), paths = greedy._greedy_engine(f, decisions, sources, "worst")
+            assert leaf == sum(m for opts in decisions for e, m in opts if e in expected.profile)
+            assert paths == expected.resolutions_explored
+            assert run(f, X, structure, "worst") == expected
+        ceiling = f.scaled_value((1 << len(f.ground)) - 1)
+        value, union = _flat_optimum(f.scaled_value, decisions, ceiling)
+        assert _pruned_optimum(f.scaled_value, decisions, ceiling) == (value, union)
+        assert brute_force_optimum(f, X) == (
+            tuple(next((e for e, m in opts if union & m), None) for opts in decisions),
+            F(value, f.scale))
+
+    def test_brute_force_optimum_evaluations_are_pinned(self):
+        # scaled_value calls and _evaluate misses on the curvature witness
+        # of TestLevelBuild (256 profiles), which takes the pruned optimum
+        w = curvature_witness(edgeless_graph(8), F(1, 3))
+        calls, misses = _traced(w.objective, lambda g: brute_force_optimum(g, w.agents))
+        assert (len(calls), misses) == (165, 142)
+
+    def test_a_node_worth_the_best_leaf_is_pruned(self):
+        # scaled_value calls and _evaluate misses of worst on a seeded cover
+        # of 12 agents with 256 profiles: a node u with f(u) equal to the
+        # best leaf so far has no leaf below it that is strictly smaller
+        rng = random.Random(33)
+        f, X = random_cover_instance(rng, 12, max_ground=24)
+        graph = random_feasible_graph(rng, 12, 4)
+        assert _profile_count(_ordered_decisions(f, X)) == 256
+        calls, misses = _traced(f, lambda g: run_greedy(g, X, graph, "worst"))
+        assert (len(calls), misses) == (36, 33)
 
 
 def _drivers(f, X, graph, assignment):
